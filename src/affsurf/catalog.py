@@ -587,18 +587,6 @@ def instantiate_ref(mref: ModelRef) -> ModelRecord:
                        _NOTES.get(mref.family, ""))
 
 
-def expected_flags(record: ModelRecord) -> dict:
-    return record.expected.to_json()
-
-
-def embedding_for(record: ModelRecord) -> tuple[AffineMapEntry, ...]:
-    return record.maps
-
-
-def killing_basis(record: ModelRecord) -> tuple[VectorFieldExpr, ...]:
-    return record.killing_basis
-
-
 # ---------------------------------------------------------------------------
 # standard parameter samples and grids (used by sweeps and acceptance tests)
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or guard error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import catalog as cat
@@ -105,7 +106,23 @@ def _collect_params(args, family: str) -> dict:
         if name == "sign":
             raw = {"+": "1", "-": "-1", "+1": "1", "plus": "1", "minus": "-1"}.get(raw, raw)
         params[name] = float(raw)
+        if not math.isfinite(params[name]):
+            raise GuardError(f"--{name} must be finite, got {raw}")
     return params
+
+
+def _check_horizon(T: float) -> None:
+    if not (math.isfinite(T) and T > 0):
+        raise GuardError(f"--T must be finite and positive, got {T}")
+
+
+def _parse_init(text: str, form: str) -> list[float]:
+    vals = [float(v) for v in text.split(",")]
+    if len(vals) != len(form.split(",")):
+        raise GuardError(f"--init must be {form}")
+    if not all(math.isfinite(v) for v in vals):
+        raise GuardError(f"--init must be finite, got {text}")
+    return vals
 
 
 def _resolve_model(args) -> cat.ModelRecord:
@@ -198,6 +215,8 @@ def cmd_verify(args) -> int:
         if not args.family:
             raise GuardError("verify needs a family or --all")
         records = [_resolve_model(args)]
+    if args.grid < 1:
+        raise GuardError(f"--grid must be at least 1, got {args.grid}")
     results = [_verify_one(r, args.grid) for r in records]
     ok = all(r["pass"] for r in results)
     _emit({"results": results, "pass": ok}, args.json_path)
@@ -206,9 +225,8 @@ def cmd_verify(args) -> int:
 
 def cmd_geodesic(args) -> int:
     record = _resolve_model(args)
-    vals = [float(v) for v in args.init.split(",")]
-    if len(vals) != 4:
-        raise GuardError("--init must be x1,x2,v1,v2")
+    vals = _parse_init(args.init, "x1,x2,v1,v2")
+    _check_horizon(args.T)
     x0, v0 = (vals[0], vals[1]), (vals[2], vals[3])
     runs = {}
     for key, t_end in (("forward", args.T), ("backward", -args.T)):
@@ -230,9 +248,8 @@ def cmd_geodesic(args) -> int:
 
 def cmd_flow(args) -> int:
     record = _resolve_model(args)
-    vals = [float(v) for v in args.init.split(",")]
-    if len(vals) != 2:
-        raise GuardError("--init must be x1,x2")
+    vals = _parse_init(args.init, "x1,x2")
+    _check_horizon(args.T)
     if not 0 <= args.field < len(record.killing_basis):
         raise GuardError(f"--field must be in [0, {len(record.killing_basis) - 1}]")
     X = record.killing_basis[args.field]
@@ -267,24 +284,16 @@ def cmd_flatten(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rows = []
-    if args.theorem == "1.5":
-        records = [r for r in cat.all_records() if r.mtype != "B"]
-        T = args.T if args.T is not None else kil.PROBE_HORIZON
-        for rec in records:
-            rep = kil.killing_completeness_probe(rec, T=T, seed=args.seed)
-            rows.append(rep)
-    elif args.theorem == "1.10":
-        records = cat.all_records("B")
-        T = args.T if args.T is not None else kil.PROBE_HORIZON
-        for rec in records:
-            rep = kil.killing_completeness_probe(rec, T=T, seed=args.seed)
-            rows.append(rep)
-    else:
-        records = [r for r in cat.all_records() if r.mtype != "B"]
+    if args.T is not None:
+        _check_horizon(args.T)
+    records = (cat.all_records("B") if args.theorem == "1.10"
+               else [r for r in cat.all_records() if r.mtype != "B"])
+    if args.theorem == "1.7":
         T = args.T if args.T is not None else geo.HORIZON
-        for rec in records:
-            rows.append(geo.geodesic_completeness_probe(rec, T=T))
+        rows = [geo.geodesic_completeness_probe(rec, T=T) for rec in records]
+    else:
+        T = args.T if args.T is not None else kil.PROBE_HORIZON
+        rows = [kil.killing_completeness_probe(rec, T=T, seed=args.seed) for rec in records]
     agree = all(r.verdict in ("matches-theorem", "not-classified") for r in rows)
     payload = {
         "table": args.theorem,
@@ -328,6 +337,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (GuardError, DomainError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except (RuntimeError, ArithmeticError) as err:  # max_steps, overflow
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)

@@ -20,6 +20,7 @@ symbols are analytic in the kind, never finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,20 @@ class ChristoffelSpec:
         return {"coeffs": list(self.coeffs), "kind": self.kind}
 
 
+def max_abs(values) -> float:
+    """Largest absolute value (0.0 for none), NaN as soon as one value is
+    NaN.  The builtin max drops NaN (max(0.0, nan) is 0.0), which would let a
+    NaN residual pass a tolerance check."""
+    worst = 0.0
+    for v in values:
+        a = abs(v)
+        if a > worst:
+            worst = a
+        elif a != a:
+            return math.nan
+    return float(worst)
+
+
 def christoffel_at(spec: ChristoffelSpec, p: Point) -> Coeffs:
     return spec.christoffel_at(p)
 
@@ -97,15 +112,10 @@ def curvature_at(spec: ChristoffelSpec, p: Point) -> np.ndarray:
     a, b, c, d, e, f = da
     dg = np.zeros((2, 2, 2, 2))  # dg[m, i, j, k] = d_m Gamma_ij^k
     dg[0] = np.array([[[a, b], [c, d]], [[c, d], [e, f]]])
-    r = np.zeros((2, 2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    val = dg[i, j, k, l] - dg[j, i, k, l]
-                    for q in range(2):
-                        val += g[i, q, l] * g[j, k, q] - g[j, q, l] * g[i, k, q]
-                    r[i, j, k, l] = val
+    r = dg - dg.transpose(1, 0, 2, 3)
+    for q in range(2):  # one term per q, in the order a summed loop adds them
+        t = np.einsum("il,jk->ijkl", g[:, q, :], g[:, :, q])  # G_iq^l G_jk^q
+        r = r + (t - t.transpose(1, 0, 2, 3))
     return r
 
 

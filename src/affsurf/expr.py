@@ -148,7 +148,7 @@ def add(*terms) -> ScalarExpr:
     acc = None
     for t in flat:
         if isinstance(t, Const):
-            acc = t.value if acc is None else _num_add(acc, t.value)
+            acc = t.value if acc is None else acc + t.value
             if const_pos < 0:
                 const_pos = len(out)
                 out.append(t)  # placeholder, replaced below
@@ -182,7 +182,7 @@ def mul(*factors) -> ScalarExpr:
         if isinstance(f, Const):
             if f.value == 0:
                 return ZERO
-            acc = f.value if acc is None else _num_mul(acc, f.value)
+            acc = f.value if acc is None else acc * f.value
             if const_pos < 0:
                 const_pos = len(out)
                 out.append(f)
@@ -198,14 +198,6 @@ def mul(*factors) -> ScalarExpr:
     if len(out) == 1:
         return out[0]
     return Prod(tuple(out))
-
-
-def _num_add(a, b):
-    return a + b
-
-
-def _num_mul(a, b):
-    return a * b
 
 
 def neg(e) -> ScalarExpr:
@@ -407,6 +399,7 @@ def compile_scalar(e: ScalarExpr) -> Callable[[float, float], float]:
     namespace = {
         "_exp": math.exp, "_log": _guarded_log, "_sin": math.sin,
         "_cos": math.cos, "_atan": math.atan, "_powf": _guarded_powf,
+        "inf": math.inf, "nan": math.nan,  # repr of non-finite constants
     }
     src = _emit(e, namespace)
     return eval(f"lambda x1, x2: {src}", namespace)  # noqa: S307 - generated from our own AST
@@ -707,18 +700,12 @@ class VectorFieldExpr:
 
 @dataclass(frozen=True)
 class Domain:
-    """Rectangle or half-plane descriptor for map/connection domains."""
+    """Plane or half-plane descriptor for map/connection domains."""
 
-    kind: str  # "plane" | "half-x1" | "rect"
-    bounds: tuple[float, float, float, float] | None = None  # rect only
+    kind: str  # "plane" | "half-x1"
 
     def contains(self, p: Point) -> bool:
-        if self.kind == "plane":
-            return True
-        if self.kind == "half-x1":
-            return p[0] > 0.0
-        lo1, hi1, lo2, hi2 = self.bounds
-        return lo1 <= p[0] <= hi1 and lo2 <= p[1] <= hi2
+        return self.kind == "plane" or p[0] > 0.0
 
 
 PLANE = Domain("plane")

@@ -7,6 +7,10 @@ with initial velocity (a, b) has a closed form; those curves are stored as
 exact expression trees in t and serve as oracles for the integrator, for
 blowup-time quantification, and for the completeness table.
 
+The completeness probe builds one run per initial condition and hands the
+list to the probe engine it shares with the Killing-flow probe
+(`killing.run_probe`).
+
 Half-plane (B.*) models can be integrated and probed, but no completeness
 ground truth is asserted for them: every probe on such a model reports the
 expected flag as "not-classified".  Trajectories that cross x1 <= 1e-12
@@ -26,9 +30,8 @@ from . import expr as ex
 from .catalog import ModelRecord, ref
 from .connection import ChristoffelSpec
 from .expr import ScalarExpr, arctan, compile_scalar, const, cos, exp, log, power, sin, x1
-from .integrate import (ESCAPE_STATUSES, Blowup, LeftDomain, StepCollapse,
-                        Status, Trajectory, Unbounded, integrate)
-from .killing import FlowWitness, ProbeReport
+from .integrate import Blowup, LeftDomain, StepCollapse, Status, Trajectory, integrate
+from .killing import ProbeReport, run_probe
 
 HORIZON = 50.0
 B_DOMAIN_EDGE = 1e-12
@@ -84,15 +87,20 @@ def _make_rhs(spec: ChristoffelSpec):
     return rhs
 
 
+def _domain_opts(spec: ChristoffelSpec) -> dict:
+    """Integrator options that stop half-plane geodesics at the x1 edge."""
+    if spec.kind == "inverse-x1":
+        return {"domain_fn": lambda y: y[0], "domain_threshold": B_DOMAIN_EDGE}
+    return {}
+
+
+def _state(x0, v0) -> tuple[float, float, float, float]:
+    return (float(x0[0]), float(x0[1]), float(v0[0]), float(v0[1]))
+
+
 def geodesic_integrate(spec: ChristoffelSpec, x0, v0, t_end: float, **opts) -> Trajectory:
     """Integrate the geodesic from x0 with velocity v0 to signed time t_end."""
-    rhs = _make_rhs(spec)
-    y0 = (float(x0[0]), float(x0[1]), float(v0[0]), float(v0[1]))
-    kw = {}
-    if spec.kind == "inverse-x1":
-        kw = {"domain_fn": lambda y: y[0], "domain_threshold": B_DOMAIN_EDGE}
-    kw.update(opts)
-    return integrate(rhs, y0, t_end, **kw)
+    return integrate(_make_rhs(spec), _state(x0, v0), t_end, **{**_domain_opts(spec), **opts})
 
 
 # ---------------------------------------------------------------------------
@@ -373,33 +381,13 @@ def geodesic_completeness_probe(record: ModelRecord,
     verdicts are re-confirmed at four times the horizon (the defaults give
     50 then 200).  Verdicts are compared against the expected flag (None
     for half-plane families)."""
-    if confirm_T is None:
-        confirm_T = 4.0 * T
-    report = _geo_probe_once(record, T, init_set)
-    if report.complete and confirm_T > T:
-        report = _geo_probe_once(record, confirm_T, init_set)
-    return report
-
-
-def _geo_probe_once(record, T, init_set) -> ProbeReport:
     if init_set is None:
         bases, vels = default_geodesic_inits(record)
         init_set = [(b, v) for b in bases for v in vels]
-    witnesses = []
-    unbounded = 0
-    for x0, v0 in init_set:
-        for t_end, dirname in ((T, "forward"), (-T, "backward")):
-            tr = geodesic_integrate(record.spec, x0, v0, t_end)
-            if isinstance(tr.status, ESCAPE_STATUSES):
-                witnesses.append(FlowWitness(
-                    f"geodesic a={v0[0]:g} b={v0[1]:g}", tuple(v0), tuple(x0),
-                    dirname, tr.status))
-            elif isinstance(tr.status, Unbounded):
-                unbounded += 1
-    return ProbeReport(record.ref.label(), "geodesic",
-                       complete=not witnesses, horizon=T,
-                       expected=record.expected.geodesically_complete,
-                       witnesses=witnesses, unbounded_runs=unbounded)
+    rhs, opts = _make_rhs(record.spec), _domain_opts(record.spec)
+    runs = [(f"geodesic a={v0[0]:g} b={v0[1]:g}", tuple(v0), tuple(x0), rhs,
+             _state(x0, v0), opts) for x0, v0 in init_set]
+    return run_probe(record, "geodesic", runs, T, 4.0 * T if confirm_T is None else confirm_T)
 
 
 def ricci_velocity_scalar(spec: ChristoffelSpec, traj: Trajectory) -> np.ndarray:

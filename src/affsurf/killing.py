@@ -10,7 +10,8 @@ reduces, per component k and index pair (i, j), to
     X^m d_m G_ij^k - G_ij^m d_m X^k + d_i d_j X^k
         + d_j X^m G_im^k + d_i X^m G_mj^k = 0,
 
-which is evaluated with exact derivatives of both X and the symbols.
+which is evaluated with exact derivatives of both X and the symbols, by one
+compiled kernel over a grid (a single point is a grid of one point).
 
 The completeness probe integrates every basis field plus a fixed set of
 seeded random unit combinations, both directions, from a few interior
@@ -19,7 +20,8 @@ step collapse at a singular right-hand side, or crossing the half-plane
 edge).  Reaching the horizon, or growing beyond the numeric range without
 a finite-time signature, counts as evidence of completeness; the verdict
 is numerical evidence, not proof, and is always reported next to the
-expected flag.
+expected flag.  The probe engine, `run_probe`, is shared with the geodesic
+probe: each probe only builds its list of runs.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr as ex
 from .catalog import ModelRecord, sample_grid
-from .connection import ChristoffelSpec
+from .connection import ChristoffelSpec, max_abs
 from .expr import Point, VectorFieldExpr, compile_scalar, diff
-from .integrate import (ESCAPE_STATUSES, Status, Trajectory, integrate)
+from .integrate import ESCAPE_STATUSES, Status, Trajectory, Unbounded, integrate
 
 PROBE_HORIZON = 20.0
 N_RANDOM_COMBOS = 8
@@ -43,26 +44,7 @@ RESIDUAL_TOL = 1e-8
 
 def killing_residual(spec: ChristoffelSpec, X: VectorFieldExpr, p: Point) -> float:
     """Max component of the Killing defect over coordinate-field pairs."""
-    comps = [X.c1, X.c2]
-    vals = [ex.evaluate(c, p) for c in comps]
-    d = [[ex.evaluate(diff(c, ax), p) for ax in (1, 2)] for c in comps]  # d[k][m] = d_{m+1} X^{k+1}
-    dd = [[[ex.evaluate(diff(diff(c, i + 1), j + 1), p) for j in range(2)] for i in range(2)]
-          for c in comps]  # dd[k][i][j]
-    g = spec.gamma_matrices(p)
-    dg1, dg2 = spec.dchristoffel_at(p)
-    dgm = _dgamma_matrices(dg1, dg2)  # dgm[m][i][j][k]
-    worst = 0.0
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                val = dd[k][i][j]
-                for m in range(2):
-                    val += vals[m] * dgm[m][i][j][k]
-                    val -= g[i][j][m] * d[k][m]
-                    val += d[m][j] * g[i][m][k]
-                    val += d[m][i] * g[m][j][k]
-                worst = max(worst, abs(val))
-    return worst
+    return max_killing_residual(spec, X, [p])
 
 
 def _dgamma_matrices(dg1, dg2):
@@ -73,32 +55,35 @@ def _dgamma_matrices(dg1, dg2):
 
 
 def max_killing_residual(spec: ChristoffelSpec, X: VectorFieldExpr, grid) -> float:
-    """Like killing_residual but with derivative trees compiled once."""
+    """Max component of the Killing defect over coordinate-field pairs and
+    grid points, with the derivative trees compiled once; NaN when any
+    component is NaN."""
     comps = [X.c1, X.c2]
     fv = [compile_scalar(c) for c in comps]
     fd = [[compile_scalar(diff(c, ax)) for ax in (1, 2)] for c in comps]
     fdd = [[[compile_scalar(diff(diff(c, i + 1), j + 1)) for j in range(2)]
             for i in range(2)] for c in comps]
-    worst = 0.0
-    for p in grid:
-        u, v = p
-        vals = [f(u, v) for f in fv]
-        d = [[fd[k][m](u, v) for m in range(2)] for k in range(2)]
-        dd = [[[fdd[k][i][j](u, v) for j in range(2)] for i in range(2)] for k in range(2)]
-        g = spec.gamma_matrices(p)
-        dg1, dg2 = spec.dchristoffel_at(p)
-        dgm = _dgamma_matrices(dg1, dg2)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    val = dd[k][i][j]
-                    for m in range(2):
-                        val += vals[m] * dgm[m][i][j][k]
-                        val -= g[i][j][m] * d[k][m]
-                        val += d[m][j] * g[i][m][k]
-                        val += d[m][i] * g[m][j][k]
-                    worst = max(worst, abs(val))
-    return worst
+
+    def defects():
+        for p in grid:
+            u, v = p
+            vals = [f(u, v) for f in fv]
+            d = [[fd[k][m](u, v) for m in range(2)] for k in range(2)]  # d_{m+1} X^{k+1}
+            dd = [[[fdd[k][i][j](u, v) for j in range(2)] for i in range(2)] for k in range(2)]
+            g = spec.gamma_matrices(p)
+            dg1, dg2 = spec.dchristoffel_at(p)
+            dgm = _dgamma_matrices(dg1, dg2)  # dgm[m][i][j][k]
+            for i in range(2):
+                for j in range(2):
+                    for k in range(2):
+                        val = dd[k][i][j]
+                        for m in range(2):
+                            val += vals[m] * dgm[m][i][j][k]
+                            val -= g[i][j][m] * d[k][m]
+                            val += d[m][j] * g[i][m][k]
+                            val += d[m][i] * g[m][j][k]
+                        yield val
+    return max_abs(defects())
 
 
 def flow_integrate(X: VectorFieldExpr, p0: Point, t_end: float,
@@ -175,6 +160,30 @@ def default_flow_inits(record: ModelRecord) -> tuple[Point, ...]:
     return ((0.3, -0.7), (0.5, 0.0))
 
 
+def run_probe(record: ModelRecord, kind: str, runs, T: float,
+              confirm_T: float) -> ProbeReport:
+    """The probe engine behind both completeness probes.  Each run is
+    (label, coeffs, init, rhs, y0, integrate options) and is integrated
+    forward and backward to the horizon.  Incomplete as soon as one run
+    escapes; a complete verdict is re-run at confirm_T when that exceeds T."""
+    expected = (record.expected.killing_complete if kind == "killing"
+                else record.expected.geodesically_complete)
+    for horizon in (T, confirm_T):
+        witnesses: list[FlowWitness] = []
+        unbounded = 0
+        for label, coeffs, init, rhs, y0, opts in runs:
+            for t_end, dirname in ((horizon, "forward"), (-horizon, "backward")):
+                status = integrate(rhs, y0, t_end, **opts).status
+                if isinstance(status, ESCAPE_STATUSES):
+                    witnesses.append(FlowWitness(label, coeffs, init, dirname, status))
+                elif isinstance(status, Unbounded):
+                    unbounded += 1
+        if witnesses or not confirm_T > T:
+            break
+    return ProbeReport(record.ref.label(), kind, complete=not witnesses, horizon=horizon,
+                       expected=expected, witnesses=witnesses, unbounded_runs=unbounded)
+
+
 def killing_completeness_probe(record: ModelRecord,
                                T: float = PROBE_HORIZON,
                                init_set=None,
@@ -185,47 +194,23 @@ def killing_completeness_probe(record: ModelRecord,
     from each initial point, both directions.  Incomplete as soon as one
     flow escapes before the horizon; complete verdicts are re-confirmed at
     three times the horizon (pass confirm_T=0 to skip)."""
-    if confirm_T is None:
-        confirm_T = 3.0 * T
-    report = _probe_once(record, T, init_set, n_combos, seed)
-    if report.complete and confirm_T > T:
-        report = _probe_once(record, confirm_T, init_set, n_combos, seed)
-    return report
-
-
-def _probe_once(record, T, init_set, n_combos, seed) -> ProbeReport:
     inits = tuple(init_set) if init_set is not None else default_flow_inits(record)
-    half = record.mtype == "B"
     basis = record.killing_basis
     compiled = [(compile_scalar(X.c1), compile_scalar(X.c2)) for X in basis]
     dim = len(basis)
 
-    jobs = []
-    for idx in range(dim):
-        coeffs = tuple(1.0 if i == idx else 0.0 for i in range(dim))
-        jobs.append((f"basis[{idx}]", coeffs))
+    jobs = [(f"basis[{idx}]", tuple(1.0 if i == idx else 0.0 for i in range(dim)))
+            for idx in range(dim)]
     rng = np.random.default_rng(seed)
     for c in range(n_combos):
         v = rng.normal(size=dim)
-        v /= np.linalg.norm(v)
-        jobs.append((f"combo[{c}]", tuple(float(x) for x in v)))
-
-    witnesses: list[FlowWitness] = []
-    unbounded = 0
-    domain_fn = (lambda y: y[0]) if half else None
+        jobs.append((f"combo[{c}]", tuple(float(x) for x in v / np.linalg.norm(v))))
+    opts = {"domain_fn": (lambda y: y[0]) if record.mtype == "B" else None}
+    runs = []
     for label, coeffs in jobs:
         rhs = _combo_rhs(compiled, coeffs)
-        for p0 in inits:
-            for t_end, dirname in ((T, "forward"), (-T, "backward")):
-                tr = integrate(rhs, p0, t_end, domain_fn=domain_fn)
-                if isinstance(tr.status, ESCAPE_STATUSES):
-                    witnesses.append(FlowWitness(label, coeffs, p0, dirname, tr.status))
-                elif tr.status.__class__.__name__ == "Unbounded":
-                    unbounded += 1
-    return ProbeReport(record.ref.label(), "killing",
-                       complete=not witnesses, horizon=T,
-                       expected=record.expected.killing_complete,
-                       witnesses=witnesses, unbounded_runs=unbounded)
+        runs.extend((label, coeffs, p0, rhs, p0, opts) for p0 in inits)
+    return run_probe(record, "killing", runs, T, 3.0 * T if confirm_T is None else confirm_T)
 
 
 def verify_killing_basis(record: ModelRecord, grid=None, tol: float = RESIDUAL_TOL):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import expr as ex
 from .catalog import AffineMapEntry, ModelRecord, instantiate_ref, sample_grid
-from .connection import ChristoffelSpec, curvature_at, ricci_at
+from .connection import ChristoffelSpec, curvature_at, max_abs, ricci_at
 from .expr import PlaneMap, Point, ScalarExpr, diff
 from .qe import max_residual, xi_matrix
 
@@ -149,8 +149,8 @@ class FlattenReport:
 def flatten_report(record: ModelRecord, grid=None) -> FlattenReport:
     phi, flat = flatten(record)
     pts = grid if grid is not None else sample_grid(record)
-    rho_max = max(float(np.max(np.abs(ricci_at(flat, p)))) for p in pts)
-    curv_max = max(float(np.max(np.abs(curvature_at(flat, p)))) for p in pts)
+    rho_max = max_abs(np.max(np.abs(ricci_at(flat, p))) for p in pts)
+    curv_max = max_abs(np.max(np.abs(curvature_at(flat, p))) for p in pts)
     res = {}
     for s in (1, -1):
         phi_expr = ex.mul(ex.const(s), phi.expr()) if s < 0 else phi.expr()
@@ -268,11 +268,9 @@ class MapReport:
 def verify_map_entry(record: ModelRecord, entry: AffineMapEntry, grid=None) -> MapReport:
     target = instantiate_ref(entry.target)
     pts = grid if grid is not None else sample_grid(record)
-    worst = 0.0
-    for p in pts:
-        pulled = pullback_connection(entry.plane_map, target.spec, p)
-        source = record.spec.christoffel_at(p)
-        worst = max(worst, max(abs(u - v) for u, v in zip(pulled, source)))
+    worst = max_abs(u - v for p in pts
+                    for u, v in zip(pullback_connection(entry.plane_map, target.spec, p),
+                                    record.spec.christoffel_at(p)))
     return MapReport(record.ref.label(), entry.name, entry.target.label(), worst)
 
 

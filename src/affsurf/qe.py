@@ -20,52 +20,54 @@ import numpy as np
 
 from . import expr as ex
 from .catalog import ModelRecord, sample_grid
-from .connection import ChristoffelSpec, Tensor2, ricci_sym_at
+from .connection import ChristoffelSpec, Tensor2, max_abs, ricci_sym_at
 from .expr import Point, ScalarExpr, compile_scalar, diff
 
 DEFAULT_TOL = 1e-8
 
 
-def _second_derivs(phi: ScalarExpr):
+def _hessian_kernel(spec: ChristoffelSpec, phi: ScalarExpr):
+    """Compiled point function p -> (phi, H11, H12, H22) with
+    (H phi)_ij = d_i d_j phi - G_ij^k d_k phi from exact derivatives."""
     d1, d2 = diff(phi, 1), diff(phi, 2)
-    return d1, d2, diff(d1, 1), diff(d1, 2), diff(d2, 2)
+    fphi = compile_scalar(phi)
+    f1, f2 = compile_scalar(d1), compile_scalar(d2)
+    f11, f12, f22 = (compile_scalar(diff(d1, 1)), compile_scalar(diff(d1, 2)),
+                     compile_scalar(diff(d2, 2)))
+
+    def at(p: Point):
+        u, v = p
+        g1, g2 = f1(u, v), f2(u, v)
+        a, b, c, d, e, f = spec.christoffel_at(p)
+        return (fphi(u, v), f11(u, v) - (a * g1 + b * g2),
+                f12(u, v) - (c * g1 + d * g2), f22(u, v) - (e * g1 + f * g2))
+    return at
 
 
 def hessian(spec: ChristoffelSpec, phi: ScalarExpr, p: Point) -> Tensor2:
-    """(H phi)_ij = d_i d_j phi - G_ij^k d_k phi, exact derivatives."""
-    d1, d2, d11, d12, d22 = _second_derivs(phi)
-    g1 = ex.evaluate(d1, p)
-    g2 = ex.evaluate(d2, p)
-    a, b, c, d, e, f = spec.christoffel_at(p)
-    h11 = ex.evaluate(d11, p) - (a * g1 + b * g2)
-    h12 = ex.evaluate(d12, p) - (c * g1 + d * g2)
-    h22 = ex.evaluate(d22, p) - (e * g1 + f * g2)
+    """(H phi)_ij at a point."""
+    _, h11, h12, h22 = _hessian_kernel(spec, phi)(p)
     return np.array([[h11, h12], [h12, h22]])
 
 
 def qe_residual(spec: ChristoffelSpec, phi: ScalarExpr, p: Point) -> Tensor2:
     """H phi + phi * rho_s at a point; zero exactly on solutions."""
-    return hessian(spec, phi, p) + ex.evaluate(phi, p) * ricci_sym_at(spec, p)
+    return hessian(spec, phi, p) + compile_scalar(phi)(*p) * ricci_sym_at(spec, p)
 
 
 def max_residual(spec: ChristoffelSpec, phi: ScalarExpr, grid) -> float:
-    """Max-norm quasi-Einstein residual of phi over a grid (compiled path)."""
-    d1, d2, d11, d12, d22 = _second_derivs(phi)
-    fphi = compile_scalar(phi)
-    f1, f2 = compile_scalar(d1), compile_scalar(d2)
-    f11, f12, f22 = compile_scalar(d11), compile_scalar(d12), compile_scalar(d22)
-    worst = 0.0
-    for p in grid:
-        u, v = p
-        g1, g2 = f1(u, v), f2(u, v)
-        a, b, c, d, e, f = spec.christoffel_at(p)
-        val = fphi(u, v)
-        rs = ricci_sym_at(spec, p)
-        r11 = f11(u, v) - (a * g1 + b * g2) + val * rs[0, 0]
-        r12 = f12(u, v) - (c * g1 + d * g2) + val * rs[0, 1]
-        r22 = f22(u, v) - (e * g1 + f * g2) + val * rs[1, 1]
-        worst = max(worst, abs(r11), abs(r12), abs(r22))
-    return worst
+    """Max-norm quasi-Einstein residual of phi over a grid; NaN when any
+    entry is NaN."""
+    hess = _hessian_kernel(spec, phi)
+
+    def entries():
+        for p in grid:
+            val, h11, h12, h22 = hess(p)
+            rs = ricci_sym_at(spec, p)
+            yield h11 + val * rs[0, 0]
+            yield h12 + val * rs[0, 1]
+            yield h22 + val * rs[1, 1]
+    return max_abs(entries())
 
 
 @dataclass(frozen=True)

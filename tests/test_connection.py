@@ -9,9 +9,15 @@ import numpy as np
 import pytest
 
 from affsurf import catalog as C
+from affsurf import projective as P
 from affsurf.connection import (ChristoffelSpec, christoffel_at, curvature_at,
                                 ricci_at, ricci_rank, ricci_sym_at)
 from affsurf.expr import DomainError
+
+
+@pytest.fixture(scope="module")
+def records():
+    return C.all_records()
 
 
 def oracle_curvature(spec, p, h=1e-6):
@@ -29,6 +35,12 @@ def oracle_curvature(spec, p, h=1e-6):
         hi[m] += h
         lo[m] -= h
         dg[m] = (gamma(tuple(hi)) - gamma(tuple(lo))) / (2 * h)
+    return loop_curvature(g, dg)
+
+
+def loop_curvature(g, dg):
+    """R_ijk^l = d_i G_jk^l - d_j G_ik^l + sum_q (G_iq^l G_jk^q - G_jq^l G_ik^q)
+    summed longhand, from g[i, j, k] = G_ij^k and dg[m, i, j, k] = d_m G_ij^k."""
     r = np.zeros((2, 2, 2, 2))
     for i in range(2):
         for j in range(2):
@@ -87,6 +99,19 @@ class TestCurvature:
             want = oracle_curvature(rec.spec, p)
             assert np.allclose(got, want, atol=1e-7), (fam, p)
         assert np.any(curvature_at(rec.spec, (0.7, -0.4)) != 0) or fam == "A.M06"
+
+    def test_matches_summed_loop_exactly(self, records):
+        # curvature_at adds the q terms in the loop's order, so the values
+        # agree bit for bit, on the flattened specs too
+        specs = [(r, r.spec) for r in records]
+        specs += [(r, P.flatten(r)[1]) for r in records if r.spec.kind == "constant"]
+        for rec, spec in specs:
+            for p in C.sample_grid(rec):
+                a, b, c, d, e, f = spec.dchristoffel_at(p)[0]
+                dg = np.zeros((2, 2, 2, 2))
+                dg[0] = [[[a, b], [c, d]], [[c, d], [e, f]]]
+                want = loop_curvature(spec.gamma_matrices(p), dg)
+                assert np.array_equal(curvature_at(spec, p), want), (rec.ref.label(), p)
 
     def test_antisymmetry_in_first_pair(self):
         rng = np.random.default_rng(3)

@@ -173,6 +173,14 @@ class TestCompile:
         with pytest.raises(OverflowError):
             f(1e4, 0.0)
 
+    def test_non_finite_constants(self):
+        # constant folding of huge parameters can reach inf; the compiled
+        # form must evaluate it as the interpreter does, not fail on a name
+        for v in (math.inf, -math.inf):
+            e = ex.mul(ex.const(v), ex.x1)
+            assert ex.compile_scalar(e)(2.0, 0.0) == ex.evaluate(e, (2.0, 0.0)) == v
+        assert math.isnan(ex.compile_scalar(ex.add(ex.const(math.nan), ex.x1))(1.0, 0.0))
+
 
 class TestSubstitute:
     def test_composition(self):

@@ -236,6 +236,13 @@ class TestProbe:
         assert G.geodesic_completeness_probe(C.instantiate("A.M34", c=-0.5)).complete
         assert not G.geodesic_completeness_probe(C.instantiate("A.M34", c=1 / 3)).complete
 
+    def test_unbounded_run_counts_as_complete(self):
+        rec = C.instantiate("A.M34", c=-0.5)
+        _, vels = G.default_geodesic_inits(rec)
+        rep = G.geodesic_completeness_probe(rec, init_set=[(rec.base_point, v) for v in vels[:2]])
+        assert rep.complete and rep.horizon == 200.0
+        assert rep.unbounded_runs == 1 and not rep.witnesses
+
     def test_half_plane_probe_not_classified(self):
         rep = G.geodesic_completeness_probe(C.instantiate("B.N56"), T=10.0, confirm_T=0.0)
         assert rep.expected is None and rep.verdict == "not-classified"

@@ -31,6 +31,15 @@ class TestResidual:
         X = ex.VectorFieldExpr(ex.power(ex.x1, 2), ex.const(0))
         assert K.killing_residual(rec.spec, X, (1.0, 0.0)) == 2.0
 
+    def test_nan_defect_fails_closed(self):
+        # e^{700x1}e^{700x1} - e^{700x1}e^{700x1} is inf - inf = NaN at the
+        # five grid points with x1 = 1
+        rec = C.instantiate("A.M06")
+        big = ex.mul(ex.exp(ex.mul(ex.const(700), ex.x1)), ex.exp(ex.mul(ex.const(700), ex.x1)))
+        X = ex.VectorFieldExpr(ex.sub(big, big), ex.const(0))
+        r = K.max_killing_residual(rec.spec, X, C.sample_grid(rec))
+        assert math.isnan(r) and not r <= K.RESIDUAL_TOL
+
     def test_catalog_bases_pass_everywhere(self, records):
         for rec in records:
             grid = C.sample_grid(rec, 10)
@@ -126,6 +135,13 @@ class TestProbe:
         assert not rep.complete
         assert rep.verdict == "matches-theorem"
         assert any(isinstance(w.status, LeftDomain) for w in rep.witnesses)
+
+    def test_unbounded_runs_count_as_complete(self):
+        rec = C.instantiate("B.N14", kappa=2.0)
+        rep = K.killing_completeness_probe(rec, init_set=K.default_flow_inits(rec)[:1],
+                                           n_combos=0)
+        assert rep.complete and rep.horizon == 60.0
+        assert rep.unbounded_runs == 3 and not rep.witnesses
 
     def test_report_json(self):
         rep = K.killing_completeness_probe(C.instantiate("B.N13", sign=1))

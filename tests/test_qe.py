@@ -1,5 +1,7 @@
 """Quasi-Einstein machinery: Hessian, residuals, basis reports, Xi matrix."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,14 @@ class TestResidual:
         phi = ex.div(ex.x2, ex.x1)
         grid = C.sample_grid(rec)
         assert qe.max_residual(rec.spec, phi, grid) <= 1e-8
+
+    def test_nan_residual_fails_closed(self):
+        # inf - inf = NaN at the five grid points with x1 = 1; the builtin
+        # max would drop those and report a denormal
+        rec = C.instantiate("A.M06")
+        big = ex.mul(ex.exp(ex.mul(ex.const(700), ex.x1)), ex.exp(ex.mul(ex.const(700), ex.x1)))
+        r = qe.max_residual(rec.spec, ex.sub(big, big), C.sample_grid(rec))
+        assert math.isnan(r) and not r <= 1e-8
 
     def test_non_solution_on_flat(self):
         rec = C.instantiate("A.M06")
