@@ -14,6 +14,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import catalog as cat
 from . import geodesic as geo
 from . import killing as kil
@@ -334,7 +336,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        # non-finite values fail checks or reach the handlers below anyway
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except (GuardError, DomainError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -76,13 +76,24 @@ class ChristoffelSpec:
         d1 = (0.0, 0.0, 0.0, 0.0, self.coeffs[4], 0.0)
         return d1, zero
 
+    def symbols_at(self, p: Point):
+        """(G, dG) in index form, as nested tuples of floats:
+        G[i][j][k] = Gamma_ij^k and dG[m][i][j][k] = d_m Gamma_ij^k."""
+        return (_index_form(self.christoffel_at(p)),
+                tuple(_index_form(d) for d in self.dchristoffel_at(p)))
+
     def gamma_matrices(self, p: Point) -> np.ndarray:
         """Symbols as an array G[i, j, k] = Gamma_ij^k."""
-        a, b, c, d, e, f = self.christoffel_at(p)
-        return np.array([[[a, b], [c, d]], [[c, d], [e, f]]])
+        return np.array(_index_form(self.christoffel_at(p)))
 
     def to_json(self) -> dict:
         return {"coeffs": list(self.coeffs), "kind": self.kind}
+
+
+def _index_form(six: Coeffs):
+    """(a, b, c, d, e, f) as nested tuples T[i][j][k] for Gamma_ij^k."""
+    a, b, c, d, e, f = six
+    return (((a, b), (c, d)), ((c, d), (e, f)))
 
 
 def max_abs(values) -> float:
@@ -107,11 +118,8 @@ def curvature_at(spec: ChristoffelSpec, p: Point) -> np.ndarray:
     """Curvature components R[i, j, k, l] with
     R(d_i, d_j) d_k = R_ijk^l d_l, from
     d_i G_jk^l - d_j G_ik^l + G_ip^l G_jk^p - G_jp^l G_ik^p."""
-    g = spec.gamma_matrices(p)
-    da, _ = spec.dchristoffel_at(p)
-    a, b, c, d, e, f = da
-    dg = np.zeros((2, 2, 2, 2))  # dg[m, i, j, k] = d_m Gamma_ij^k
-    dg[0] = np.array([[[a, b], [c, d]], [[c, d], [e, f]]])
+    G, dG = spec.symbols_at(p)
+    g, dg = np.array(G), np.array(dG)  # dg[m, i, j, k] = d_m Gamma_ij^k
     r = dg - dg.transpose(1, 0, 2, 3)
     for q in range(2):  # one term per q, in the order a summed loop adds them
         t = np.einsum("il,jk->ijkl", g[:, q, :], g[:, :, q])  # G_iq^l G_jk^q

@@ -6,6 +6,9 @@ arctan.  They support exact symbolic differentiation, substitution, infix
 parsing/rendering, and compilation to fast scalar callables.  Every other
 module evaluates these trees: quasi-Einstein solution bases, affine Killing
 fields, embedding maps and closed-form geodesics are all stored in this form.
+Every pointwise check (quasi-Einstein, Killing, map pullback, the xi matrix,
+Jacobians) reads one compiled 2-jet, `compile_jet`, instead of
+differentiating at each point.
 
 Expressions are immutable values and safe to share across workers.
 """
@@ -384,7 +387,7 @@ def substitute(e: ScalarExpr, repl: Mapping[int, ScalarExpr]) -> ScalarExpr:
     if isinstance(e, Pow):
         return power(substitute(e.base, repl), e.exponent)
     if isinstance(e, Func):
-        return _func("" + e.name, substitute(e.arg, repl))
+        return _func(e.name, substitute(e.arg, repl))
     raise TypeError(f"not a ScalarExpr: {e!r}")
 
 
@@ -396,27 +399,32 @@ def substitute(e: ScalarExpr, repl: Mapping[int, ScalarExpr]) -> ScalarExpr:
 def compile_scalar(e: ScalarExpr) -> Callable[[float, float], float]:
     """Compile to a plain `f(x1, x2) -> float`.  Semantics match `evaluate`,
     including DomainError on domain violations."""
-    namespace = {
-        "_exp": math.exp, "_log": _guarded_log, "_sin": math.sin,
-        "_cos": math.cos, "_atan": math.atan, "_powf": _guarded_powf,
-        "inf": math.inf, "nan": math.nan,  # repr of non-finite constants
-    }
-    src = _emit(e, namespace)
-    return eval(f"lambda x1, x2: {src}", namespace)  # noqa: S307 - generated from our own AST
+    return eval(f"lambda x1, x2: {_emit(e)}", _NAMESPACE)  # noqa: S307 - generated from our own AST
 
 
-def _emit(e: ScalarExpr, ns: dict) -> str:
+@lru_cache(maxsize=None)
+def compile_jet(e: ScalarExpr) -> Callable[[float, float], tuple[float, ...]]:
+    """Compile the 2-jet of e to `f(x1, x2) -> (e, d1 e, d2 e, d1 d1 e,
+    d1 d2 e, d2 d2 e)`.  Each component is the source `compile_scalar`
+    emits for that derivative tree, so the values are bit-identical."""
+    d1, d2 = diff(e, 1), diff(e, 2)
+    trees = (e, d1, d2, diff(d1, 1), diff(d1, 2), diff(d2, 2))
+    return eval(f"lambda x1, x2: ({', '.join(_emit(t) for t in trees)})",  # noqa: S307
+                _NAMESPACE)
+
+
+def _emit(e: ScalarExpr) -> str:
     if isinstance(e, Const):
         return repr(float(e.value))
     if isinstance(e, Coord):
         return f"x{e.axis}"
     if isinstance(e, Sum):
-        return "(" + " + ".join(_emit(t, ns) for t in e.terms) + ")"
+        return "(" + " + ".join(_emit(t) for t in e.terms) + ")"
     if isinstance(e, Prod):
-        return "(" + " * ".join(_emit(f, ns) for f in e.factors) + ")"
+        return "(" + " * ".join(_emit(f) for f in e.factors) + ")"
     if isinstance(e, Pow):
         p = e.exponent
-        b = _emit(e.base, ns)
+        b = _emit(e.base)
         if isinstance(p, Fraction) and p.denominator == 1:
             n = int(p)
             if n > 0:
@@ -425,7 +433,7 @@ def _emit(e: ScalarExpr, ns: dict) -> str:
         return f"_powf({b}, {float(p)!r})"
     if isinstance(e, Func):
         fn = {"exp": "_exp", "log": "_log", "sin": "_sin", "cos": "_cos", "arctan": "_atan"}[e.name]
-        return f"{fn}({_emit(e.arg, ns)})"
+        return f"{fn}({_emit(e.arg)})"
     raise TypeError(f"not a ScalarExpr: {e!r}")
 
 
@@ -444,6 +452,13 @@ def _guarded_powf(u: float, pf: float) -> float:
             raise DomainError("zero raised to a negative power")
         return 0.0
     return u ** pf
+
+
+_NAMESPACE = {
+    "_exp": math.exp, "_log": _guarded_log, "_sin": math.sin,
+    "_cos": math.cos, "_atan": math.atan, "_powf": _guarded_powf,
+    "inf": math.inf, "nan": math.nan,  # repr of non-finite constants
+}
 
 
 # ---------------------------------------------------------------------------
@@ -693,19 +708,12 @@ class VectorFieldExpr:
     def __call__(self, p: Point) -> tuple[float, float]:
         return evaluate(self.c1, p), evaluate(self.c2, p)
 
-    def compiled(self) -> Callable[[float, float], tuple[float, float]]:
-        f1, f2 = compile_scalar(self.c1), compile_scalar(self.c2)
-        return lambda u, v: (f1(u, v), f2(u, v))
-
 
 @dataclass(frozen=True)
 class Domain:
     """Plane or half-plane descriptor for map/connection domains."""
 
     kind: str  # "plane" | "half-x1"
-
-    def contains(self, p: Point) -> bool:
-        return self.kind == "plane" or p[0] > 0.0
 
 
 PLANE = Domain("plane")
@@ -725,14 +733,10 @@ class PlaneMap:
     def __call__(self, p: Point) -> Point:
         return evaluate(self.f1, p), evaluate(self.f2, p)
 
-    def jacobian_exprs(self):
-        return ((diff(self.f1, 1), diff(self.f1, 2)),
-                (diff(self.f2, 1), diff(self.f2, 2)))
-
     def jacobian(self, p: Point):
-        je = self.jacobian_exprs()
-        return ((evaluate(je[0][0], p), evaluate(je[0][1], p)),
-                (evaluate(je[1][0], p), evaluate(je[1][1], p)))
+        _, j11, j12, *_ = compile_jet(self.f1)(*p)
+        _, j21, j22, *_ = compile_jet(self.f2)(*p)
+        return (j11, j12), (j21, j22)
 
 
 def pullback_field(phi: PlaneMap, target_field: VectorFieldExpr) -> VectorFieldExpr:

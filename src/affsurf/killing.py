@@ -10,8 +10,9 @@ reduces, per component k and index pair (i, j), to
     X^m d_m G_ij^k - G_ij^m d_m X^k + d_i d_j X^k
         + d_j X^m G_im^k + d_i X^m G_mj^k = 0,
 
-which is evaluated with exact derivatives of both X and the symbols, by one
-compiled kernel over a grid (a single point is a grid of one point).
+which is evaluated with exact derivatives of both X (the compiled 2-jets of
+its components) and the symbols, over a grid (a single point is a grid of
+one point).
 
 The completeness probe integrates every basis field plus a fixed set of
 seeded random unit combinations, both directions, from a few interior
@@ -32,7 +33,7 @@ import numpy as np
 
 from .catalog import ModelRecord, sample_grid
 from .connection import ChristoffelSpec, max_abs
-from .expr import Point, VectorFieldExpr, compile_scalar, diff
+from .expr import Point, VectorFieldExpr, compile_jet, compile_scalar
 from .integrate import ESCAPE_STATUSES, Status, Trajectory, Unbounded, integrate
 
 PROBE_HORIZON = 20.0
@@ -47,38 +48,25 @@ def killing_residual(spec: ChristoffelSpec, X: VectorFieldExpr, p: Point) -> flo
     return max_killing_residual(spec, X, [p])
 
 
-def _dgamma_matrices(dg1, dg2):
-    def mat(six):
-        a, b, c, d, e, f = six
-        return ((( a, b), (c, d)), ((c, d), (e, f)))
-    return (mat(dg1), mat(dg2))
-
-
 def max_killing_residual(spec: ChristoffelSpec, X: VectorFieldExpr, grid) -> float:
     """Max component of the Killing defect over coordinate-field pairs and
-    grid points, with the derivative trees compiled once; NaN when any
-    component is NaN."""
-    comps = [X.c1, X.c2]
-    fv = [compile_scalar(c) for c in comps]
-    fd = [[compile_scalar(diff(c, ax)) for ax in (1, 2)] for c in comps]
-    fdd = [[[compile_scalar(diff(diff(c, i + 1), j + 1)) for j in range(2)]
-            for i in range(2)] for c in comps]
+    grid points, read from the compiled 2-jets of the two components; NaN
+    when any component is NaN."""
+    jets = (compile_jet(X.c1), compile_jet(X.c2))
 
     def defects():
         for p in grid:
-            u, v = p
-            vals = [f(u, v) for f in fv]
-            d = [[fd[k][m](u, v) for m in range(2)] for k in range(2)]  # d_{m+1} X^{k+1}
-            dd = [[[fdd[k][i][j](u, v) for j in range(2)] for i in range(2)] for k in range(2)]
-            g = spec.gamma_matrices(p)
-            dg1, dg2 = spec.dchristoffel_at(p)
-            dgm = _dgamma_matrices(dg1, dg2)  # dgm[m][i][j][k]
+            J = [jet(*p) for jet in jets]  # J[k] = 2-jet of X^{k+1}
+            vals = (J[0][0], J[1][0])
+            d = [(Jk[1], Jk[2]) for Jk in J]  # d[k][m] = d_{m+1} X^{k+1}
+            dd = [((Jk[3], Jk[4]), (Jk[4], Jk[5])) for Jk in J]  # dd[k][i][j]
+            g, dg = spec.symbols_at(p)  # g[i][j][k], dg[m][i][j][k]
             for i in range(2):
                 for j in range(2):
                     for k in range(2):
                         val = dd[k][i][j]
                         for m in range(2):
-                            val += vals[m] * dgm[m][i][j][k]
+                            val += vals[m] * dg[m][i][j][k]
                             val -= g[i][j][m] * d[k][m]
                             val += d[m][j] * g[i][m][k]
                             val += d[m][i] * g[m][j][k]

@@ -1,34 +1,37 @@
 """Deterministic emitters: JSON reports, trajectory CSV, SVG curve plots.
 
 Identical inputs give byte-identical outputs: floats are written with
-repr, JSON keys are sorted, and the SVG is a pure function of the CSV
-columns it plots.
+repr (non-finite ones as the strings "nan", "inf", "-inf"), JSON keys are
+sorted, and the SVG is a pure function of the CSV columns it plots.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .integrate import Trajectory
 
 
-def _coerce(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+def _jsonable(obj):
+    """Plain JSON values from numpy ones; non-finite floats become the
+    strings "nan", "inf" and "-inf", so a failing residual is still written
+    as strict JSON."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else repr(float(obj))
+    return obj.item() if isinstance(obj, np.generic) else obj
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
-                      default=_coerce) + "\n"
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def trajectory_csv(traj: Trajectory, with_velocity: bool | None = None) -> str:

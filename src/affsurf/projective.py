@@ -31,7 +31,7 @@ import numpy as np
 from . import expr as ex
 from .catalog import AffineMapEntry, ModelRecord, instantiate_ref, sample_grid
 from .connection import ChristoffelSpec, curvature_at, max_abs, ricci_at
-from .expr import PlaneMap, Point, ScalarExpr, diff
+from .expr import PlaneMap, Point, ScalarExpr, compile_jet
 from .qe import max_residual, xi_matrix
 
 FLAT_TOL = 1e-10
@@ -220,24 +220,16 @@ def pullback_connection(pm: PlaneMap, target: ChristoffelSpec, p: Point):
 
         G^pull_ij^k = (J^-1)^k_c [ d_i d_j Phi^c + G~_ab^c J^a_i J^b_j ]
 
-    with exact derivatives of the map components."""
-    comps = [pm.f1, pm.f2]
-    J = np.zeros((2, 2))
-    H = np.zeros((2, 2, 2))  # H[c][i][j] = d_i d_j Phi^c
-    for cidx, fc in enumerate(comps):
-        d1, d2 = diff(fc, 1), diff(fc, 2)
-        J[cidx, 0] = ex.evaluate(d1, p)
-        J[cidx, 1] = ex.evaluate(d2, p)
-        H[cidx, 0, 0] = ex.evaluate(diff(d1, 1), p)
-        H[cidx, 0, 1] = ex.evaluate(diff(d1, 2), p)
-        H[cidx, 1, 0] = H[cidx, 0, 1]
-        H[cidx, 1, 1] = ex.evaluate(diff(d2, 2), p)
+    with the value and exact derivatives read from the 2-jets of the map
+    components."""
+    jets = [compile_jet(fc)(*p) for fc in (pm.f1, pm.f2)]  # jets[c] = 2-jet of Phi^c
+    J = np.array([jet[1:3] for jet in jets])
+    H = np.array([((h11, h12), (h12, h22)) for *_, h11, h12, h22 in jets])  # d_i d_j Phi^c
     det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
     if abs(det) < 1e-14:
         raise ValueError(f"map is not immersive at {p}")
     Jinv = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / det
-    q = pm(p)
-    gt = np.array(target.gamma_matrices(q))  # gt[a][b][c]
+    gt = target.gamma_matrices((jets[0][0], jets[1][0]))  # gt[a][b][c]
     out = np.zeros((2, 2, 2))  # out[i][j][k]
     for i in range(2):
         for j in range(2):

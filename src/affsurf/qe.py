@@ -21,26 +21,21 @@ import numpy as np
 from . import expr as ex
 from .catalog import ModelRecord, sample_grid
 from .connection import ChristoffelSpec, Tensor2, max_abs, ricci_sym_at
-from .expr import Point, ScalarExpr, compile_scalar, diff
+from .expr import Point, ScalarExpr, compile_jet
 
 DEFAULT_TOL = 1e-8
 
 
 def _hessian_kernel(spec: ChristoffelSpec, phi: ScalarExpr):
     """Compiled point function p -> (phi, H11, H12, H22) with
-    (H phi)_ij = d_i d_j phi - G_ij^k d_k phi from exact derivatives."""
-    d1, d2 = diff(phi, 1), diff(phi, 2)
-    fphi = compile_scalar(phi)
-    f1, f2 = compile_scalar(d1), compile_scalar(d2)
-    f11, f12, f22 = (compile_scalar(diff(d1, 1)), compile_scalar(diff(d1, 2)),
-                     compile_scalar(diff(d2, 2)))
+    (H phi)_ij = d_i d_j phi - G_ij^k d_k phi, read from the 2-jet of phi."""
+    jet = compile_jet(phi)
 
     def at(p: Point):
-        u, v = p
-        g1, g2 = f1(u, v), f2(u, v)
+        val, g1, g2, f11, f12, f22 = jet(*p)
         a, b, c, d, e, f = spec.christoffel_at(p)
-        return (fphi(u, v), f11(u, v) - (a * g1 + b * g2),
-                f12(u, v) - (c * g1 + d * g2), f22(u, v) - (e * g1 + f * g2))
+        return (val, f11 - (a * g1 + b * g2),
+                f12 - (c * g1 + d * g2), f22 - (e * g1 + f * g2))
     return at
 
 
@@ -52,7 +47,7 @@ def hessian(spec: ChristoffelSpec, phi: ScalarExpr, p: Point) -> Tensor2:
 
 def qe_residual(spec: ChristoffelSpec, phi: ScalarExpr, p: Point) -> Tensor2:
     """H phi + phi * rho_s at a point; zero exactly on solutions."""
-    return hessian(spec, phi, p) + compile_scalar(phi)(*p) * ricci_sym_at(spec, p)
+    return hessian(spec, phi, p) + compile_jet(phi)(*p)[0] * ricci_sym_at(spec, p)
 
 
 def max_residual(spec: ChristoffelSpec, phi: ScalarExpr, grid) -> float:
@@ -109,12 +104,7 @@ def xi_matrix(q_basis, p: Point):
     """Rows (phi, d1 phi, d2 phi)(p) for each basis element, and the
     determinant.  A nonzero determinant certifies independence and that the
     solution space attains its maximal dimension three."""
-    rows = []
-    for phi in q_basis:
-        rows.append([ex.evaluate(phi, p),
-                     ex.evaluate(diff(phi, 1), p),
-                     ex.evaluate(diff(phi, 2), p)])
-    m = np.array(rows)
+    m = np.array([compile_jet(phi)(*p)[:3] for phi in q_basis])
     det = float(np.linalg.det(m)) if m.shape == (3, 3) else 0.0
     return m, det
 

@@ -117,6 +117,7 @@ def test_criterion_3_blowup_brackets():
     _report(3, f"forward bracket {fwd}, backward bracket {back}")
 
 
+@pytest.mark.slow
 def test_criterion_4_geodesic_completeness_table(records):
     """Geodesic probe verdict equals the classification flag for every
     plane-family record; the complete set is exactly the flat plane, the
@@ -135,6 +136,7 @@ def test_criterion_4_geodesic_completeness_table(records):
     _report(4, f"all plane records agree; complete set = {sorted(complete_labels)}")
 
 
+@pytest.mark.slow
 def test_criterion_5_killing_completeness_tables(records):
     """Killing probe verdict equals the classification flag for every
     record, with the documented exception that the flat half-plane B.N06

@@ -179,6 +179,7 @@ class TestBadInput:
         assert r.returncode == 2, r.stderr
         assert "Traceback" not in r.stderr
         assert r.stderr.splitlines()[-1].startswith("error: ")
+        assert len(r.stderr.splitlines()) == 1
 
     def test_runtime_error_maps_to_exit_2(self, monkeypatch, capsys):
         # the real run (A.M32 at c = -0.5 along this direction, T = 200)
@@ -193,6 +194,19 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: RuntimeError: integrator exceeded max_steps\n"
+
+
+class TestNonFiniteReport:
+    def test_nan_residual_reports_failure(self):
+        # kappa = 1e300 overflows the symbols: NaN residuals fail their checks
+        # and are written as the string "nan", keeping the output strict JSON
+        r = run("verify", "B.N14", "--kappa", "1e300")
+        assert r.returncode == 1, r.stderr
+        d = json.loads(r.stdout)
+        assert d["pass"] is False
+        entry = d["results"][0]
+        assert entry["qe"]["residuals"] == ["nan", "nan", "nan"]
+        assert entry["killing_residuals"][3] == "nan"
 
 
 class TestDeterminism:

@@ -79,6 +79,33 @@ class TestChristoffelAt:
         assert e == 5.0 * 3.0 and f == 4.0
 
 
+def _leaves(t):
+    if isinstance(t, tuple):
+        for s in t:
+            yield from _leaves(s)
+    else:
+        yield t
+
+
+class TestSymbolsAt:
+    @pytest.mark.parametrize("kind", ["constant", "inverse-x1", "linear-x1"])
+    def test_agrees_with_gamma_matrices_and_derivatives(self, kind):
+        spec = ChristoffelSpec((1.5, -2.0, 0.25, 3.0, -0.75, 0.5), kind)
+        for p in [(0.7, -0.4), (1.3, 0.9), (2.0, 0.0)]:
+            G, dG = spec.symbols_at(p)
+            assert np.array_equal(np.array(G), spec.gamma_matrices(p))
+            for m, six in enumerate(spec.dchristoffel_at(p)):
+                a, b, c, d, e, f = six
+                assert dG[m] == (((a, b), (c, d)), ((c, d), (e, f)))
+            leaves = list(_leaves((G, dG)))
+            assert len(leaves) == 24 and all(type(v) is float for v in leaves)
+
+    def test_half_plane_boundary(self):
+        spec = ChristoffelSpec((1, 0, 0, 0, 0, 0), "inverse-x1")
+        with pytest.raises(DomainError):
+            spec.symbols_at((0.0, 1.0))
+
+
 class TestCurvature:
     def test_flat_plane_zero(self):
         rec = C.instantiate("A.M06")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affsurf import catalog as C
 from affsurf import expr as ex
 
 
@@ -180,6 +181,39 @@ class TestCompile:
             e = ex.mul(ex.const(v), ex.x1)
             assert ex.compile_scalar(e)(2.0, 0.0) == ex.evaluate(e, (2.0, 0.0)) == v
         assert math.isnan(ex.compile_scalar(ex.add(ex.const(math.nan), ex.x1))(1.0, 0.0))
+
+
+class TestCompileJet:
+    @staticmethod
+    def jet_trees(e):
+        d1, d2 = ex.diff(e, 1), ex.diff(e, 2)
+        return (e, d1, d2, ex.diff(d1, 1), ex.diff(d1, 2), ex.diff(d2, 2))
+
+    def test_bit_identical_to_compile_scalar_on_catalog(self):
+        # every q-basis element, Killing-field component and map component,
+        # at the standard grid points of its record
+        checked = 0
+        for rec in C.all_records():
+            exprs = list(rec.q_basis)
+            exprs += [c for X in rec.killing_basis for c in (X.c1, X.c2)]
+            exprs += [f for m in rec.maps for f in (m.plane_map.f1, m.plane_map.f2)]
+            grid = C.sample_grid(rec)
+            for e in exprs:
+                jet = ex.compile_jet(e)
+                fs = [ex.compile_scalar(t) for t in self.jet_trees(e)]
+                for p in grid:
+                    got = [float(v).hex() for v in jet(*p)]
+                    assert got == [float(f(*p)).hex() for f in fs], (rec.ref.label(), e, p)
+                    checked += 1
+        assert checked > 10_000
+
+    def test_domain_error_propagates(self):
+        with pytest.raises(ex.DomainError):
+            ex.compile_jet(ex.log(ex.x1))(-1.0, 0.0)
+
+    def test_components_of_a_polynomial(self):
+        e = ex.parse_expr("x1^3*x2 + 2*x2^2")
+        assert ex.compile_jet(e)(2.0, 3.0) == (42.0, 36.0, 20.0, 36.0, 12.0, 4.0)
 
 
 class TestSubstitute:
