@@ -156,8 +156,7 @@ def cmd_catalog(args) -> int:
     if args.records:
         fams = [f.name for f in cat.families(args.type)]
         if args.family:
-            name, preset = cat.parse_family_token(args.family)
-            fams = [name]
+            fams = [cat.parse_family_token(args.family)[0]]
         records = []
         for fam in fams:
             for params in cat.standard_samples(fam):
@@ -165,8 +164,7 @@ def cmd_catalog(args) -> int:
         _emit({"count": len(records), "records": records}, args.json_path)
         return EXIT_OK
     if args.family:
-        name, preset = cat.parse_family_token(args.family)
-        fam = cat.FAMILIES[name]
+        fam = cat.FAMILIES[cat.parse_family_token(args.family)[0]]
         payload = {
             "family": fam.name, "type": fam.mtype, "params": list(fam.param_names),
             "guard": fam.guard_text, "dim_killing": fam.dim_killing,
@@ -225,27 +223,28 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+def _trajectory_command(args, record, vals, run, extra=lambda fwd, back: {}) -> int:
+    """Run to T and to -T, write the forward run's CSV/SVG and emit the
+    JSON; extra(fwd, back) gives the command's own keys."""
+    fwd, back = run(args.T), run(-args.T)
+    payload = {"model": record.ref.label(), "init": vals, "T": args.T,
+               "forward": fwd.status.to_json(), "backward": back.status.to_json(),
+               **extra(fwd, back)}
+    if args.csv_path:
+        _write(args.csv_path, out.trajectory_csv(fwd))
+    if args.svg_path:
+        _write(args.svg_path, out.svg_polyline(fwd.states[:, :2]))
+    _emit(payload, args.json_path)
+    return EXIT_OK
+
+
 def cmd_geodesic(args) -> int:
     record = _resolve_model(args)
     vals = _parse_init(args.init, "x1,x2,v1,v2")
     _check_horizon(args.T)
     x0, v0 = (vals[0], vals[1]), (vals[2], vals[3])
-    runs = {}
-    for key, t_end in (("forward", args.T), ("backward", -args.T)):
-        runs[key] = geo.geodesic_integrate(record.spec, x0, v0, t_end)
-    payload = {
-        "model": record.ref.label(),
-        "init": vals,
-        "T": args.T,
-        "forward": runs["forward"].status.to_json(),
-        "backward": runs["backward"].status.to_json(),
-    }
-    if args.csv_path:
-        _write(args.csv_path, out.trajectory_csv(runs["forward"]))
-    if args.svg_path:
-        _write(args.svg_path, out.svg_polyline(runs["forward"].states[:, :2]))
-    _emit(payload, args.json_path)
-    return EXIT_OK
+    return _trajectory_command(args, record, vals,
+                               lambda t_end: geo.geodesic_integrate(record.spec, x0, v0, t_end))
 
 
 def cmd_flow(args) -> int:
@@ -256,24 +255,10 @@ def cmd_flow(args) -> int:
         raise GuardError(f"--field must be in [0, {len(record.killing_basis) - 1}]")
     X = record.killing_basis[args.field]
     half = record.mtype == "B"
-    runs = {}
-    for key, t_end in (("forward", args.T), ("backward", -args.T)):
-        runs[key] = kil.flow_integrate(X, tuple(vals), t_end, half_plane=half)
-    payload = {
-        "model": record.ref.label(),
-        "field": args.field,
-        "init": vals,
-        "T": args.T,
-        "forward": runs["forward"].status.to_json(),
-        "backward": runs["backward"].status.to_json(),
-        "escape": runs["forward"].escaped or runs["backward"].escaped,
-    }
-    if args.csv_path:
-        _write(args.csv_path, out.trajectory_csv(runs["forward"]))
-    if args.svg_path:
-        _write(args.svg_path, out.svg_polyline(runs["forward"].states[:, :2]))
-    _emit(payload, args.json_path)
-    return EXIT_OK
+    return _trajectory_command(
+        args, record, vals,
+        lambda t_end: kil.flow_integrate(X, tuple(vals), t_end, half_plane=half),
+        lambda fwd, back: {"field": args.field, "escape": fwd.escaped or back.escaped})
 
 
 def cmd_flatten(args) -> int:

@@ -98,9 +98,9 @@ def _state(x0, v0) -> tuple[float, float, float, float]:
     return (float(x0[0]), float(x0[1]), float(v0[0]), float(v0[1]))
 
 
-def geodesic_integrate(spec: ChristoffelSpec, x0, v0, t_end: float, **opts) -> Trajectory:
+def geodesic_integrate(spec: ChristoffelSpec, x0, v0, t_end: float) -> Trajectory:
     """Integrate the geodesic from x0 with velocity v0 to signed time t_end."""
-    return integrate(_make_rhs(spec), _state(x0, v0), t_end, **{**_domain_opts(spec), **opts})
+    return integrate(_make_rhs(spec), _state(x0, v0), t_end, **_domain_opts(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ the ladder convergence test separates them from finite-time escapes.
 
 State dimensions here are 2 (flows) and 4 (geodesics), so the stepper core
 works on plain float tuples; numpy enters only for storage and dense output.
+
+The tolerances, the minimum step, the state cap and the limit of 400,000
+steps are fixed module constants, not parameters: every flow and geodesic
+runs at the same settings.  Exceeding the step limit raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ RTOL = 1e-10
 ATOL = 1e-12
 H_MIN = 1e-13
 STATE_CAP = 1e15
+MAX_STEPS = 400_000
 LADDER = (1e7, 1e9, 1e11, 1e13, 1e15)
 CONVERGENCE_RATIO = 0.5
 # Domain values at or below this are float-underflow artifacts: the
@@ -168,13 +173,8 @@ def integrate(rhs: Callable,
               y0,
               t_end: float,
               *,
-              rtol: float = RTOL,
-              atol: float = ATOL,
-              h_min: float = H_MIN,
-              cap: float = STATE_CAP,
               domain_fn: Callable | None = None,
-              domain_threshold: float = 0.0,
-              max_steps: int = 400_000) -> Trajectory:
+              domain_threshold: float = 0.0) -> Trajectory:
     """Integrate the autonomous system y' = rhs(y) from t = 0 to t_end
     (t_end may be negative).  rhs maps a float tuple to a float sequence.
     domain_fn, when given, must stay above domain_threshold along the
@@ -199,7 +199,7 @@ def integrate(rhs: Callable,
         ladder_times.append(0.0)
         ladder_idx += 1
 
-    h = _initial_step(y, f, rtol, atol)
+    h = _initial_step(y, f)
     if span > 0:
         h = min(h, span)
     t = 0.0
@@ -220,7 +220,7 @@ def integrate(rhs: Callable,
                 return LeftDomain(sgn * t)
         return StepCollapse(sgn * t, _rhs_grew(rhs_norm_hist))
 
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if t >= span:
             return finish(ReachedHorizon(sgn * span))
         h = min(h, span - t)
@@ -228,7 +228,7 @@ def integrate(rhs: Callable,
         step = _try_step(rhs, sgn, y, f, h, rng)
         if step is None:  # right-hand side failed inside the step
             h *= 0.25
-            if h < h_min:
+            if h < H_MIN:
                 return finish(stalled_status())
             continue
         y_new, f_new, err = step
@@ -238,14 +238,14 @@ def integrate(rhs: Callable,
             if not math.isfinite(nc):
                 enorm = math.inf
                 break
-            sc = atol + rtol * max(abs(y[c]), abs(nc))
+            sc = ATOL + RTOL * max(abs(y[c]), abs(nc))
             enorm += (err[c] / sc) ** 2
         if math.isfinite(enorm):
             enorm = math.sqrt(enorm / dim)
         if enorm > 1.0:
             factor = 0.25 if not math.isfinite(enorm) else max(0.2, 0.9 * enorm ** -0.2)
             h *= factor
-            if h < h_min:
+            if h < H_MIN:
                 return finish(stalled_status())
             continue
 
@@ -279,12 +279,12 @@ def integrate(rhs: Callable,
         fs.append(f)
         rhs_norm_hist.append(_norm_inf(f))
 
-        if n_new >= cap:
+        if n_new >= STATE_CAP:
             blow = _classify_ladder(ladder_times, t, sgn)
             return finish(blow if blow is not None else Unbounded(sgn * t))
 
         h *= min(5.0, max(0.2, 0.9 * (enorm + 1e-300) ** -0.2))
-    raise RuntimeError("integrator exceeded max_steps; raise the limit or loosen tolerances")
+    raise RuntimeError(f"integrator exceeded max_steps ({MAX_STEPS})")
 
 
 def _try_step(rhs, sgn, y, f, h, rng):
@@ -322,9 +322,9 @@ def _safe_rhs(rhs, y, fallback):
         return tuple(fallback)
 
 
-def _initial_step(y, f, rtol, atol):
-    d0 = max(abs(v) / (atol + rtol * abs(v)) for v in y)
-    d1 = max(abs(fv) / (atol + rtol * abs(yv)) for fv, yv in zip(f, y))
+def _initial_step(y, f):
+    d0 = max(abs(v) / (ATOL + RTOL * abs(v)) for v in y)
+    d1 = max(abs(fv) / (ATOL + RTOL * abs(yv)) for fv, yv in zip(f, y))
     h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     return max(min(h, 0.1), 1e-10)
 

@@ -18,7 +18,8 @@ The completeness probe integrates every basis field plus a fixed set of
 seeded random unit combinations, both directions, from a few interior
 points, and declares the model incomplete when any flow escapes (blowup,
 step collapse at a singular right-hand side, or crossing the half-plane
-edge).  Reaching the horizon, or growing beyond the numeric range without
+edge).  A combination is built as one expression, so every run integrates
+one compiled vector field.  Reaching the horizon, or growing beyond the numeric range without
 a finite-time signature, counts as evidence of completeness; the verdict
 is numerical evidence, not proof, and is always reported next to the
 expected flag.  The probe engine, `run_probe`, is shared with the geodesic
@@ -33,7 +34,7 @@ import numpy as np
 
 from .catalog import ModelRecord, sample_grid
 from .connection import ChristoffelSpec, max_abs
-from .expr import Point, VectorFieldExpr, compile_jet, compile_scalar
+from .expr import Point, VectorFieldExpr, add, compile_jet, compile_scalar, const, mul
 from .integrate import ESCAPE_STATUSES, Status, Trajectory, Unbounded, integrate
 
 PROBE_HORIZON = 20.0
@@ -74,30 +75,28 @@ def max_killing_residual(spec: ChristoffelSpec, X: VectorFieldExpr, grid) -> flo
     return max_abs(defects())
 
 
-def flow_integrate(X: VectorFieldExpr, p0: Point, t_end: float,
-                   half_plane: bool = False, **opts) -> Trajectory:
-    """Integrate the flow x' = X(x) from p0 to signed time t_end."""
+def _field_rhs(X: VectorFieldExpr):
+    """The right-hand side y -> X(y), from X's two compiled components."""
     f1, f2 = compile_scalar(X.c1), compile_scalar(X.c2)
 
     def rhs(y):
         u, v = float(y[0]), float(y[1])
         return f1(u, v), f2(u, v)
-
-    domain_fn = (lambda y: y[0]) if half_plane else None
-    return integrate(rhs, p0, t_end, domain_fn=domain_fn, **opts)
-
-
-def _combo_rhs(compiled_fields, coeffs):
-    active = [(c, f1, f2) for c, (f1, f2) in zip(coeffs, compiled_fields) if c != 0.0]
-
-    def rhs(y):
-        u, v = float(y[0]), float(y[1])
-        s1 = s2 = 0.0
-        for c, f1, f2 in active:
-            s1 += c * f1(u, v)
-            s2 += c * f2(u, v)
-        return s1, s2
     return rhs
+
+
+def flow_integrate(X: VectorFieldExpr, p0: Point, t_end: float,
+                   half_plane: bool = False) -> Trajectory:
+    """Integrate the flow x' = X(x) from p0 to signed time t_end."""
+    domain_fn = (lambda y: y[0]) if half_plane else None
+    return integrate(_field_rhs(X), p0, t_end, domain_fn=domain_fn)
+
+
+def combination(basis, coeffs) -> VectorFieldExpr:
+    """The Killing field sum_i c_i X_i as one expression."""
+    c1 = add(*(mul(const(c), X.c1) for c, X in zip(coeffs, basis)))
+    c2 = add(*(mul(const(c), X.c2) for c, X in zip(coeffs, basis)))
+    return VectorFieldExpr(c1, c2)
 
 
 @dataclass(frozen=True)
@@ -184,19 +183,19 @@ def killing_completeness_probe(record: ModelRecord,
     three times the horizon (pass confirm_T=0 to skip)."""
     inits = tuple(init_set) if init_set is not None else default_flow_inits(record)
     basis = record.killing_basis
-    compiled = [(compile_scalar(X.c1), compile_scalar(X.c2)) for X in basis]
     dim = len(basis)
 
-    jobs = [(f"basis[{idx}]", tuple(1.0 if i == idx else 0.0 for i in range(dim)))
-            for idx in range(dim)]
+    jobs = [(f"basis[{idx}]", tuple(1.0 if i == idx else 0.0 for i in range(dim)), X)
+            for idx, X in enumerate(basis)]
     rng = np.random.default_rng(seed)
     for c in range(n_combos):
         v = rng.normal(size=dim)
-        jobs.append((f"combo[{c}]", tuple(float(x) for x in v / np.linalg.norm(v))))
+        coeffs = tuple(float(x) for x in v / np.linalg.norm(v))
+        jobs.append((f"combo[{c}]", coeffs, combination(basis, coeffs)))
     opts = {"domain_fn": (lambda y: y[0]) if record.mtype == "B" else None}
     runs = []
-    for label, coeffs in jobs:
-        rhs = _combo_rhs(compiled, coeffs)
+    for label, coeffs, X in jobs:
+        rhs = _field_rhs(X)
         runs.extend((label, coeffs, p0, rhs, p0, opts) for p0 in inits)
     return run_probe(record, "killing", runs, T, 3.0 * T if confirm_T is None else confirm_T)
 

@@ -1,10 +1,17 @@
 """Command-line surface: subcommands, exit codes, file outputs, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from affsurf import catalog as cat
+from affsurf import cli
 
 CMD = [sys.executable, "-m", "affsurf"]
 
@@ -194,6 +201,37 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: RuntimeError: integrator exceeded max_steps\n"
+
+
+#: extreme and non-finite magnitudes, plus the values the family guards
+#: exclude or single out (c in {0, -1}, b1 = 1, a1 + a2 = 1, c = -0.5)
+HOSTILE_VALUES = ("1e-300", "-1e-300", "1e300", "-1e300", "1e16", "-1e16", "5e-324",
+                  "nan", "inf", "-inf", "0", "-1", "1", "0.5", "-0.5")
+
+PARAMETERISED = [f.name for f in cat.FAMILIES.values() if f.param_names]
+
+
+class TestHostileParameters:
+    """verify on any parameter value exits 0, 1 with a failing report, or 2
+    with one error line; no exception escapes cli.main."""
+
+    @pytest.mark.parametrize("family", PARAMETERISED)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_verify_exits_cleanly(self, family, data):
+        names = cat.FAMILIES[family].param_names
+        vals = data.draw(st.tuples(*(st.sampled_from(HOSTILE_VALUES) for _ in names)))
+        # --name=value: argparse would read "--c -1e16" as two flags
+        argv = ["verify", family] + [f"--{n}={v}" for n, v in zip(names, vals)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert json.loads(stdout.getvalue())["pass"] is False, argv
+        if code == 2:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
 
 
 class TestNonFiniteReport:

@@ -82,6 +82,25 @@ class TestFlows:
             assert abs(got[0] - s ** -2) < 1e-6 and abs(got[1] + 1.0 / s) < 1e-6
 
 
+class TestCombination:
+    def test_matches_weighted_sum_of_basis_fields(self, records):
+        rng = np.random.default_rng(7)
+        for rec in records:
+            basis = rec.killing_basis
+            compiled = [(ex.compile_scalar(X.c1), ex.compile_scalar(X.c2)) for X in basis]
+            for _ in range(2):
+                v = rng.normal(size=len(basis))
+                coeffs = tuple(float(x) for x in v / np.linalg.norm(v))
+                Y = K.combination(basis, coeffs)
+                g1, g2 = ex.compile_scalar(Y.c1), ex.compile_scalar(Y.c2)
+                for p in C.sample_grid(rec):
+                    want1 = sum(c * f1(*p) for c, (f1, _) in zip(coeffs, compiled))
+                    want2 = sum(c * f2(*p) for c, (_, f2) in zip(coeffs, compiled))
+                    got1, got2 = g1(*p), g2(*p)
+                    assert abs(got1 - want1) <= 1e-12 * (1 + abs(want1)), (rec.ref.label(), p)
+                    assert abs(got2 - want2) <= 1e-12 * (1 + abs(want2)), (rec.ref.label(), p)
+
+
 class TestGroupLawConsistency:
     """Composing the catalog flows of the rank-1 Killing-complete family
     reproduces its four-parameter transformation group."""
