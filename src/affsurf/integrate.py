@@ -26,6 +26,10 @@ the ladder convergence test separates them from finite-time escapes.
 
 State dimensions here are 2 (flows) and 4 (geodesics), so the stepper core
 works on plain float tuples; numpy enters only for storage and dense output.
+The step is one kernel per state dimension, generated once from the tableau
+with every stage and component written out; its arithmetic is that of the
+generic tableau loop, operation for operation, so trajectories are
+bit-identical to it.
 
 The tolerances, the minimum step, the state cap and the limit of 400,000
 steps are fixed module constants, not parameters: every flow and geodesic
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -176,12 +181,12 @@ def integrate(rhs: Callable,
               domain_fn: Callable | None = None,
               domain_threshold: float = 0.0) -> Trajectory:
     """Integrate the autonomous system y' = rhs(y) from t = 0 to t_end
-    (t_end may be negative).  rhs maps a float tuple to a float sequence.
+    (t_end may be negative).  rhs maps a float tuple to a float sequence
+    of the same length (TypeError otherwise).
     domain_fn, when given, must stay above domain_threshold along the
     trajectory (the half-plane monitor passes x1)."""
     y = tuple(float(v) for v in y0)
     dim = len(y)
-    rng = range(dim)
     direction = "forward" if t_end >= 0 else "backward"
     sgn = 1.0 if t_end >= 0 else -1.0
     span = abs(t_end)
@@ -191,6 +196,9 @@ def integrate(rhs: Callable,
         f = tuple(float(v) for v in rhs(y))
     except _RHS_ERRORS as err:
         raise DomainError(f"right-hand side undefined at the initial point: {err}") from err
+    if len(f) != dim:
+        raise TypeError(f"right-hand side has {len(f)} components for a state of dimension {dim}")
+    step = _step_kernel(dim)
 
     ts, ys, fs = [0.0], [y], [f]
     ladder_times: list[float] = []
@@ -225,23 +233,13 @@ def integrate(rhs: Callable,
             return finish(ReachedHorizon(sgn * span))
         h = min(h, span - t)
 
-        step = _try_step(rhs, sgn, y, f, h, rng)
-        if step is None:  # right-hand side failed inside the step
+        stepped = step(rhs, sgn, y, f, h)
+        if stepped is None:  # right-hand side failed inside the step
             h *= 0.25
             if h < H_MIN:
                 return finish(stalled_status())
             continue
-        y_new, f_new, err = step
-        enorm = 0.0
-        for c in rng:
-            nc = y_new[c]
-            if not math.isfinite(nc):
-                enorm = math.inf
-                break
-            sc = ATOL + RTOL * max(abs(y[c]), abs(nc))
-            enorm += (err[c] / sc) ** 2
-        if math.isfinite(enorm):
-            enorm = math.sqrt(enorm / dim)
+        y_new, f_new, enorm = stepped
         if enorm > 1.0:
             factor = 0.25 if not math.isfinite(enorm) else max(0.2, 0.9 * enorm ** -0.2)
             h *= factor
@@ -287,22 +285,56 @@ def integrate(rhs: Callable,
     raise RuntimeError(f"integrator exceeded max_steps ({MAX_STEPS})")
 
 
-def _try_step(rhs, sgn, y, f, h, rng):
-    """One Dormand-Prince step of signed size h on float tuples; returns
-    None when the right-hand side is undefined at a stage point."""
-    sh = sgn * h
-    k = [f]
-    try:
-        for row in _A[1:]:
-            yi = tuple(y[c] + sh * sum(aij * k[s][c] for s, aij in enumerate(row)) for c in rng)
-            k.append(tuple(float(v) for v in rhs(yi)))
-        y_new = tuple(y[c] + sh * sum(bi * k[s][c] for s, bi in enumerate(_B)) for c in rng)
-        f_new = tuple(float(v) for v in rhs(y_new))
-        k.append(f_new)
-        err = tuple(h * sum(ei * k[s][c] for s, ei in enumerate(_E)) for c in rng)
-    except _RHS_ERRORS:
-        return None
-    return y_new, f_new, err
+@lru_cache(maxsize=None)
+def _step_kernel(dim: int) -> Callable:
+    """Compile one Dormand-Prince step for states of dimension dim to
+    `step(rhs, sgn, y, f, h) -> (y_new, f_new, enorm)`, or None when the
+    right-hand side is undefined at a stage point.  Every stage and
+    component is a local float and every tableau coefficient a literal, in
+    the order of the generic tableau loop: each sum runs left to right from
+    0.0 (the same addition as sum()'s int start 0, so -0.0 still becomes
+    0.0), zero coefficients included (0.0 * inf stays NaN), and the
+    error, scaled by h, is normed component by component as RMS over
+    ATOL + RTOL * max(|y|, |y_new|), inf when y_new is not finite."""
+    comps = range(dim)
+
+    def tup(names):
+        return f"({', '.join(names)},)"
+
+    def stage(s):
+        return [f"k{s}_{c}" for c in comps]
+
+    def combo(coeffs, c):
+        return " + ".join(["0.0"] + [f"{a!r} * k{s}_{c}" for s, a in enumerate(coeffs)])
+
+    def call(s, args):
+        ks = stage(s)
+        return [f"        {tup(ks)} = rhs({tup(args)})",
+                f"        {tup(ks)} = {tup(f'float({k})' for k in ks)}"]
+
+    lines = ["def step(rhs, sgn, y, f, h):",
+             f"    {tup(f'y{c}' for c in comps)} = y",
+             f"    {tup(stage(0))} = f",
+             "    sh = sgn * h",
+             "    try:"]
+    for s, row in enumerate(_A[1:], start=1):
+        lines += call(s, [f"y{c} + sh * ({combo(row, c)})" for c in comps])
+    lines += [f"        n{c} = y{c} + sh * ({combo(_B, c)})" for c in comps]
+    lines += call(len(_A), [f"n{c}" for c in comps])
+    lines += [f"        e{c} = h * ({combo(_E, c)})" for c in comps]
+    lines += ["    except _RHS_ERRORS:",
+              "        return None",
+              f"    y_new, f_new = {tup(f'n{c}' for c in comps)}, {tup(stage(len(_A)))}"]
+    for c in comps:
+        lines += [f"    if not isfinite(n{c}):",
+                  "        return y_new, f_new, inf",
+                  f"    t{c} = (e{c} / ({ATOL!r} + {RTOL!r} * max(abs(y{c}), abs(n{c})))) ** 2"]
+    lines += [f"    enorm = {' + '.join(['0.0'] + [f't{c}' for c in comps])}",
+              f"    return y_new, f_new, sqrt(enorm / {dim}) if isfinite(enorm) else enorm"]
+    namespace = {"_RHS_ERRORS": _RHS_ERRORS, "isfinite": math.isfinite,
+                 "sqrt": math.sqrt, "inf": math.inf}
+    exec("\n".join(lines), namespace)  # noqa: S102 - generated from the tableau
+    return namespace["step"]
 
 
 def _segment(t0, y0, f0, t1, y1, f1, sgn):
@@ -330,7 +362,7 @@ def _initial_step(y, f):
 
 
 def _norm_inf(v) -> float:
-    return max(abs(c) for c in v)
+    return max(map(abs, v))
 
 
 def _rhs_grew(hist) -> bool:
