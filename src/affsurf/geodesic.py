@@ -30,7 +30,7 @@ from . import expr as ex
 from .catalog import ModelRecord, ref
 from .connection import ChristoffelSpec
 from .expr import ScalarExpr, arctan, compile_scalar, const, cos, exp, log, power, sin, x1
-from .integrate import Blowup, LeftDomain, StepCollapse, Status, Trajectory, integrate
+from .integrate import Blowup, Field, LeftDomain, StepCollapse, Status, Trajectory, integrate
 from .killing import ProbeReport, run_probe
 
 HORIZON = 50.0
@@ -46,45 +46,28 @@ class UnsupportedFamily(ValueError):
     elementary solution except for special rays)."""
 
 
-def geodesic_rhs(spec: ChristoffelSpec, state) -> tuple[float, float, float, float]:
-    """(x, v) -> (v, -G(x)(v, v)) with the quadratic form written out."""
-    u, w, v1, v2 = (float(s) for s in state)
-    a, b, c, d, e, f = spec.christoffel_at((u, w))
-    return (v1, v2,
-            -(a * v1 * v1 + 2 * c * v1 * v2 + e * v2 * v2),
-            -(b * v1 * v1 + 2 * d * v1 * v2 + f * v2 * v2))
+#: (prelude, components) of the first-order system on (x, v) = (u, w, v1, v2),
+#: (v, -G(x)(v, v)), per symbol kind; the six symbols are the constants
+#: a..f, so all specs of one kind share one kernel
+_QUADRATIC = ("q11 = v1 * v1", "q12 = 2 * v1 * v2", "q22 = v2 * v2")
+_GEODESIC_SOURCES = {
+    "constant": (_QUADRATIC, ("v1", "v2",
+                              "-(a * q11 + c * q12 + e * q22)",
+                              "-(b * q11 + d * q12 + f * q22)")),
+    "inverse-x1": (("if u <= 0.0:", "    raise DomainError('left the half-plane')") + _QUADRATIC,
+                   ("v1", "v2",
+                    "-(a * q11 + c * q12 + e * q22) / u",
+                    "-(b * q11 + d * q12 + f * q22) / u")),
+    "linear-x1": (_QUADRATIC, ("v1", "v2",
+                               "-(a * q11 + c * q12 + e * u * q22)",
+                               "-(b * q11 + d * q12 + f * q22)")),
+}
 
 
-def _make_rhs(spec: ChristoffelSpec):
-    a0, b0, c0, d0, e0, f0 = spec.coeffs
-    if spec.kind == "constant":
-        def rhs(y):
-            v1, v2 = y[2], y[3]
-            q11, q12, q22 = v1 * v1, 2 * v1 * v2, v2 * v2
-            return (v1, v2,
-                    -(a0 * q11 + c0 * q12 + e0 * q22),
-                    -(b0 * q11 + d0 * q12 + f0 * q22))
-        return rhs
-    if spec.kind == "inverse-x1":
-        def rhs(y):
-            u = y[0]
-            if u <= 0.0:
-                raise ex.DomainError("left the half-plane")
-            v1, v2 = y[2], y[3]
-            q11, q12, q22 = v1 * v1, 2 * v1 * v2, v2 * v2
-            return (v1, v2,
-                    -(a0 * q11 + c0 * q12 + e0 * q22) / u,
-                    -(b0 * q11 + d0 * q12 + f0 * q22) / u)
-        return rhs
-
-    def rhs(y):
-        u = y[0]
-        v1, v2 = y[2], y[3]
-        q11, q12, q22 = v1 * v1, 2 * v1 * v2, v2 * v2
-        return (v1, v2,
-                -(a0 * q11 + c0 * q12 + e0 * u * q22),
-                -(b0 * q11 + d0 * q12 + f0 * q22))
-    return rhs
+def _make_rhs(spec: ChristoffelSpec) -> Field:
+    """The geodesic right-hand side of spec as a Field over (u, w, v1, v2)."""
+    prelude, comps = _GEODESIC_SOURCES[spec.kind]
+    return Field(("u", "w", "v1", "v2"), prelude, comps, tuple(zip("abcdef", spec.coeffs)))
 
 
 def _domain_opts(spec: ChristoffelSpec) -> dict:

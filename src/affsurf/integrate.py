@@ -26,9 +26,12 @@ the ladder convergence test separates them from finite-time escapes.
 
 State dimensions here are 2 (flows) and 4 (geodesics), so the stepper core
 works on plain float tuples; numpy enters only for storage and dense output.
-The step is one kernel per state dimension, generated once from the tableau
-with every stage and component written out; its arithmetic is that of the
-generic tableau loop, operation for operation, so trajectories are
+The step is a kernel generated from the tableau with every stage and
+component written out.  A right-hand side given as a Field (its source
+text) is inlined at every stage of a kernel of its own, compiled on first
+use and cached on the source; any other callable is called at each stage
+by one kernel per state dimension.  Either way the arithmetic is that of
+the generic tableau loop, operation for operation, so trajectories are
 bit-identical to it.
 
 The tolerances, the minimum step, the state cap and the limit of 400,000
@@ -40,12 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Union
 
 import numpy as np
 
-from .expr import DomainError
+from .expr import _NAMESPACE, DomainError
 
 RTOL = 1e-10
 ATOL = 1e-12
@@ -198,7 +201,7 @@ def integrate(rhs: Callable,
         raise DomainError(f"right-hand side undefined at the initial point: {err}") from err
     if len(f) != dim:
         raise TypeError(f"right-hand side has {len(f)} components for a state of dimension {dim}")
-    step = _step_kernel(dim)
+    step = rhs.kernel if isinstance(rhs, Field) else _step_kernel(dim)
 
     ts, ys, fs = [0.0], [y], [f]
     ladder_times: list[float] = []
@@ -211,7 +214,6 @@ def integrate(rhs: Callable,
     if span > 0:
         h = min(h, span)
     t = 0.0
-    rhs_norm_hist = [_norm_inf(f)]
 
     def finish(status: Status) -> Trajectory:
         return Trajectory(np.array(ts), np.array(ys), np.array(fs), status, direction)
@@ -226,7 +228,7 @@ def integrate(rhs: Callable,
                 return Unbounded(sgn * t)
             if g <= max(1e-8, domain_threshold * 4):
                 return LeftDomain(sgn * t)
-        return StepCollapse(sgn * t, _rhs_grew(rhs_norm_hist))
+        return StepCollapse(sgn * t, _rhs_grew([_norm_inf(v) for v in fs]))
 
     for _ in range(MAX_STEPS):
         if t >= span:
@@ -275,7 +277,6 @@ def integrate(rhs: Callable,
         ts.append(sgn * t)
         ys.append(y)
         fs.append(f)
-        rhs_norm_hist.append(_norm_inf(f))
 
         if n_new >= STATE_CAP:
             blow = _classify_ladder(ladder_times, t, sgn)
@@ -285,56 +286,128 @@ def integrate(rhs: Callable,
     raise RuntimeError(f"integrator exceeded max_steps ({MAX_STEPS})")
 
 
-@lru_cache(maxsize=None)
-def _step_kernel(dim: int) -> Callable:
-    """Compile one Dormand-Prince step for states of dimension dim to
-    `step(rhs, sgn, y, f, h) -> (y_new, f_new, enorm)`, or None when the
-    right-hand side is undefined at a stage point.  Every stage and
+_KERNEL_NAMESPACE = {**_NAMESPACE, "DomainError": DomainError, "_RHS_ERRORS": _RHS_ERRORS,
+                     "_isfinite": math.isfinite, "_sqrt": math.sqrt, "_inf": math.inf,
+                     "_max": max, "_abs": abs, "_float": float}
+
+
+def _step_lines(dim: int, stage: Callable) -> list[str]:
+    """Source of one Dormand-Prince step `_step(_rhs, _sgn, _y, _f, _h) ->
+    (y_new, f_new, enorm)`, or None when the right-hand side is undefined
+    at a stage point.  stage(s, point) gives the lines, indented for the
+    body of the try block, that set `_k{s}_0, _k{s}_1, ...` from the stage
+    point, a list of one source expression per component.  Every stage and
     component is a local float and every tableau coefficient a literal, in
     the order of the generic tableau loop: each sum runs left to right from
     0.0 (the same addition as sum()'s int start 0, so -0.0 still becomes
-    0.0), zero coefficients included (0.0 * inf stays NaN), and the
-    error, scaled by h, is normed component by component as RMS over
-    ATOL + RTOL * max(|y|, |y_new|), inf when y_new is not finite."""
+    0.0), zero coefficients included (0.0 * inf stays NaN), and the error,
+    scaled by h, is normed component by component as RMS over
+    ATOL + RTOL * max(|y|, |y_new|), inf when y_new is not finite.  Every
+    name the step binds begins with an underscore."""
     comps = range(dim)
 
-    def tup(names):
-        return f"({', '.join(names)},)"
-
-    def stage(s):
-        return [f"k{s}_{c}" for c in comps]
-
     def combo(coeffs, c):
-        return " + ".join(["0.0"] + [f"{a!r} * k{s}_{c}" for s, a in enumerate(coeffs)])
+        return " + ".join(["0.0"] + [f"{a!r} * _k{s}_{c}" for s, a in enumerate(coeffs)])
 
-    def call(s, args):
-        ks = stage(s)
-        return [f"        {tup(ks)} = rhs({tup(args)})",
-                f"        {tup(ks)} = {tup(f'float({k})' for k in ks)}"]
-
-    lines = ["def step(rhs, sgn, y, f, h):",
-             f"    {tup(f'y{c}' for c in comps)} = y",
-             f"    {tup(stage(0))} = f",
-             "    sh = sgn * h",
+    lines = ["def _step(_rhs, _sgn, _y, _f, _h):",
+             f"    {_tup(f'_y{c}' for c in comps)} = _y",
+             f"    {_tup(f'_k0_{c}' for c in comps)} = _f",
+             "    _sh = _sgn * _h",
              "    try:"]
     for s, row in enumerate(_A[1:], start=1):
-        lines += call(s, [f"y{c} + sh * ({combo(row, c)})" for c in comps])
-    lines += [f"        n{c} = y{c} + sh * ({combo(_B, c)})" for c in comps]
-    lines += call(len(_A), [f"n{c}" for c in comps])
-    lines += [f"        e{c} = h * ({combo(_E, c)})" for c in comps]
+        lines += stage(s, [f"_y{c} + _sh * ({combo(row, c)})" for c in comps])
+    lines += [f"        _n{c} = _y{c} + _sh * ({combo(_B, c)})" for c in comps]
+    lines += stage(len(_A), [f"_n{c}" for c in comps])
+    lines += [f"        _e{c} = _h * ({combo(_E, c)})" for c in comps]
     lines += ["    except _RHS_ERRORS:",
               "        return None",
-              f"    y_new, f_new = {tup(f'n{c}' for c in comps)}, {tup(stage(len(_A)))}"]
+              f"    _y_new = {_tup(f'_n{c}' for c in comps)}",
+              f"    _f_new = {_tup(f'_k{len(_A)}_{c}' for c in comps)}"]
     for c in comps:
-        lines += [f"    if not isfinite(n{c}):",
-                  "        return y_new, f_new, inf",
-                  f"    t{c} = (e{c} / ({ATOL!r} + {RTOL!r} * max(abs(y{c}), abs(n{c})))) ** 2"]
-    lines += [f"    enorm = {' + '.join(['0.0'] + [f't{c}' for c in comps])}",
-              f"    return y_new, f_new, sqrt(enorm / {dim}) if isfinite(enorm) else enorm"]
-    namespace = {"_RHS_ERRORS": _RHS_ERRORS, "isfinite": math.isfinite,
-                 "sqrt": math.sqrt, "inf": math.inf}
-    exec("\n".join(lines), namespace)  # noqa: S102 - generated from the tableau
-    return namespace["step"]
+        lines += [f"    if not _isfinite(_n{c}):",
+                  "        return _y_new, _f_new, _inf",
+                  f"    _t{c} = (_e{c} / ({ATOL!r} + {RTOL!r} * _max(_abs(_y{c}), _abs(_n{c})))) ** 2"]
+    lines += [f"    _enorm = {' + '.join(['0.0'] + [f'_t{c}' for c in comps])}",
+              f"    return _y_new, _f_new, _sqrt(_enorm / {dim}) if _isfinite(_enorm) else _enorm"]
+    return lines
+
+
+def _tup(names) -> str:
+    return f"({', '.join(names)},)"
+
+
+def _exec(lines: list[str], name: str):
+    namespace = dict(_KERNEL_NAMESPACE)
+    exec("\n".join(lines), namespace)  # noqa: S102 - generated from the tableau and our own sources
+    return namespace[name]
+
+
+@lru_cache(maxsize=None)
+def _step_kernel(dim: int) -> Callable:
+    """The step for a plain callable right-hand side on states of dimension
+    dim (the call form): each stage calls `rhs` on the stage point and
+    converts its outputs with float()."""
+    def call(s, point):
+        ks = [f"_k{s}_{c}" for c in range(dim)]
+        return [f"        {_tup(ks)} = _rhs({_tup(point)})",
+                f"        {_tup(ks)} = {_tup(f'_float({k})' for k in ks)}"]
+    return _exec(_step_lines(dim, call), "_step")
+
+
+class Field:
+    """A right-hand side given by its source text: the state components are
+    bound to `names`, the `prelude` statements run (they may raise
+    DomainError), and component c of the value is the expression
+    `comps[c]`, which may read the names, the prelude's locals, the
+    constants `consts` ((name, value) pairs) and the compiled-expression
+    namespace (`_exp`, `_log`, `_powf`, ..., `inf`, `nan`).  Names that
+    begin with an underscore belong to the kernel.
+
+    integrate() steps a Field with its own Dormand-Prince kernel, the
+    source inlined at every stage (the source form); calling the Field runs
+    the same text as a plain right-hand side.  Both are compiled on first
+    use, cached on the source, and take the constants as closure values,
+    so Fields that differ only in their constants share one kernel.  A
+    Field hashes by identity (a plain class, because a dataclass costs
+    about 1 ms at import)."""
+
+    def __init__(self, names: tuple[str, ...], prelude: tuple[str, ...],
+                 comps: tuple[str, ...], consts: tuple[tuple[str, float], ...] = ()):
+        bound = names + tuple(name for name, _ in consts)
+        if len(comps) != len(names) or any(n.startswith("_") for n in bound):
+            raise ValueError(f"malformed field: names {names}, {len(comps)} components, "
+                             f"constants {[n for n, _ in consts]}")
+        self.names, self.prelude, self.comps, self.consts = names, prelude, comps, consts
+
+    @cached_property
+    def _code(self):
+        make = _field_code(self.names, self.prelude, self.comps,
+                           tuple(name for name, _ in self.consts))
+        return make(*(value for _, value in self.consts))
+
+    @property
+    def kernel(self) -> Callable:
+        """`step(rhs, sgn, y, f, h)` with this field inlined (rhs is unused)."""
+        return self._code[0]
+
+    def __call__(self, y) -> tuple[float, ...]:
+        return self._code[1](y)
+
+
+@lru_cache(maxsize=None)
+def _field_code(names, prelude, comps, const_names) -> Callable:
+    """`make(*constants) -> (step, rhs)` for one field source."""
+    def source(s, point):
+        return ([f"        {n} = {p}" for n, p in zip(names, point)]
+                + [f"        {line}" for line in prelude]
+                + [f"        _k{s}_{c} = {src}" for c, src in enumerate(comps)])
+    call = (["def _call(_p):"]
+            + [f"    {n} = _float(_p[{c}])" for c, n in enumerate(names)]
+            + [f"    {line}" for line in prelude]
+            + [f"    return {_tup(comps)}"])
+    body = _step_lines(len(names), source) + call + ["return _step, _call"]
+    return _exec([f"def _make({', '.join(const_names)}):"] + [f"    {line}" for line in body],
+                 "_make")
 
 
 def _segment(t0, y0, f0, t1, y1, f1, sgn):

@@ -34,8 +34,8 @@ import numpy as np
 
 from .catalog import ModelRecord, sample_grid
 from .connection import ChristoffelSpec, max_abs
-from .expr import Point, VectorFieldExpr, add, compile_jet, compile_scalar, const, mul
-from .integrate import ESCAPE_STATUSES, Status, Trajectory, Unbounded, integrate
+from .expr import Point, VectorFieldExpr, _emit, add, compile_jet, const, mul
+from .integrate import ESCAPE_STATUSES, Field, Status, Trajectory, Unbounded, integrate
 
 PROBE_HORIZON = 20.0
 N_RANDOM_COMBOS = 8
@@ -75,14 +75,9 @@ def max_killing_residual(spec: ChristoffelSpec, X: VectorFieldExpr, grid) -> flo
     return max_abs(defects())
 
 
-def _field_rhs(X: VectorFieldExpr):
-    """The right-hand side y -> X(y), from X's two compiled components."""
-    f1, f2 = compile_scalar(X.c1), compile_scalar(X.c2)
-
-    def rhs(y):
-        u, v = float(y[0]), float(y[1])
-        return f1(u, v), f2(u, v)
-    return rhs
+def _field_rhs(X: VectorFieldExpr) -> Field:
+    """The right-hand side y -> X(y): X's two emitted components over x1, x2."""
+    return Field(("x1", "x2"), (), (_emit(X.c1), _emit(X.c2)))
 
 
 def flow_integrate(X: VectorFieldExpr, p0: Point, t_end: float,

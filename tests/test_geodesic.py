@@ -8,6 +8,7 @@ import pytest
 from affsurf import catalog as C
 from affsurf import expr as ex
 from affsurf import geodesic as G
+from affsurf.connection import KINDS
 from affsurf.integrate import Blowup, ReachedHorizon
 
 AB_SAMPLES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 2.0)]
@@ -20,6 +21,16 @@ CLOSED_FORM_RECORDS = [
     ("A.M44", {"c": -2.0}), ("A.M44", {"c": -0.5}), ("A.M44", {"c": 1 / 3}), ("A.M44", {"c": 2.0}),
     ("A.M54t", {"c": 0.0}), ("A.M54t", {"c": -0.5}), ("A.M54t", {"c": 1 / 3}), ("A.M54t", {"c": 2.0}),
 ]
+
+
+def geodesic_rhs(spec, state):
+    """(x, v) -> (v, -G(x)(v, v)) from the spec's symbol values, with the
+    quadratic form written out: the oracle for the geodesic Fields."""
+    u, w, v1, v2 = (float(s) for s in state)
+    a, b, c, d, e, f = spec.christoffel_at((u, w))
+    return (v1, v2,
+            -(a * v1 * v1 + 2 * c * v1 * v2 + e * v2 * v2),
+            -(b * v1 * v1 + 2 * d * v1 * v2 + f * v2 * v2))
 
 
 def closed_form_residual(spec, cf, nt=25):
@@ -45,24 +56,36 @@ def closed_form_residual(spec, cf, nt=25):
 class TestRhs:
     def test_flat(self):
         rec = C.instantiate("A.M06")
-        assert G.geodesic_rhs(rec.spec, (5.0, -3.0, 2.0, 7.0)) == (2.0, 7.0, 0.0, 0.0)
+        assert geodesic_rhs(rec.spec, (5.0, -3.0, 2.0, 7.0)) == (2.0, 7.0, 0.0, 0.0)
 
     def test_parabolic_chart(self):
         rec = C.instantiate("A.M46")
-        assert G.geodesic_rhs(rec.spec, (0.0, 0.0, 0.0, 1.0))[2:] == (-1.0, 0.0)
+        assert geodesic_rhs(rec.spec, (0.0, 0.0, 0.0, 1.0))[2:] == (-1.0, 0.0)
 
     def test_hyperbolic(self):
         rec = C.instantiate("B.N43")
-        assert G.geodesic_rhs(rec.spec, (1.0, 0.0, 1.0, 0.0))[2:] == (1.0, 0.0)
+        assert geodesic_rhs(rec.spec, (1.0, 0.0, 1.0, 0.0))[2:] == (1.0, 0.0)
 
     def test_rhs_matches_compiled_path(self):
+        """Every record's geodesic Field against the oracle; together they
+        cover the three Field templates, one per symbol kind."""
         rng = np.random.default_rng(5)
-        for rec in (C.instantiate("A.M12", a1=2.0, a2=3.0), C.instantiate("B.N14", kappa=2.0),
-                    C.instantiate("A.M54t", c=1.5)):
+        records = [C.instantiate("A.M12", a1=2.0, a2=3.0), C.instantiate("B.N14", kappa=2.0),
+                   C.instantiate("A.M54t", c=1.5)] + list(C.all_records())
+        assert {rec.spec.kind for rec in records} == set(KINDS)
+        for rec in records:
             rhs = G._make_rhs(rec.spec)
             for _ in range(10):
                 s = (rng.uniform(0.5, 2), rng.uniform(-1, 1), rng.uniform(-2, 2), rng.uniform(-2, 2))
-                assert np.allclose(rhs(s), G.geodesic_rhs(rec.spec, s), atol=1e-14)
+                value = rhs(s)
+                assert all(type(v) is float for v in value)
+                assert np.allclose(value, geodesic_rhs(rec.spec, s), atol=1e-14)
+
+    def test_half_plane_field_raises_outside(self):
+        rhs = G._make_rhs(C.instantiate("B.N14", kappa=2.0).spec)
+        for u in (0.0, -1.0):
+            with pytest.raises(ex.DomainError):
+                rhs((u, 0.0, 1.0, 1.0))
 
 
 class TestClosedForms:

@@ -4,14 +4,17 @@ The escape detectors are calibrated on textbook ODEs with known behavior
 before any geometry touches them.
 """
 
+import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from affsurf import catalog, killing
-from affsurf.expr import DomainError
-from affsurf.integrate import (_A, _B, _E, _RHS_ERRORS, ATOL, RTOL, Blowup,
+from affsurf import catalog, geodesic, killing
+from affsurf.connection import ChristoffelSpec
+from affsurf.expr import DomainError, VectorFieldExpr, const, log, parse_expr, power, x1, x2
+from affsurf.integrate import (_A, _B, _E, _RHS_ERRORS, ATOL, RTOL, Blowup, Field,
                                LeftDomain, ReachedHorizon, StepCollapse,
                                Unbounded, _step_kernel, integrate)
 
@@ -63,11 +66,15 @@ def traced_step(stepper, rhs, sgn, y, f, h):
     def logged(v):
         points.append([c.hex() for c in v])
         return rhs(v)
-    step = stepper(logged, sgn, y, f, h)
-    if step is not None:
-        y_new, f_new, enorm = step
-        step = [v.hex() for v in y_new], [v.hex() for v in f_new], enorm.hex()
-    return step, points
+    return hexed(stepper(logged, sgn, y, f, h)), points
+
+
+def hexed(step):
+    """A step result with every float as float.hex (None stays None)."""
+    if step is None:
+        return None
+    y_new, f_new, enorm = step
+    return [v.hex() for v in y_new], [v.hex() for v in f_new], enorm.hex()
 
 
 def same_step(make_rhs, sgn, y, f, h):
@@ -303,3 +310,175 @@ class TestScipyOracle:
         assert len(tr.times) - 1 == len(sol.t) - 1 == 43_684
         ours, theirs = tr.states[-1], sol.y[:, -1]
         assert np.all(np.abs(ours - theirs) <= 1e-8 * np.abs(theirs))
+
+
+def same_fused_step(field, sgn, y, f, h):
+    """Assert that field's own kernel (the source form) and reference_step
+    calling the field (the call form) agree bit for bit on the step and on
+    every stage point; return the traced step.  The source form's stage
+    points are logged by a copy of the field whose prelude first hands them
+    to a bound constant."""
+    points = []
+    spy = Field(field.names, (f"trace(({', '.join(field.names)},))",) + field.prelude,
+                field.comps, field.consts + (("trace", lambda p: points.append([c.hex() for c in p])),))
+    got = hexed(spy.kernel(None, sgn, y, f, h)), points
+    assert got == traced_step(reference_step, field, sgn, y, f, h)
+    assert hexed(field.kernel(None, sgn, y, f, h)) == got[0]
+    return got
+
+
+def fused_steps_on_random_states(field, rng, sgn, states):
+    """same_fused_step from each state at a random step size; the error
+    norms of the steps that were defined."""
+    enorms = []
+    for y in states:
+        try:
+            f = field(y)
+        except _RHS_ERRORS:
+            continue
+        step, _ = same_fused_step(field, sgn, y, f, float(10.0 ** rng.uniform(-6, 0)))
+        if step is not None:
+            enorms.append(float.fromhex(step[2]))
+    return enorms
+
+
+GEODESIC_SPECS = [catalog.instantiate("A.M16").spec,
+                  catalog.instantiate("B.N14", kappa=2.0).spec,
+                  catalog.instantiate("A.M54t", c=1.5).spec]
+
+
+class TestFusedKernel:
+    """Each Field's generated kernel against the call form, bit for bit."""
+
+    @pytest.mark.parametrize("sgn", [1.0, -1.0])
+    def test_killing_fields_of_every_record(self, sgn):
+        rng = np.random.default_rng([6, int(sgn > 0)])
+        enorms = []
+        for rec in catalog.all_records():
+            grid = catalog.sample_grid(rec, 3)
+            coeffs = rng.normal(size=len(rec.killing_basis))
+            fields = list(rec.killing_basis) + [killing.combination(rec.killing_basis, coeffs)]
+            for X in fields:
+                states = [tuple(float(c) for c in grid[i]) for i in rng.choice(len(grid), 3)]
+                enorms += fused_steps_on_random_states(killing._field_rhs(X), rng, sgn, states)
+        assert min(enorms) <= 1.0 < max(enorms)  # accepted and rejected steps
+
+    @pytest.mark.parametrize("sgn", [1.0, -1.0])
+    @pytest.mark.parametrize("spec", GEODESIC_SPECS, ids=lambda spec: spec.kind)
+    def test_geodesic_field_of_each_kind(self, spec, sgn):
+        rng = np.random.default_rng([7, int(sgn > 0), len(spec.kind)])
+        states = [(float(rng.uniform(0.05, 2)), *(float(v) for v in rng.normal(size=3) * 3))
+                  for _ in range(200)]
+        enorms = fused_steps_on_random_states(geodesic._make_rhs(spec), rng, sgn, states)
+        assert min(enorms) <= 1.0 < max(enorms)
+
+    @pytest.mark.parametrize("X,y,h", [
+        (VectorFieldExpr(log(x1), const(1.0)), (0.001, 0.0), 0.01),
+        (VectorFieldExpr(const(-1.0), power(x1, Fraction(1, 2))), (0.05, 0.0), 0.1),
+    ], ids=["log", "powf"])
+    def test_domain_error_at_a_stage(self, X, y, h):
+        field = killing._field_rhs(X)
+        step, points = same_fused_step(field, 1.0, y, field(y), h)
+        assert step is None and points
+
+    def test_half_plane_geodesic_leaving_at_a_stage(self):
+        field = geodesic._make_rhs(GEODESIC_SPECS[1])
+        y = (0.01, 0.0, -1.0, 0.5)
+        step, points = same_fused_step(field, 1.0, y, field(y), 0.1)
+        assert step is None and float.fromhex(points[-1][0]) <= 0.0
+
+    def test_infinite_value_reaches_y_new(self):
+        field = Field(("x1", "x2"), (), ("x1 * x1 * x1", "x2"))
+        y = (1e100, 1.0)
+        (y_new, _, enorm), _ = same_fused_step(field, 1.0, y, field(y), 0.01)
+        assert not math.isfinite(float.fromhex(y_new[0])) and float.fromhex(enorm) == math.inf
+
+    def test_zero_weight_stage_still_counts(self):
+        # the first stage point is about 1e-157, where 1/x1^2 overflows to
+        # inf; _B[1] = 0.0 weights that stage, and 0.0 * inf makes y_new NaN
+        field = Field(("x1", "x2"), (), ("-1.0", "1.0 / (x1 * x1)"))
+        y = (1e-150, 0.0)
+        (y_new, _, _), points = same_fused_step(field, 1.0, y, field(y), (1e-150 - 1e-157) / 0.2)
+        assert points[1][1] == "inf" and y_new[1] == "nan"
+
+    def test_sums_start_from_zero(self):
+        # a stage sum of -0.0 terms is +0.0, as in the call form
+        field = Field(("x1", "x2"), (), ("x1", "x2"))
+        _, points = same_fused_step(field, 1.0, (-0.0, -0.0), (-0.0, -0.0), 0.1)
+        assert points[0] == [(0.0).hex()] * 2
+
+    def test_negative_zero_constants(self):
+        spec = ChristoffelSpec((0.0, -0.0, 0.0, -0.0, 0.0, -0.0))
+        for field in (geodesic._make_rhs(spec), Field(("x1", "x2"), (), ("-0.0 * x1", "x2 * -0.0"))):
+            y = (0.5,) + (1.0,) * (len(field.names) - 1)
+            (_, f_new, _), _ = same_fused_step(field, 1.0, y, field(y), 0.1)
+            assert "-0x0.0p+0" in f_new
+
+    def test_non_finite_constant_in_the_source(self):
+        X = VectorFieldExpr(parse_expr("c*c*x1 + x2", {"c": 1e200}), parse_expr("x1"))
+        field = killing._field_rhs(X)
+        assert "inf" in field.comps[0]
+        for y in ((1.0, -2.0), (0.0, 1.0)):
+            same_fused_step(field, -1.0, y, field(y), 0.01)
+
+    def test_integrate_steps_a_field_with_its_kernel(self):
+        """integrate runs the source form for a Field: stage points reach
+        the spy's prelude, and the trajectory equals the call form's."""
+        points = []
+        field = killing._field_rhs(VectorFieldExpr(x2, -x1))
+        spy = Field(field.names, ("trace(x1)",), field.comps, (("trace", points.append),))
+        fused = integrate(spy, (1.0, 0.0), 5.0)
+        called = integrate(lambda y: field(y), (1.0, 0.0), 5.0)
+        assert len(points) >= 6 * (len(fused.times) - 1)
+        for a, b in ((fused.times, called.times), (fused.states, called.states),
+                     (fused.derivs, called.derivs)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_malformed_field(self):
+        with pytest.raises(ValueError):
+            Field(("x1", "x2"), (), ("x1",))
+        with pytest.raises(ValueError):
+            Field(("_y0",), (), ("1.0",))
+
+
+def trajectory_digest(tr) -> str:
+    h = hashlib.sha256()
+    for a in (tr.times, tr.states, tr.derivs):
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def m46_benchmark_combination():
+    """combo[2] of the Killing probe's default seed on A.M46."""
+    basis = catalog.instantiate("A.M46").killing_basis
+    rng = np.random.default_rng(killing.COMBO_SEED)
+    for _ in range(3):
+        v = rng.normal(size=len(basis))
+    return killing.combination(basis, tuple(float(x) for x in v / np.linalg.norm(v)))
+
+
+class TestGoldenTrajectories:
+    """SHA-256 of times, states and derivs, pinned from the generic-loop
+    stepper.  The right-hand sides use only +, -, *, / and integer powers
+    (no exp, log or trigonometric function), so the digests do not depend
+    on the platform's libm; any change to the kernels that moves one bit
+    fails here."""
+
+    def test_m46_benchmark_flow(self):
+        tr = killing.flow_integrate(m46_benchmark_combination(), (0.3, -0.7), 60.0)
+        assert tr.status == ReachedHorizon(60.0) and len(tr.times) - 1 == 43_684
+        assert trajectory_digest(tr) == \
+            "4fb2d23e2fe76d4ec39fe643c5e0a5b80b3cc4a26ed32ffa16358486a72d0166"
+
+    @pytest.mark.parametrize("family,v0,t_end,digest", [
+        ("A.M46", (1.0, 1.0), 50.0,
+         "387f69bbf9c1ce43f2fe979825f94621c8468a3b92d8ba7ce2359bd0905c7ad0"),
+        ("A.M46", (1.0, 1.0), -50.0,
+         "5cec0c2d2fa01cef54859ea6ff170f1c1c34f2dad1a847a87def825414f62523"),
+        ("A.M16", (1.0, 0.0), -50.0,
+         "72985cb991bdbdd18f51fc6eb368399eebeb18128cc3878bca671a22a53d90d9"),
+    ])
+    def test_geodesics(self, family, v0, t_end, digest):
+        rec = catalog.instantiate(family)
+        tr = geodesic.geodesic_integrate(rec.spec, rec.base_point, v0, t_end)
+        assert trajectory_digest(tr) == digest
