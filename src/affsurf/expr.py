@@ -81,7 +81,20 @@ class ScalarExpr:
 
 @dataclass(frozen=True)
 class Const(ScalarExpr):
+    """Equal to another Const of the same value and, unlike ==, the same
+    sign of zero: compiled code keeps that sign, so the compile caches
+    must tell Const(0.0) from Const(-0.0)."""
     value: Union[Fraction, float]
+
+    def __eq__(self, other):
+        return other.__class__ is Const and _signed(self.value) == _signed(other.value)
+
+    def __hash__(self):
+        return hash((self.value,))
+
+
+def _signed(v) -> tuple:
+    return v, math.copysign(1.0, v) if v == 0 else 1.0
 
 
 @dataclass(frozen=True)

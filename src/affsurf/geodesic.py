@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import expr as ex
 from .catalog import ModelRecord, ref
 from .connection import ChristoffelSpec
@@ -371,17 +369,3 @@ def geodesic_completeness_probe(record: ModelRecord,
     runs = [(f"geodesic a={v0[0]:g} b={v0[1]:g}", tuple(v0), tuple(x0), rhs,
              _state(x0, v0), opts) for x0, v0 in init_set]
     return run_probe(record, "geodesic", runs, T, 4.0 * T if confirm_T is None else confirm_T)
-
-
-def ricci_velocity_scalar(spec: ChristoffelSpec, traj: Trajectory) -> np.ndarray:
-    """rho(sigma-dot, sigma-dot) along a geodesic; for the rank-1 plane
-    families this equals a constant times (v2)^2 and grows without bound
-    along escaping directions."""
-    from .connection import ricci_at
-    vals = []
-    for state in traj.states:
-        x = (float(state[0]), float(state[1]))
-        v = np.array([state[2], state[3]])
-        rho = ricci_at(spec, x)
-        vals.append(float(v @ rho @ v))
-    return np.array(vals)

@@ -34,9 +34,21 @@ by one kernel per state dimension.  Either way the arithmetic is that of
 the generic tableau loop, operation for operation, so trajectories are
 bit-identical to it.
 
+A run can be extended to a longer horizon.  Its Trajectory carries a
+Checkpoint: the loop's state (t, y, f, h, ladder, history, steps used) at
+the first step the horizon cut short, where the step size would have been
+clamped to land on it.  Every step before that one is the same at any
+longer horizon, so integrate() resumes there and returns what a fresh run
+to the longer horizon returns, bit for bit; a run whose status was settled
+before any cut is returned as it is.  The probes confirm a complete verdict
+this way, extending each horizon-T run instead of integrating again from
+t = 0.  The history is kept in flat buffers of doubles (8 bytes per
+component), from which the Trajectory's arrays are read without a copy.
+
 The tolerances, the minimum step, the state cap and the limit of 400,000
-steps are fixed module constants, not parameters: every flow and geodesic
-runs at the same settings.  Exceeding the step limit raises RuntimeError.
+steps (counted from t = 0, over every extension of a run) are fixed module
+constants, not parameters: every flow and geodesic runs at the same
+settings.  Exceeding the step limit raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -129,6 +141,7 @@ class Trajectory:
     derivs: np.ndarray
     status: Status
     direction: str  # "forward" | "backward"
+    checkpoint: Checkpoint  # where integrate() resumes to extend the run
 
     @property
     def escaped(self) -> bool:
@@ -147,6 +160,22 @@ class Trajectory:
         i = max(0, min(i, len(ts) - 2))
         return _hermite(ts[i], self.states[i], self.derivs[i],
                         ts[i + 1], self.states[i + 1], self.derivs[i + 1], t)
+
+
+class Checkpoint:
+    """Where integrate() extends a run, made in `direction` to the horizon
+    `span` over `domain` (domain_fn, domain_threshold): the loop's state
+    (steps used, t, y, f, h, ladder index, ladder times) at the first step
+    the horizon cut short, and the first n rows (of dim components) of the
+    run's flat history buffers ts, ys and fs.  loop is None when the run
+    ended before any cut; its status then stands at every longer horizon."""
+
+    __slots__ = ("direction", "span", "domain", "dim", "ts", "ys", "fs", "n", "loop", "status")
+
+    def __init__(self, direction, span, domain, dim, ts, ys, fs, n, loop, status):
+        self.direction, self.span, self.domain, self.dim = direction, span, domain, dim
+        self.ts, self.ys, self.fs, self.n = ts, ys, fs, n
+        self.loop, self.status = loop, status
 
 
 def _hermite(t0, y0, f0, t1, y1, f1, t):
@@ -187,36 +216,55 @@ def integrate(rhs: Callable,
     (t_end may be negative).  rhs maps a float tuple to a float sequence
     of the same length (TypeError otherwise).
     domain_fn, when given, must stay above domain_threshold along the
-    trajectory (the half-plane monitor passes x1)."""
-    y = tuple(float(v) for v in y0)
-    dim = len(y)
+    trajectory (the half-plane monitor passes x1).
+    y0 may instead be the Checkpoint of an earlier run of the same rhs in
+    the same direction and domain, to a horizon no longer than |t_end|
+    (ValueError otherwise): the run is extended from there, and the result
+    is that of a fresh run to t_end."""
+    from array import array  # on the first integration, not at import
+
     direction = "forward" if t_end >= 0 else "backward"
     sgn = 1.0 if t_end >= 0 else -1.0
     span = abs(t_end)
-    if domain_fn is not None and domain_fn(y) <= domain_threshold:
-        raise DomainError("initial point outside the domain")
-    try:
-        f = tuple(float(v) for v in rhs(y))
-    except _RHS_ERRORS as err:
-        raise DomainError(f"right-hand side undefined at the initial point: {err}") from err
-    if len(f) != dim:
-        raise TypeError(f"right-hand side has {len(f)} components for a state of dimension {dim}")
+    domain = (domain_fn, domain_threshold)
+    if isinstance(y0, Checkpoint):
+        cp = y0
+        if cp.direction != direction or not span >= cp.span or cp.domain != domain:
+            raise ValueError(f"cannot extend a {cp.direction} run to {cp.span} over a "
+                             f"different domain, a shorter horizon or the other direction")
+        dim, n = cp.dim, cp.n
+        if cp.loop is None:
+            return _trajectory(cp.ts, cp.ys, cp.fs, dim, cp.status, direction, cp)
+        ts, ys, fs = cp.ts[:n], cp.ys[:n * dim], cp.fs[:n * dim]
+        used, t, y, f, h, ladder_idx, ladder_times = cp.loop
+        ladder_times = list(ladder_times)
+    else:
+        y = tuple(float(v) for v in y0)
+        dim = len(y)
+        if domain_fn is not None and domain_fn(y) <= domain_threshold:
+            raise DomainError("initial point outside the domain")
+        try:
+            f = tuple(float(v) for v in rhs(y))
+        except _RHS_ERRORS as err:
+            raise DomainError(f"right-hand side undefined at the initial point: {err}") from err
+        if len(f) != dim:
+            raise TypeError(f"right-hand side has {len(f)} components for a state of dimension {dim}")
+        ts, ys, fs = array("d", (0.0,)), array("d", y), array("d", f)
+        ladder_times = []
+        ladder_idx = 0
+        while ladder_idx < len(LADDER) and _norm_inf(y) >= LADDER[ladder_idx]:
+            ladder_times.append(0.0)
+            ladder_idx += 1
+        h = _initial_step(y, f)
+        t = 0.0
+        used = 0
     step = rhs.kernel if isinstance(rhs, Field) else _step_kernel(dim)
-
-    ts, ys, fs = [0.0], [y], [f]
-    ladder_times: list[float] = []
-    ladder_idx = 0
-    while ladder_idx < len(LADDER) and _norm_inf(y) >= LADDER[ladder_idx]:
-        ladder_times.append(0.0)
-        ladder_idx += 1
-
-    h = _initial_step(y, f)
-    if span > 0:
-        h = min(h, span)
-    t = 0.0
+    cut = None
 
     def finish(status: Status) -> Trajectory:
-        return Trajectory(np.array(ts), np.array(ys), np.array(fs), status, direction)
+        n, loop = (len(ts), None) if cut is None else cut
+        cp = Checkpoint(direction, span, domain, dim, ts, ys, fs, n, loop, status)
+        return _trajectory(ts, ys, fs, dim, status, direction, cp)
 
     def stalled_status():
         blow = _classify_ladder(ladder_times, t, sgn)
@@ -228,12 +276,16 @@ def integrate(rhs: Callable,
                 return Unbounded(sgn * t)
             if g <= max(1e-8, domain_threshold * 4):
                 return LeftDomain(sgn * t)
-        return StepCollapse(sgn * t, _rhs_grew([_norm_inf(v) for v in fs]))
+        return StepCollapse(sgn * t, _rhs_grew([_norm_inf(fs[i:i + dim])
+                                                for i in range(0, len(fs), dim)]))
 
-    for _ in range(MAX_STEPS):
-        if t >= span:
-            return finish(ReachedHorizon(sgn * span))
-        h = min(h, span - t)
+    for used in range(used, MAX_STEPS):
+        if h > span - t:  # the horizon cuts this step short, or was reached
+            if cut is None:
+                cut = (len(ts), (used, t, y, f, h, ladder_idx, tuple(ladder_times)))
+            if t >= span:
+                return finish(ReachedHorizon(sgn * span))
+            h = span - t
 
         stepped = step(rhs, sgn, y, f, h)
         if stepped is None:  # right-hand side failed inside the step
@@ -260,8 +312,8 @@ def integrate(rhs: Callable,
                     lambda tt: domain_fn(seg(tt)) - domain_threshold, t, t_new)
                 y_cross = tuple(float(v) for v in seg(t_cross))
                 ts.append(sgn * t_cross)
-                ys.append(y_cross)
-                fs.append(_safe_rhs(rhs, y_cross, f_new))
+                ys.extend(y_cross)
+                fs.extend(_safe_rhs(rhs, y_cross, f_new))
                 return finish(LeftDomain(sgn * t_cross))
 
         # threshold ladder crossings (for blowup/unbounded classification)
@@ -275,8 +327,8 @@ def integrate(rhs: Callable,
 
         t, y, f = t_new, y_new, f_new
         ts.append(sgn * t)
-        ys.append(y)
-        fs.append(f)
+        ys.extend(y)
+        fs.extend(f)
 
         if n_new >= STATE_CAP:
             blow = _classify_ladder(ladder_times, t, sgn)
@@ -284,6 +336,13 @@ def integrate(rhs: Callable,
 
         h *= min(5.0, max(0.2, 0.9 * (enorm + 1e-300) ** -0.2))
     raise RuntimeError(f"integrator exceeded max_steps ({MAX_STEPS})")
+
+
+def _trajectory(ts, ys, fs, dim, status, direction, checkpoint) -> Trajectory:
+    """A Trajectory whose arrays read the history buffers in place."""
+    n = len(ts)
+    return Trajectory(np.frombuffer(ts), np.frombuffer(ys).reshape(n, dim),
+                      np.frombuffer(fs).reshape(n, dim), status, direction, checkpoint)
 
 
 _KERNEL_NAMESPACE = {**_NAMESPACE, "DomainError": DomainError, "_RHS_ERRORS": _RHS_ERRORS,

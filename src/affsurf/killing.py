@@ -28,6 +28,7 @@ probe: each probe only builds its list of runs.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,19 +148,24 @@ def run_probe(record: ModelRecord, kind: str, runs, T: float,
     """The probe engine behind both completeness probes.  Each run is
     (label, coeffs, init, rhs, y0, integrate options) and is integrated
     forward and backward to the horizon.  Incomplete as soon as one run
-    escapes; a complete verdict is re-run at confirm_T when that exceeds T."""
+    escapes; a complete verdict is confirmed at confirm_T when that exceeds
+    T, each run extended from the checkpoint of its horizon-T run."""
     expected = (record.expected.killing_complete if kind == "killing"
                 else record.expected.geodesically_complete)
-    for horizon in (T, confirm_T):
+    kept: deque = deque()  # checkpoints of the horizon-T runs, in run order
+    for confirming, horizon in enumerate((T, confirm_T)):
         witnesses: list[FlowWitness] = []
         unbounded = 0
         for label, coeffs, init, rhs, y0, opts in runs:
             for t_end, dirname in ((horizon, "forward"), (-horizon, "backward")):
-                status = integrate(rhs, y0, t_end, **opts).status
-                if isinstance(status, ESCAPE_STATUSES):
-                    witnesses.append(FlowWitness(label, coeffs, init, dirname, status))
-                elif isinstance(status, Unbounded):
+                tr = integrate(rhs, kept.popleft() if confirming else y0, t_end, **opts)
+                if isinstance(tr.status, ESCAPE_STATUSES):
+                    witnesses.append(FlowWitness(label, coeffs, init, dirname, tr.status))
+                    continue
+                if isinstance(tr.status, Unbounded):
                     unbounded += 1
+                if not (confirming or witnesses):
+                    kept.append(tr.checkpoint)
         if witnesses or not confirm_T > T:
             break
     return ProbeReport(record.ref.label(), kind, complete=not witnesses, horizon=horizon,

@@ -183,16 +183,6 @@ def immersion(record: ModelRecord) -> PlaneMap:
     return PlaneMap(phi1, phi2, record.spec.domain)
 
 
-def jacobian_nonsingular_on(pm: PlaneMap, grid, tol: float = 1e-9) -> bool:
-    for p in grid:
-        (j11, j12), (j21, j22) = pm.jacobian(p)
-        det = j11 * j22 - j12 * j21
-        scale = max(1e-30, abs(j11) + abs(j12) + abs(j21) + abs(j22))
-        if abs(det) <= tol * scale * scale:
-            return False
-    return True
-
-
 def line_image_residual(pm: PlaneMap, points) -> float:
     """Deviation of the image of a curve from a straight line: total least
     squares fit, max perpendicular distance normalized by the spread along

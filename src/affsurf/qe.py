@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from .catalog import ModelRecord, sample_grid
 from .connection import ChristoffelSpec, Tensor2, max_abs, ricci_sym_at
 from .expr import Point, ScalarExpr, compile_jet
@@ -107,13 +106,3 @@ def xi_matrix(q_basis, p: Point):
     m = np.array([compile_jet(phi)(*p)[:3] for phi in q_basis])
     det = float(np.linalg.det(m)) if m.shape == (3, 3) else 0.0
     return m, det
-
-
-def mutation_direction(record: ModelRecord, grid=None) -> ScalarExpr:
-    """A perturbation direction that provably leaves the solution span:
-    x1 when x1 is not itself a solution for this model, else x1*x2."""
-    pts = grid if grid is not None else sample_grid(record)
-    cand = ex.x1
-    if max_residual(record.spec, cand, pts) <= 1e-3:
-        cand = ex.mul(ex.x1, ex.x2)
-    return cand

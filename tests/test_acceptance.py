@@ -17,6 +17,7 @@ from affsurf import killing as K
 from affsurf import projective as P
 from affsurf import qe
 from affsurf.connection import curvature_at, ricci_rank
+from test_qe import mutation_direction
 
 AB_SAMPLES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 2.0)]
 
@@ -41,7 +42,7 @@ def test_criterion_1_qe_bases_and_mutations(records):
         rep = qe.verify_q_basis(rec, grid)
         assert rep.passed, (rec.ref.label(), rep.residuals)
         assert abs(rep.xi_det) > 1e-10, rec.ref.label()
-        mu = qe.mutation_direction(rec, grid)
+        mu = mutation_direction(rec, grid)
         mutated = ex.add(rec.q_basis[0], ex.mul(ex.const(1e-2), mu))
         assert qe.max_residual(rec.spec, mutated, grid) > 1e-4, rec.ref.label()
         n_models += 1

@@ -182,6 +182,18 @@ class TestCompile:
             assert ex.compile_scalar(e)(2.0, 0.0) == ex.evaluate(e, (2.0, 0.0)) == v
         assert math.isnan(ex.compile_scalar(ex.add(ex.const(math.nan), ex.x1))(1.0, 0.0))
 
+    @pytest.mark.parametrize("compile_value", [
+        ex.compile_scalar, lambda e: (lambda x, y: ex.compile_jet(e)(x, y)[0])],
+        ids=["scalar", "jet"])
+    def test_cache_tells_signed_zeros_apart(self, compile_value):
+        # 0.0 == -0.0, but the compiled sums keep the sign: a tree that
+        # differs from a cached one only there must not get its code
+        pos = ex.Sum((ex.Const(0.0), ex.Const(-0.0)))
+        neg = ex.Sum((ex.Const(-0.0), ex.Const(-0.0)))
+        assert math.copysign(1.0, compile_value(pos)(1.0, 1.0)) == 1.0
+        assert math.copysign(1.0, compile_value(neg)(1.0, 1.0)) == -1.0
+        assert ex.Const(0.0) == ex.Const(Fraction(0)) != ex.Const(-0.0)
+
 
 class TestCompileJet:
     @staticmethod

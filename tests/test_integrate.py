@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from affsurf import catalog, geodesic, killing
+from affsurf import integrate as integrate_module
 from affsurf.connection import ChristoffelSpec
 from affsurf.expr import DomainError, VectorFieldExpr, const, log, parse_expr, power, x1, x2
 from affsurf.integrate import (_A, _B, _E, _RHS_ERRORS, ATOL, RTOL, Blowup, Field,
@@ -482,3 +483,133 @@ class TestGoldenTrajectories:
         rec = catalog.instantiate(family)
         tr = geodesic.geodesic_integrate(rec.spec, rec.base_point, v0, t_end)
         assert trajectory_digest(tr) == digest
+
+
+def same_run(a, b) -> bool:
+    """Equal statuses and, byte for byte, equal times, states and derivs."""
+    return a.status == b.status and trajectory_digest(a) == trajectory_digest(b)
+
+
+def counting(rhs):
+    """A plain callable that calls rhs, and its call counter."""
+    calls = [0]
+
+    def counted(y):
+        calls[0] += 1
+        return rhs(y)
+    return counted, calls
+
+
+def assert_extends(rhs, y0, T, factor, **opts):
+    """The horizon-T run extended to factor*T equals a fresh run there;
+    return the short run."""
+    short = integrate(rhs, y0, T, **opts)
+    longer = integrate(rhs, short.checkpoint, factor * T, **opts)
+    assert same_run(longer, integrate(rhs, y0, factor * T, **opts))
+    return short
+
+
+class TestExtendedRun:
+    """A run extended from the checkpoint of a shorter run is the fresh run
+    to the longer horizon, bit for bit."""
+
+    @pytest.mark.parametrize("sgn", [1.0, -1.0])
+    def test_killing_basis_fields_of_every_record(self, sgn):
+        for rec in catalog.all_records():
+            opts = {"domain_fn": (lambda y: y[0]) if rec.mtype == "B" else None}
+            for X in rec.killing_basis:
+                assert_extends(killing._field_rhs(X), killing.default_flow_inits(rec)[0],
+                               sgn * 2.0, 3.0, **opts)
+
+    @pytest.mark.parametrize("sgn", [1.0, -1.0])
+    def test_geodesics_of_every_plane_record(self, sgn):
+        for rec in catalog.all_records():
+            if rec.mtype != "A":
+                continue
+            rhs = geodesic._make_rhs(rec.spec)
+            for k in range(4):
+                v0 = (math.cos(math.pi * k / 4), math.sin(math.pi * k / 4))
+                assert_extends(rhs, geodesic._state(rec.base_point, v0), sgn * 0.5, 4.0)
+
+    @pytest.mark.parametrize("plain", [False, True], ids=["field", "callable"])
+    def test_leaving_the_half_plane_after_the_horizon(self, plain):
+        # B.N06's field d/dx1 reaches the edge x1 = 0 at t = -1 from x1 = 1
+        field = killing._field_rhs(catalog.instantiate("B.N06").killing_basis[0])
+        rhs = (lambda y: field(y)) if plain else field
+        edge = lambda y: y[0]  # noqa: E731
+        short = assert_extends(rhs, (1.0, 0.5), -0.5, 3.0, domain_fn=edge)
+        assert isinstance(short.status, ReachedHorizon)
+        longer = integrate(rhs, short.checkpoint, -1.5, domain_fn=edge)
+        assert isinstance(longer.status, LeftDomain) and abs(longer.status.t + 1.0) < 1e-9
+
+    def test_unbounded_before_the_horizon_stands(self):
+        rhs = lambda y: (y[0],)  # noqa: E731
+        short = assert_extends(rhs, (1.0,), 50.0, 3.0)
+        assert isinstance(short.status, Unbounded) and short.status.t < 50.0
+        again = integrate(rhs, short.checkpoint, 500.0)
+        assert same_run(again, short)
+
+    def test_horizon_on_a_node_time(self):
+        """Horizons at node times of a longer run: where the step lands on
+        the horizon with no clamp, the cut is at the horizon itself."""
+        rhs = lambda y: (y[1], -y[0])  # noqa: E731
+        nodes = integrate(rhs, (1.0, 0.0), 10.0).times
+        landed = 0
+        for T in nodes[5:45]:
+            short = assert_extends(rhs, (1.0, 0.0), float(T), 3.0)
+            landed += short.checkpoint.loop[1] == T
+        assert landed > 0
+
+    @pytest.mark.parametrize("plain", [False, True], ids=["field", "callable"])
+    def test_two_extensions_in_a_row(self, plain):
+        field = killing._field_rhs(m46_benchmark_combination())
+        rhs = (lambda y: field(y)) if plain else field
+        first = integrate(rhs, (0.3, -0.7), -2.0)
+        second = integrate(rhs, first.checkpoint, -4.0)
+        third = integrate(rhs, second.checkpoint, -6.0)
+        assert same_run(third, integrate(rhs, (0.3, -0.7), -6.0))
+        assert same_run(integrate(rhs, first.checkpoint, -6.0), third)
+
+    def test_step_limit_counts_from_zero(self, monkeypatch):
+        """With MAX_STEPS set to the exact number of loop passes a fresh run
+        needs, the fresh and the extended run both fail one pass short."""
+        rhs = lambda y: (y[1], -y[0])  # noqa: E731
+        short = integrate(rhs, (1.0, 0.0), 3.0)
+
+        def fails(y0, limit):
+            monkeypatch.setattr(integrate_module, "MAX_STEPS", limit)
+            try:
+                integrate(rhs, y0, 9.0)
+            except RuntimeError:
+                return True
+            return False
+        lo, hi = 1, 10_000  # fails(lo), not fails(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fails((1.0, 0.0), mid) else (lo, mid)
+        assert short.checkpoint.loop[0] < lo
+        assert fails(short.checkpoint, lo) and not fails(short.checkpoint, hi)
+
+    def test_shorter_horizon_other_direction_or_domain_raises(self):
+        rhs = lambda y: (y[1], -y[0])  # noqa: E731
+        cp = integrate(rhs, (1.0, 0.0), 3.0).checkpoint
+        for t_end, opts in ((2.0, {}), (-6.0, {}), (6.0, {"domain_fn": lambda y: y[0]}),
+                            (float("nan"), {})):
+            with pytest.raises(ValueError):
+                integrate(rhs, cp, t_end, **opts)
+        assert same_run(integrate(rhs, cp, 3.0), integrate(rhs, (1.0, 0.0), 3.0))
+
+    def test_extension_skips_the_prefix(self):
+        """Regression guard without timing: extending A.M46's benchmark
+        combination from 20 to 60 saves the right-hand-side calls of every
+        step before the cut (six per step)."""
+        field = killing._field_rhs(m46_benchmark_combination())
+        fresh_rhs, fresh_calls = counting(field)
+        fresh = integrate(fresh_rhs, (0.3, -0.7), 60.0)
+        short = integrate(field, (0.3, -0.7), 20.0)
+        extended_rhs, extended_calls = counting(field)
+        extended = integrate(extended_rhs, short.checkpoint, 60.0)
+        assert same_run(extended, fresh)
+        prefix_steps = short.checkpoint.n - 1
+        assert prefix_steps > 0
+        assert fresh_calls[0] - extended_calls[0] >= 6 * prefix_steps
