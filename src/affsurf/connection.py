@@ -15,7 +15,13 @@ together with a scaling kind:
 
 Torsion freeness is built into the storage (the two mixed symbols share one
 slot).  Curvature and Ricci are evaluated exactly: derivatives of the
-symbols are analytic in the kind, never finite differences.
+symbols are analytic in the kind, never finite differences.  They are plain
+float arithmetic in the order a summed loop adds them,
+
+    R_ijk^l = ((d_i G_jk^l - d_j G_ik^l) + (G_i0^l G_jk^0 - G_j0^l G_ik^0))
+              + (G_i1^l G_jk^1 - G_j1^l G_ik^1),
+
+rho_jk = 0.0 + R_0jk^0 + R_1jk^1 and rho_s_jk = 0.5 * (rho_jk + rho_kj).
 """
 
 from __future__ import annotations
@@ -28,9 +34,6 @@ import numpy as np
 from .expr import HALF_X1, PLANE, Domain, DomainError, Point
 
 Coeffs = tuple[float, float, float, float, float, float]
-
-#: 2x2 real matrix at a point (Ricci, symmetrized Ricci, Hessians, residuals).
-Tensor2 = np.ndarray
 
 KINDS = ("constant", "inverse-x1", "linear-x1")
 
@@ -82,10 +85,6 @@ class ChristoffelSpec:
         return (_index_form(self.christoffel_at(p)),
                 tuple(_index_form(d) for d in self.dchristoffel_at(p)))
 
-    def gamma_matrices(self, p: Point) -> np.ndarray:
-        """Symbols as an array G[i, j, k] = Gamma_ij^k."""
-        return np.array(_index_form(self.christoffel_at(p)))
-
     def to_json(self) -> dict:
         return {"coeffs": list(self.coeffs), "kind": self.kind}
 
@@ -110,37 +109,44 @@ def max_abs(values) -> float:
     return float(worst)
 
 
-def christoffel_at(spec: ChristoffelSpec, p: Point) -> Coeffs:
-    return spec.christoffel_at(p)
+def _component(G, dG, i: int, j: int, k: int, l: int) -> float:
+    """R_ijk^l from G[i][j][k] = Gamma_ij^k and dG[m][i][j][k] = d_m Gamma_ij^k."""
+    return (((dG[i][j][k][l] - dG[j][i][k][l])
+             + (G[i][0][l] * G[j][k][0] - G[j][0][l] * G[i][k][0]))
+            + (G[i][1][l] * G[j][k][1] - G[j][1][l] * G[i][k][1]))
+
+
+def _ricci(G, dG, j: int, k: int) -> float:
+    return 0.0 + _component(G, dG, 0, j, k, 0) + _component(G, dG, 1, j, k, 1)
+
+
+def curvature(spec: ChristoffelSpec, p: Point) -> tuple[float, ...]:
+    """The 16 components R_ijk^l, R(d_i, d_j) d_k = R_ijk^l d_l, (i, j, k, l)-major."""
+    G, dG = spec.symbols_at(p)
+    return tuple(_component(G, dG, i, j, k, l)
+                 for i in (0, 1) for j in (0, 1) for k in (0, 1) for l in (0, 1))
 
 
 def curvature_at(spec: ChristoffelSpec, p: Point) -> np.ndarray:
-    """Curvature components R[i, j, k, l] with
-    R(d_i, d_j) d_k = R_ijk^l d_l, from
-    d_i G_jk^l - d_j G_ik^l + G_ip^l G_jk^p - G_jp^l G_ik^p."""
+    return np.reshape(curvature(spec, p), (2, 2, 2, 2))
+
+
+def ricci(spec: ChristoffelSpec, p: Point) -> tuple[float, float, float, float]:
+    """(rho_11, rho_12, rho_21, rho_22), rho(d_j, d_k) = trace of z -> R(z, d_j) d_k."""
     G, dG = spec.symbols_at(p)
-    g, dg = np.array(G), np.array(dG)  # dg[m, i, j, k] = d_m Gamma_ij^k
-    r = dg - dg.transpose(1, 0, 2, 3)
-    for q in range(2):  # one term per q, in the order a summed loop adds them
-        t = np.einsum("il,jk->ijkl", g[:, q, :], g[:, :, q])  # G_iq^l G_jk^q
-        r = r + (t - t.transpose(1, 0, 2, 3))
-    return r
+    return _ricci(G, dG, 0, 0), _ricci(G, dG, 0, 1), _ricci(G, dG, 1, 0), _ricci(G, dG, 1, 1)
 
 
-def ricci_at(spec: ChristoffelSpec, p: Point) -> Tensor2:
-    """rho(d_j, d_k) = trace of z -> R(z, d_j) d_k, i.e. sum_i R_ijk^i."""
-    r = curvature_at(spec, p)
-    return np.einsum("ijki->jk", r)
+def ricci_at(spec: ChristoffelSpec, p: Point) -> np.ndarray:
+    return np.reshape(ricci(spec, p), (2, 2))
 
 
-def ricci_sym_at(spec: ChristoffelSpec, p: Point) -> Tensor2:
-    rho = ricci_at(spec, p)
-    return 0.5 * (rho + rho.T)
+def ricci_sym(spec: ChristoffelSpec, p: Point) -> tuple[float, float, float]:
+    """(rho_s11, rho_s12, rho_s22) of the symmetrized Ricci tensor."""
+    r11, r12, r21, r22 = ricci(spec, p)
+    return 0.5 * (r11 + r11), 0.5 * (r12 + r21), 0.5 * (r22 + r22)
 
 
-def ricci_rank(spec: ChristoffelSpec, p: Point, tol: float = 1e-9) -> int:
-    """Number of singular values of the symmetrized Ricci tensor exceeding
-    tol * max(1, largest singular value)."""
-    s = np.linalg.svd(ricci_sym_at(spec, p), compute_uv=False)
-    cutoff = tol * max(1.0, float(s[0]) if len(s) else 1.0)
-    return int(np.sum(s > cutoff))
+def ricci_sym_at(spec: ChristoffelSpec, p: Point) -> np.ndarray:
+    r11, r12, r22 = ricci_sym(spec, p)
+    return np.array([[r11, r12], [r12, r22]])

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
-from .catalog import ModelRecord, ref
+from .catalog import ModelRecord
 from .connection import ChristoffelSpec
-from .expr import ScalarExpr, arctan, compile_scalar, const, cos, exp, log, power, sin, x1
+from .expr import ScalarExpr, arctan, compile_scalar, const, exp, log, power, sin, x1
 from .integrate import Blowup, Field, LeftDomain, StepCollapse, Status, Trajectory, integrate
 from .killing import ProbeReport, run_probe
 

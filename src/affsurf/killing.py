@@ -30,13 +30,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .catalog import ModelRecord, sample_grid
 from .connection import ChristoffelSpec, max_abs
 from .expr import Point, VectorFieldExpr, _emit, add, compile_jet, const, mul
-from .integrate import ESCAPE_STATUSES, Field, Status, Trajectory, Unbounded, integrate
+from .integrate import ESCAPE_STATUSES, Field, Status, Trajectory, Unbounded, _exec, integrate
 
 PROBE_HORIZON = 20.0
 N_RANDOM_COMBOS = 8
@@ -45,35 +46,35 @@ COMBO_SEED = 20240815
 RESIDUAL_TOL = 1e-8
 
 
-def killing_residual(spec: ChristoffelSpec, X: VectorFieldExpr, p: Point) -> float:
-    """Max component of the Killing defect over coordinate-field pairs."""
-    return max_killing_residual(spec, X, [p])
-
-
 def max_killing_residual(spec: ChristoffelSpec, X: VectorFieldExpr, grid) -> float:
     """Max component of the Killing defect over coordinate-field pairs and
     grid points, read from the compiled 2-jets of the two components; NaN
     when any component is NaN."""
     jets = (compile_jet(X.c1), compile_jet(X.c2))
+    defects = _defect_kernel()
+    return max_abs(v for p in grid
+                   for v in defects(jets[0](*p), jets[1](*p), *spec.symbols_at(p)))
 
-    def defects():
-        for p in grid:
-            J = [jet(*p) for jet in jets]  # J[k] = 2-jet of X^{k+1}
-            vals = (J[0][0], J[1][0])
-            d = [(Jk[1], Jk[2]) for Jk in J]  # d[k][m] = d_{m+1} X^{k+1}
-            dd = [((Jk[3], Jk[4]), (Jk[4], Jk[5])) for Jk in J]  # dd[k][i][j]
-            g, dg = spec.symbols_at(p)  # g[i][j][k], dg[m][i][j][k]
-            for i in range(2):
-                for j in range(2):
-                    for k in range(2):
-                        val = dd[k][i][j]
-                        for m in range(2):
-                            val += vals[m] * dg[m][i][j][k]
-                            val -= g[i][j][m] * d[k][m]
-                            val += d[m][j] * g[i][m][k]
-                            val += d[m][i] * g[m][j][k]
-                        yield val
-    return max_abs(defects())
+
+@lru_cache(maxsize=None)
+def _defect_kernel():
+    """`_defects(J0, J1, G, dG)`: the 8 defect components at a point, in
+    (i, j, k) order, from the 2-jets Jk = (X^k, d_1 X^k, d_2 X^k, d_11 X^k,
+    d_12 X^k, d_22 X^k) of the components and the symbols in index form.
+    Component (i, j, k) is the summed loop written out: d_i d_j X^k, then
+    for m = 0, 1 the terms X^m d_m G_ij^k, G_ij^m d_m X^k, d_j X^m G_im^k,
+    d_i X^m G_mj^k in that order, zero symbols included (0.0 * inf stays
+    NaN)."""
+    def nest(name, depth):
+        return name if depth == 0 else f"({nest(name + '0', depth - 1)}, {nest(name + '1', depth - 1)})"
+    defects = [f"dd{k}{min(i, j)}{max(i, j)}" + "".join(
+        f" + x{m} * dg{m}{i}{j}{k} - g{i}{j}{m} * d{k}{m} + d{m}{j} * g{i}{m}{k} + d{m}{i} * g{m}{j}{k}"
+        for m in (0, 1)) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+    lines = (["def _defects(J0, J1, G, dG):"]
+             + [f"    x{k}, d{k}0, d{k}1, dd{k}00, dd{k}01, dd{k}11 = J{k}" for k in (0, 1)]
+             + [f"    {nest('g', 3)} = G", f"    {nest('dg', 4)} = dG",
+                f"    return ({', '.join(defects)},)"])
+    return _exec(lines, "_defects")
 
 
 def _field_rhs(X: VectorFieldExpr) -> Field:

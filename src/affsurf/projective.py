@@ -30,7 +30,7 @@ import numpy as np
 
 from . import expr as ex
 from .catalog import AffineMapEntry, ModelRecord, instantiate_ref, sample_grid
-from .connection import ChristoffelSpec, curvature_at, max_abs, ricci_at
+from .connection import ChristoffelSpec, _index_form, curvature, max_abs, ricci
 from .expr import PlaneMap, Point, ScalarExpr, compile_jet
 from .qe import max_residual, xi_matrix
 
@@ -149,8 +149,8 @@ class FlattenReport:
 def flatten_report(record: ModelRecord, grid=None) -> FlattenReport:
     phi, flat = flatten(record)
     pts = grid if grid is not None else sample_grid(record)
-    rho_max = max_abs(np.max(np.abs(ricci_at(flat, p))) for p in pts)
-    curv_max = max_abs(np.max(np.abs(curvature_at(flat, p))) for p in pts)
+    rho_max = max_abs(v for p in pts for v in ricci(flat, p))
+    curv_max = max_abs(v for p in pts for v in curvature(flat, p))
     res = {}
     for s in (1, -1):
         phi_expr = ex.mul(ex.const(s), phi.expr()) if s < 0 else phi.expr()
@@ -211,23 +211,25 @@ def pullback_connection(pm: PlaneMap, target: ChristoffelSpec, p: Point):
         G^pull_ij^k = (J^-1)^k_c [ d_i d_j Phi^c + G~_ab^c J^a_i J^b_j ]
 
     with the value and exact derivatives read from the 2-jets of the map
-    components."""
-    jets = [compile_jet(fc)(*p) for fc in (pm.f1, pm.f2)]  # jets[c] = 2-jet of Phi^c
-    J = np.array([jet[1:3] for jet in jets])
-    H = np.array([((h11, h12), (h12, h22)) for *_, h11, h12, h22 in jets])  # d_i d_j Phi^c
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+    components.  The sum over (a, b) runs (a, b)-major from 0.0, each term
+    (G~_ab^c J^a_i) J^b_j, and J^-1 is J / det entry by entry."""
+    (v1, j11, j12, h111, h112, h122), (v2, j21, j22, h211, h212, h222) = (
+        compile_jet(fc)(*p) for fc in (pm.f1, pm.f2))
+    det = j11 * j22 - j12 * j21
     if abs(det) < 1e-14:
         raise ValueError(f"map is not immersive at {p}")
-    Jinv = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / det
-    gt = target.gamma_matrices((jets[0][0], jets[1][0]))  # gt[a][b][c]
-    out = np.zeros((2, 2, 2))  # out[i][j][k]
-    for i in range(2):
-        for j in range(2):
-            vec = H[:, i, j] + np.einsum("abc,a,b->c", np.transpose(gt, (0, 1, 2)),
-                                         J[:, i], J[:, j])
-            for k in range(2):
-                out[i, j, k] = Jinv[k, 0] * vec[0] + Jinv[k, 1] * vec[1]
-    return (out[0, 0, 0], out[0, 0, 1], out[0, 1, 0], out[0, 1, 1], out[1, 1, 0], out[1, 1, 1])
+    inv = ((j22 / det, -j12 / det), (-j21 / det, j11 / det))
+    J = ((j11, j12), (j21, j22))  # J[c][i] = d_i Phi^c
+    H = (((h111, h112), (h112, h122)), ((h211, h212), (h212, h222)))  # H[c][i][j]
+    G = _index_form(target.christoffel_at((v1, v2)))  # G[a][b][c] = G~_ab^c
+    out = []
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        vec = [H[c][i][j] + (0.0 + (G[0][0][c] * J[0][i]) * J[0][j]
+                             + (G[0][1][c] * J[0][i]) * J[1][j]
+                             + (G[1][0][c] * J[1][i]) * J[0][j]
+                             + (G[1][1][c] * J[1][i]) * J[1][j]) for c in (0, 1)]
+        out += [inv[k][0] * vec[0] + inv[k][1] * vec[1] for k in (0, 1)]
+    return tuple(out)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import ModelRecord, sample_grid
-from .connection import ChristoffelSpec, Tensor2, max_abs, ricci_sym_at
+from .connection import ChristoffelSpec, max_abs, ricci_sym
 from .expr import Point, ScalarExpr, compile_jet
 
 DEFAULT_TOL = 1e-8
@@ -38,17 +38,6 @@ def _hessian_kernel(spec: ChristoffelSpec, phi: ScalarExpr):
     return at
 
 
-def hessian(spec: ChristoffelSpec, phi: ScalarExpr, p: Point) -> Tensor2:
-    """(H phi)_ij at a point."""
-    _, h11, h12, h22 = _hessian_kernel(spec, phi)(p)
-    return np.array([[h11, h12], [h12, h22]])
-
-
-def qe_residual(spec: ChristoffelSpec, phi: ScalarExpr, p: Point) -> Tensor2:
-    """H phi + phi * rho_s at a point; zero exactly on solutions."""
-    return hessian(spec, phi, p) + compile_jet(phi)(*p)[0] * ricci_sym_at(spec, p)
-
-
 def max_residual(spec: ChristoffelSpec, phi: ScalarExpr, grid) -> float:
     """Max-norm quasi-Einstein residual of phi over a grid; NaN when any
     entry is NaN."""
@@ -57,10 +46,10 @@ def max_residual(spec: ChristoffelSpec, phi: ScalarExpr, grid) -> float:
     def entries():
         for p in grid:
             val, h11, h12, h22 = hess(p)
-            rs = ricci_sym_at(spec, p)
-            yield h11 + val * rs[0, 0]
-            yield h12 + val * rs[0, 1]
-            yield h22 + val * rs[1, 1]
+            r11, r12, r22 = ricci_sym(spec, p)
+            yield h11 + val * r11
+            yield h12 + val * r12
+            yield h22 + val * r22
     return max_abs(entries())
 
 

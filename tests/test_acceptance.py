@@ -16,7 +16,8 @@ from affsurf import geodesic as G
 from affsurf import killing as K
 from affsurf import projective as P
 from affsurf import qe
-from affsurf.connection import curvature_at, ricci_rank
+from affsurf.connection import curvature_at
+from test_connection import ricci_rank
 from test_qe import mutation_direction
 
 AB_SAMPLES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 2.0)]

@@ -2,22 +2,70 @@
 
 The curvature path is cross-checked against an independent oracle that
 assembles R_ijk^l from finite differences of christoffel_at plus the
-quadratic terms written out longhand.
+quadratic terms written out longhand, and bit for bit against the numpy
+(einsum) formulas it replaced.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from affsurf import catalog as C
 from affsurf import projective as P
-from affsurf.connection import (ChristoffelSpec, christoffel_at, curvature_at,
-                                ricci_at, ricci_rank, ricci_sym_at)
+from affsurf import qe
+from affsurf.connection import (ChristoffelSpec, curvature, curvature_at, ricci, ricci_at,
+                                ricci_sym, ricci_sym_at)
 from affsurf.expr import DomainError
 
 
 @pytest.fixture(scope="module")
 def records():
     return C.all_records()
+
+
+def same_bits(got, want) -> bool:
+    """Equal bit for bit, signs of zeros included, NaN matching NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def gamma_matrices(spec, p):
+    """Symbols as an array G[i, j, k] = Gamma_ij^k."""
+    a, b, c, d, e, f = spec.christoffel_at(p)
+    return np.array([[[a, b], [c, d]], [[c, d], [e, f]]])
+
+
+def ricci_rank(spec, p, tol=1e-9):
+    """Number of singular values of the symmetrized Ricci tensor exceeding
+    tol * max(1, largest singular value)."""
+    s = np.linalg.svd(ricci_sym_at(spec, p), compute_uv=False)
+    cutoff = tol * max(1.0, float(s[0]) if len(s) else 1.0)
+    return int(np.sum(s > cutoff))
+
+
+def einsum_curvature(spec, p):
+    """R[i, j, k, l] by the array formula: d_i G_jk^l - d_j G_ik^l, then one
+    outer-product term G_iq^l G_jk^q - G_jq^l G_ik^q per q."""
+    G, dG = spec.symbols_at(p)
+    g, dg = np.array(G), np.array(dG)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = dg - dg.transpose(1, 0, 2, 3)
+        for q in range(2):
+            t = np.einsum("il,jk->ijkl", g[:, q, :], g[:, :, q])
+            r = r + (t - t.transpose(1, 0, 2, 3))
+    return r
+
+
+def einsum_ricci(spec, p):
+    return np.einsum("ijki->jk", einsum_curvature(spec, p))
+
+
+def einsum_ricci_sym(spec, p):
+    rho = einsum_ricci(spec, p)
+    with np.errstate(over="ignore"):
+        return 0.5 * (rho + rho.T)
 
 
 def oracle_curvature(spec, p, h=1e-6):
@@ -56,25 +104,25 @@ def loop_curvature(g, dg):
 class TestChristoffelAt:
     def test_flat_plane(self):
         rec = C.instantiate("A.M06")
-        assert christoffel_at(rec.spec, (3.0, -1.0)) == (0, 0, 0, 0, 0, 0)
+        assert rec.spec.christoffel_at((3.0, -1.0)) == (0, 0, 0, 0, 0, 0)
 
     def test_hyperbolic_plane_scaling(self):
         rec = C.instantiate("B.N43")
-        assert christoffel_at(rec.spec, (2.0, 5.0)) == (-0.5, 0.0, 0.0, -0.5, 0.5, 0.0)
+        assert rec.spec.christoffel_at((2.0, 5.0)) == (-0.5, 0.0, 0.0, -0.5, 0.5, 0.0)
 
     def test_half_plane_boundary(self):
         rec = C.instantiate("B.N43")
         with pytest.raises(DomainError):
-            christoffel_at(rec.spec, (0.0, 0.0))
+            rec.spec.christoffel_at((0.0, 0.0))
 
     def test_torsion_symmetry_by_storage(self):
         spec = ChristoffelSpec((1, 2, 3, 4, 5, 6))
-        g = spec.gamma_matrices((0.2, 0.4))
+        g = gamma_matrices(spec, (0.2, 0.4))
         assert np.array_equal(g[0, 1], g[1, 0])
 
     def test_linear_x1_kind(self):
         rec = C.instantiate("A.M54t", c=2.0)
-        a, b, c, d, e, f = christoffel_at(rec.spec, (3.0, 7.0))
+        a, b, c, d, e, f = rec.spec.christoffel_at((3.0, 7.0))
         assert (a, b, c, d) == (0, 0, 0, 0)
         assert e == 5.0 * 3.0 and f == 4.0
 
@@ -93,7 +141,7 @@ class TestSymbolsAt:
         spec = ChristoffelSpec((1.5, -2.0, 0.25, 3.0, -0.75, 0.5), kind)
         for p in [(0.7, -0.4), (1.3, 0.9), (2.0, 0.0)]:
             G, dG = spec.symbols_at(p)
-            assert np.array_equal(np.array(G), spec.gamma_matrices(p))
+            assert np.array_equal(np.array(G), gamma_matrices(spec, p))
             for m, six in enumerate(spec.dchristoffel_at(p)):
                 a, b, c, d, e, f = six
                 assert dG[m] == (((a, b), (c, d)), ((c, d), (e, f)))
@@ -137,7 +185,7 @@ class TestCurvature:
                 a, b, c, d, e, f = spec.dchristoffel_at(p)[0]
                 dg = np.zeros((2, 2, 2, 2))
                 dg[0] = [[[a, b], [c, d]], [[c, d], [e, f]]]
-                want = loop_curvature(spec.gamma_matrices(p), dg)
+                want = loop_curvature(gamma_matrices(spec, p), dg)
                 assert np.array_equal(curvature_at(spec, p), want), (rec.ref.label(), p)
 
     def test_antisymmetry_in_first_pair(self):
@@ -151,6 +199,51 @@ class TestCurvature:
             for p in [(0.5, -1.0), (2.0, 0.7)]:
                 r = curvature_at(spec, p)
                 assert np.allclose(r, -np.transpose(r, (1, 0, 2, 3)), atol=1e-12)
+
+
+class TestMatchesArrayFormulas:
+    """Curvature, Ricci and symmetrized Ricci equal the array (einsum)
+    formulas bit for bit, NaN positions included, in both the tuple and the
+    array forms."""
+
+    @staticmethod
+    def check(spec, p):
+        R = einsum_curvature(spec, p)
+        assert same_bits(curvature(spec, p), R.ravel()), p
+        assert same_bits(curvature_at(spec, p), R), p
+        rho = einsum_ricci(spec, p)
+        assert same_bits(ricci(spec, p), rho.ravel()), p
+        assert same_bits(ricci_at(spec, p), rho), p
+        rs = einsum_ricci_sym(spec, p)
+        assert same_bits(ricci_sym(spec, p), [rs[0, 0], rs[0, 1], rs[1, 1]]), p
+        assert same_bits(ricci_sym_at(spec, p), rs), p
+
+    def test_catalog_and_flattened_specs(self, records):
+        specs = [(r, r.spec) for r in records]
+        specs += [(r, P.flatten(r)[1]) for r in records if r.spec.kind == "constant"]
+        for rec, spec in specs:
+            for p in C.sample_grid(rec):
+                self.check(spec, p)
+
+    @pytest.mark.parametrize("kind", ["constant", "inverse-x1", "linear-x1"])
+    def test_random_specs(self, kind):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            scale = 10.0 ** rng.integers(-3, 4, size=6)
+            spec = ChristoffelSpec(tuple(rng.uniform(-2, 2, size=6) * scale), kind)
+            for p in [(0.3, -1.2), (1.7, 0.4)]:
+                self.check(spec, p)
+
+    def test_overflow_fails_closed(self):
+        # symbols 1e200 and 2e200: the quadratic terms overflow to inf and
+        # their differences are NaN
+        rec = C.instantiate("A.M34", c=1e200)
+        grid = C.sample_grid(rec)
+        for p in grid:
+            self.check(rec.spec, p)
+        assert np.isnan(ricci_sym(rec.spec, grid[0])).any()
+        for phi in rec.q_basis:
+            assert math.isnan(qe.max_residual(rec.spec, phi, grid))
 
 
 class TestRicci:

@@ -9,6 +9,7 @@ from affsurf import catalog as C
 from affsurf import expr as ex
 from affsurf import killing as K
 from affsurf.integrate import Blowup, ReachedHorizon
+from test_connection import same_bits
 
 
 @pytest.fixture(scope="module")
@@ -16,20 +17,82 @@ def records():
     return C.all_records()
 
 
+def killing_residual(spec, X, p):
+    """Max component of the Killing defect over coordinate-field pairs."""
+    return K.max_killing_residual(spec, X, [p])
+
+
+def loop_defects(spec, X, p):
+    """The 8 Killing defect components at p, in (i, j, k) order, by the
+    summed index loop."""
+    J = [ex.compile_jet(c)(*p) for c in (X.c1, X.c2)]  # J[k] = 2-jet of X^{k+1}
+    vals = (J[0][0], J[1][0])
+    d = [(Jk[1], Jk[2]) for Jk in J]  # d[k][m] = d_{m+1} X^{k+1}
+    dd = [((Jk[3], Jk[4]), (Jk[4], Jk[5])) for Jk in J]  # dd[k][i][j]
+    g, dg = spec.symbols_at(p)  # g[i][j][k], dg[m][i][j][k]
+    out = []
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                val = dd[k][i][j]
+                for m in range(2):
+                    val += vals[m] * dg[m][i][j][k]
+                    val -= g[i][j][m] * d[k][m]
+                    val += d[m][j] * g[i][m][k]
+                    val += d[m][i] * g[m][j][k]
+                out.append(val)
+    return out
+
+
+class TestDefectKernel:
+    """The generated straight-line defect equals the summed loop component
+    for component, NaN positions included."""
+
+    @staticmethod
+    def check(spec, X, grid):
+        kernel = K._defect_kernel()
+        jets = (ex.compile_jet(X.c1), ex.compile_jet(X.c2))
+        want = [loop_defects(spec, X, p) for p in grid]
+        for p, w in zip(grid, want):
+            got = kernel(jets[0](*p), jets[1](*p), *spec.symbols_at(p))
+            assert same_bits(got, w), p
+        worst = np.abs(want)
+        worst = math.nan if np.isnan(worst).any() else float(worst.max())
+        r = K.max_killing_residual(spec, X, grid)
+        assert r == worst or (math.isnan(r) and math.isnan(worst))
+        return r
+
+    def test_catalog_bases(self, records):
+        for rec in records:
+            for X in rec.killing_basis:
+                self.check(rec.spec, X, C.sample_grid(rec))
+
+    def test_overflow_fails_closed(self):
+        # symbols 1e200 and 2e200 times a derivative of 1e200 overflow to
+        # inf, and the defect's differences of them are NaN
+        rec = C.instantiate("A.M34", c=1e200)
+        grid = C.sample_grid(rec)
+        for X in rec.killing_basis:
+            self.check(rec.spec, X, grid)
+        X = ex.VectorFieldExpr(ex.mul(ex.const(1e200), ex.x2), ex.x2)
+        r = self.check(rec.spec, X, grid)
+        assert math.isnan(r) and not r <= K.RESIDUAL_TOL
+
+
 class TestResidual:
     def test_translation_on_constant_symbols(self):
         rec = C.instantiate("A.M12", a1=2.0, a2=3.0)
-        assert K.killing_residual(rec.spec, C.D2, (0.4, -0.9)) == 0.0
+        assert killing_residual(rec.spec, C.D2, (0.4, -0.9)) == 0.0
 
     def test_scaling_on_lorentzian_hyperbolic(self):
         rec = C.instantiate("B.N33")
         X = ex.VectorFieldExpr(ex.x1, ex.x2)
-        assert K.killing_residual(rec.spec, X, (1.5, 0.7)) <= 1e-14
+        assert killing_residual(rec.spec, X, (1.5, 0.7)) <= 1e-14
 
     def test_non_affine_field_fails(self):
         rec = C.instantiate("A.M06")
         X = ex.VectorFieldExpr(ex.power(ex.x1, 2), ex.const(0))
-        assert K.killing_residual(rec.spec, X, (1.0, 0.0)) == 2.0
+        assert killing_residual(rec.spec, X, (1.0, 0.0)) == 2.0
 
     def test_nan_defect_fails_closed(self):
         # e^{700x1}e^{700x1} - e^{700x1}e^{700x1} is inf - inf = NaN at the

@@ -9,7 +9,8 @@ from affsurf import catalog as C
 from affsurf import expr as ex
 from affsurf import geodesic as G
 from affsurf import projective as P
-from affsurf.connection import ricci_at
+from affsurf.connection import ChristoffelSpec, ricci_at
+from test_connection import same_bits
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +26,28 @@ def jacobian_nonsingular_on(pm, grid, tol=1e-9):
         if abs(det) <= tol * scale * scale:
             return False
     return True
+
+
+def einsum_pullback(pm, target, p):
+    """The pulled-back symbols by the array formula: J, H and J^-1 as arrays
+    and the G~_ab^c J^a_i J^b_j contraction as an einsum."""
+    jets = [ex.compile_jet(fc)(*p) for fc in (pm.f1, pm.f2)]
+    J = np.array([jet[1:3] for jet in jets])
+    H = np.array([((h11, h12), (h12, h22)) for *_, h11, h12, h22 in jets])
+    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+    if abs(det) < 1e-14:
+        raise ValueError(f"map is not immersive at {p}")
+    a, b, c, d, e, f = target.christoffel_at((jets[0][0], jets[1][0]))
+    gt = np.array([[[a, b], [c, d]], [[c, d], [e, f]]])
+    out = np.zeros((2, 2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Jinv = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / det
+        for i in range(2):
+            for j in range(2):
+                vec = H[:, i, j] + np.einsum("abc,a,b->c", gt, J[:, i], J[:, j])
+                for k in range(2):
+                    out[i, j, k] = Jinv[k, 0] * vec[0] + Jinv[k, 1] * vec[1]
+    return (out[0, 0, 0], out[0, 0, 1], out[0, 1, 0], out[0, 1, 1], out[1, 1, 0], out[1, 1, 1])
 
 
 class TestDeform:
@@ -170,6 +193,49 @@ class TestPullback:
         pm = ex.PlaneMap(ex.x1, ex.x1)
         with pytest.raises(ValueError):
             P.pullback_connection(pm, rec.spec, (0.3, 0.4))
+
+
+class TestPullbackMatchesArrayFormula:
+    """pullback_connection equals the einsum formula bit for bit, NaN
+    positions included."""
+
+    @staticmethod
+    def check(pm, target, grid):
+        for p in grid:
+            got = P.pullback_connection(pm, target, p)
+            assert same_bits(got, einsum_pullback(pm, target, p)), p
+
+    def test_every_catalog_map(self):
+        count = 0
+        for rec in C.all_records():
+            for entry in rec.maps:
+                self.check(entry.plane_map, C.instantiate_ref(entry.target).spec,
+                           C.sample_grid(rec))
+                count += 1
+        assert count >= 40
+
+    def test_random_maps(self):
+        # generic floats, where the grouping (G~ J^a) J^b and the division
+        # J / det are visible in the last bits
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            c = [ex.const(float(v)) for v in rng.uniform(-2, 2, size=6)]
+            pm = ex.PlaneMap(ex.add(ex.mul(c[0], ex.x1), ex.mul(c[1], ex.x2), ex.mul(c[2], ex.x1, ex.x2)),
+                             ex.add(ex.mul(c[3], ex.x1), ex.mul(c[4], ex.x2), ex.mul(c[5], ex.x2, ex.x2)))
+            target = ChristoffelSpec(tuple(rng.uniform(-3, 3, size=6)))
+            self.check(pm, target, [tuple(rng.uniform(-1, 1, size=2)) for _ in range(5)])
+
+    def test_overflow_fails_closed(self):
+        # target symbols 1e200 and 2e200 times a Jacobian of 1e60 twice
+        # overflow to inf; J^-1's zero entries times inf are NaN
+        rec = C.instantiate("A.M34", c=1e200)
+        big = ex.const(1e60)
+        entry = C.AffineMapEntry("scale", ex.PlaneMap(ex.mul(big, ex.x1), ex.mul(big, ex.x2)),
+                                 rec.ref)
+        grid = C.sample_grid(rec)
+        self.check(entry.plane_map, rec.spec, grid)
+        rep = P.verify_map_entry(rec, entry)
+        assert math.isnan(rep.max_deviation) and not rep.passed
 
 
 class TestMapVerification:
