@@ -25,16 +25,15 @@ flat; the flag here records that fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import expr as ex
 from .connection import ChristoffelSpec
-from .expr import (HALF_X1, PLANE, PlaneMap, ScalarExpr, VectorFieldExpr,
-                   arctan, const, cos, exp, log, power, pullback_field, sin,
-                   x1, x2)
+from .expr import (PlaneMap, ScalarExpr, VectorFieldExpr, const, cos, exp, log, power,
+                   pullback_field, sin, x1, x2)
 
 F = Fraction
 
@@ -196,12 +195,8 @@ def _gamma_b(*coeffs) -> ChristoffelSpec:
     return ChristoffelSpec(tuple(float(v) for v in coeffs), "inverse-x1")
 
 
-def _half_map(f1, f2) -> PlaneMap:
-    return PlaneMap(ex._as_expr(f1), ex._as_expr(f2), HALF_X1)
-
-
-def _plane_map(f1, f2) -> PlaneMap:
-    return PlaneMap(ex._as_expr(f1), ex._as_expr(f2), PLANE)
+def _map(f1, f2) -> PlaneMap:
+    return PlaneMap(ex._as_expr(f1), ex._as_expr(f2))
 
 
 def _build_A_M06(p):
@@ -214,28 +209,28 @@ def _build_A_M16(p):
     spec = _gamma_a(1, 0, 0, 1, 0, 0)
     e1 = exp(x1)
     q = (const(1), e1, x2 * e1)
-    maps = (AffineMapEntry("Theta16", _plane_map(e1, x2 * e1), ref("A.M06")),)
+    maps = (AffineMapEntry("Theta16", _map(e1, x2 * e1), ref("A.M06")),)
     return spec, q, maps, ("pullback", 0)
 
 
 def _build_A_M26(p):
     spec = _gamma_a(-1, 0, 0, 0, 0, 1)
     q = (const(1), exp(x2), exp(-x1))
-    maps = (AffineMapEntry("Theta26", _plane_map(exp(x2), exp(-x1)), ref("A.M06")),)
+    maps = (AffineMapEntry("Theta26", _map(exp(x2), exp(-x1)), ref("A.M06")),)
     return spec, q, maps, ("pullback", 0)
 
 
 def _build_A_M36(p):
     spec = _gamma_a(0, 0, 0, 0, 0, 1)
     q = (const(1), x1, exp(x2))
-    maps = (AffineMapEntry("Theta36", _plane_map(x1, exp(x2)), ref("A.M06")),)
+    maps = (AffineMapEntry("Theta36", _map(x1, exp(x2)), ref("A.M06")),)
     return spec, q, maps, ("pullback", 0)
 
 
 def _build_A_M46(p):
     spec = _gamma_a(0, 0, 0, 0, 1, 0)
     q = (const(1), x2, power(x2, 2) + 2 * x1)
-    maps = (AffineMapEntry("Theta46", _plane_map(x2, power(x2, 2) + 2 * x1), ref("A.M06")),)
+    maps = (AffineMapEntry("Theta46", _map(x2, power(x2, 2) + 2 * x1), ref("A.M06")),)
     return spec, q, maps, ("pullback", 0)
 
 
@@ -243,7 +238,7 @@ def _build_A_M56(p):
     spec = _gamma_a(1, 0, 0, 1, -1, 0)
     e1 = exp(x1)
     q = (const(1), e1 * cos(x2), e1 * sin(x2))
-    maps = (AffineMapEntry("Theta56", _plane_map(e1 * cos(x2), e1 * sin(x2)), ref("A.M06")),)
+    maps = (AffineMapEntry("Theta56", _map(e1 * cos(x2), e1 * sin(x2)), ref("A.M06")),)
     return spec, q, maps, ("pullback", 0)
 
 
@@ -251,7 +246,7 @@ def _build_A_M14(p):
     spec = _gamma_a(-1, 0, 1, 0, 0, 2)
     e2 = exp(x2)
     q = (e2, x2 * e2, exp(-x1 + x2))
-    maps = (AffineMapEntry("Theta14", _plane_map(exp(-x1), x2), ref("A.M44", c=0)),)
+    maps = (AffineMapEntry("Theta14", _map(exp(-x1), x2), ref("A.M44", c=0)),)
     return spec, q, maps, ("pullback", 0)
 
 
@@ -261,7 +256,7 @@ def _build_A_M24(p):
     spec = _gamma_a(-1, 0, c, 0, 0, 1 + 2 * c)
     cc = const(c)
     q = (exp(cc * x2), exp((cc + 1) * x2), exp(cc * x2 - x1))
-    maps = (AffineMapEntry("Theta24", _plane_map(exp(-x1), x2), ref("A.M34", c=c)),)
+    maps = (AffineMapEntry("Theta24", _map(exp(-x1), x2), ref("A.M34", c=c)),)
     return spec, q, maps, ("pullback", 0)
 
 
@@ -279,7 +274,7 @@ def _build_A_M44(p):
     spec = _gamma_a(0, 0, 1, 0, c, 2)
     e2 = exp(x2)
     q = (e2, x2 * e2, (const(c) / 2 * power(x2, 2) + x1) * e2)
-    maps = (AffineMapEntry("Theta44", _plane_map(x1 + const(c) / 2 * power(x2, 2), x2),
+    maps = (AffineMapEntry("Theta44", _map(x1 + const(c) / 2 * power(x2, 2), x2),
                            ref("A.M44", c=0)),)
     if c == 0.0:
         return spec, q, maps, m44_zero_killing_basis()
@@ -291,7 +286,7 @@ def _build_A_M54(p):
     spec = _gamma_a(1, 0, 0, 0, 1 + c * c, 2 * c)
     ec = exp(const(c) * x2)
     q = (ec * cos(x2), ec * sin(x2), exp(x1))
-    maps = (AffineMapEntry("Theta54", _plane_map(exp(x1), x2), ref("A.M54t", c=c)),)
+    maps = (AffineMapEntry("Theta54", _map(exp(x1), x2), ref("A.M54t", c=c)),)
     return spec, q, maps, ("pullback", 0)
 
 
@@ -344,7 +339,7 @@ def _build_A_M42(p):
 def _build_B_N06(p):
     spec = _gamma_b(0, 0, 0, 0, 0, 0)
     q = (const(1), x1, x2)
-    maps = (AffineMapEntry("Psi06", _half_map(x1, x2), ref("A.M06")),)
+    maps = (AffineMapEntry("Psi06", _map(x1, x2), ref("A.M06")),)
     return spec, q, maps, ("pullback", 0)
 
 
@@ -354,7 +349,7 @@ def _build_B_N16(p):
     spec = _gamma_b(1, 0, 0, 0, s, 0)
     quad = power(x1, 2) + const(s) * power(x2, 2)
     q = (const(1), x2, quad)
-    maps = (AffineMapEntry("Psi16", _half_map(x2, quad), ref("A.M06")),)
+    maps = (AffineMapEntry("Psi16", _map(x2, quad), ref("A.M06")),)
     return spec, q, maps, ("pullback", 0)
 
 
@@ -364,7 +359,7 @@ def _build_B_N26(p):
     spec = _gamma_b(c - 1, 0, 0, c, 0, 0)
     pw = power(x1, c) if not float(c).is_integer() else power(x1, F(int(c)))
     q = (const(1), pw, pw * x2)
-    maps = (AffineMapEntry("Psi26", _half_map(pw, pw * x2), ref("A.M06")),)
+    maps = (AffineMapEntry("Psi26", _map(pw, pw * x2), ref("A.M06")),)
     return spec, q, maps, ("pullback", 0)
 
 
@@ -372,21 +367,21 @@ def _build_B_N36(p):
     spec = _gamma_b(-2, 1, 0, -1, 0, 0)
     inv = power(x1, -1)
     q = (const(1), inv, x2 * inv + log(x1))
-    maps = (AffineMapEntry("Psi36", _half_map(inv, x2 * inv + log(x1)), ref("A.M06")),)
+    maps = (AffineMapEntry("Psi36", _map(inv, x2 * inv + log(x1)), ref("A.M06")),)
     return spec, q, maps, ("pullback", 0)
 
 
 def _build_B_N46(p):
     spec = _gamma_b(0, 1, 0, 0, 0, 0)
     q = (const(1), x1, x2 + x1 * log(x1))
-    maps = (AffineMapEntry("Psi46", _half_map(x1, x2 + x1 * log(x1)), ref("A.M06")),)
+    maps = (AffineMapEntry("Psi46", _map(x1, x2 + x1 * log(x1)), ref("A.M06")),)
     return spec, q, maps, ("pullback", 0)
 
 
 def _build_B_N56(p):
     spec = _gamma_b(-1, 0, 0, 0, 0, 0)
     q = (const(1), log(x1), x2)
-    maps = (AffineMapEntry("Psi56", _half_map(log(x1), x2), ref("A.M06")),)
+    maps = (AffineMapEntry("Psi56", _map(log(x1), x2), ref("A.M06")),)
     return spec, q, maps, ("pullback", 0)
 
 
@@ -397,7 +392,7 @@ def _build_B_N66(p):
     e = 1 + c
     pw = power(x1, e) if not float(e).is_integer() else power(x1, F(int(e)))
     q = (const(1), pw, x2)
-    maps = (AffineMapEntry("Psi66", _half_map(pw, x2), ref("A.M06")),)
+    maps = (AffineMapEntry("Psi66", _map(pw, x2), ref("A.M06")),)
     return spec, q, maps, ("pullback", 0)
 
 
@@ -407,7 +402,7 @@ def _build_B_N14(p):
     spec = _gamma_b(2 * k, 1, 0, k, 0, 0)
     pk = power(x1, k)
     q = (pk, power(x1, k + 1), pk * (x2 + x1 * log(x1)))
-    maps = (AffineMapEntry("Psi14", _half_map(x2 + x1 * log(x1), log(x1)), ref("A.M34", c=k)),)
+    maps = (AffineMapEntry("Psi14", _map(x2 + x1 * log(x1), log(x1)), ref("A.M34", c=k)),)
     return spec, q, maps, ("pullback", 0)
 
 
@@ -418,7 +413,7 @@ def _build_B_N24(p):
     spec = _gamma_b(2 * k + th - 1, 0, 0, k, 0, 0)
     pk = power(x1, k)
     q = (pk, pk * x2, power(x1, k + th))
-    maps = (AffineMapEntry("Psi24", _half_map(x2, const(th) * log(x1)), ref("A.M34", c=k / th)),)
+    maps = (AffineMapEntry("Psi24", _map(x2, const(th) * log(x1)), ref("A.M34", c=k / th)),)
     return spec, q, maps, ("pullback", 0)
 
 
@@ -428,7 +423,7 @@ def _build_B_N34(p):
     spec = _gamma_b(2 * k - 1, 0, 0, k, 0, 0)
     pk = power(x1, k)
     q = (pk, pk * x2, pk * log(x1))
-    maps = (AffineMapEntry("Psi34", _half_map(x2, const(k) * log(x1)), ref("A.M44", c=0)),)
+    maps = (AffineMapEntry("Psi34", _map(x2, const(k) * log(x1)), ref("A.M44", c=0)),)
     return spec, q, maps, ("pullback", 0)
 
 
@@ -601,9 +596,7 @@ def standard_samples(family: str) -> tuple[dict, ...]:
     if fam.param_names == ("c",):
         if family == "A.M54t":
             return tuple({"c": c} for c in _C_SAMPLES + (0.0,))
-        guard_zero = family in ("A.M24", "A.M34", "A.M32", "B.N26", "B.N66")
-        vals = _C_SAMPLES
-        return tuple({"c": c} for c in vals if not (guard_zero and c == 0.0))
+        return tuple({"c": c} for c in _C_SAMPLES)
     if fam.param_names == ("sign",):
         return ({"sign": 1.0}, {"sign": -1.0})
     if fam.param_names == ("a1", "a2"):

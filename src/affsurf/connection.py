@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import HALF_X1, PLANE, Domain, DomainError, Point
+from .expr import DomainError, Point
 
 Coeffs = tuple[float, float, float, float, float, float]
 
@@ -47,10 +47,6 @@ class ChristoffelSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "coeffs", tuple(float(v) for v in self.coeffs))
-
-    @property
-    def domain(self) -> Domain:
-        return HALF_X1 if self.kind == "inverse-x1" else PLANE
 
     def check_point(self, p: Point):
         if self.kind == "inverse-x1" and p[0] <= 0.0:
@@ -137,16 +133,7 @@ def ricci(spec: ChristoffelSpec, p: Point) -> tuple[float, float, float, float]:
     return _ricci(G, dG, 0, 0), _ricci(G, dG, 0, 1), _ricci(G, dG, 1, 0), _ricci(G, dG, 1, 1)
 
 
-def ricci_at(spec: ChristoffelSpec, p: Point) -> np.ndarray:
-    return np.reshape(ricci(spec, p), (2, 2))
-
-
 def ricci_sym(spec: ChristoffelSpec, p: Point) -> tuple[float, float, float]:
     """(rho_s11, rho_s12, rho_s22) of the symmetrized Ricci tensor."""
     r11, r12, r21, r22 = ricci(spec, p)
     return 0.5 * (r11 + r11), 0.5 * (r12 + r21), 0.5 * (r22 + r22)
-
-
-def ricci_sym_at(spec: ChristoffelSpec, p: Point) -> np.ndarray:
-    r11, r12, r22 = ricci_sym(spec, p)
-    return np.array([[r11, r12], [r12, r22]])

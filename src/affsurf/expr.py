@@ -16,7 +16,7 @@ Expressions are immutable values and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Union
@@ -411,7 +411,9 @@ def substitute(e: ScalarExpr, repl: Mapping[int, ScalarExpr]) -> ScalarExpr:
 @lru_cache(maxsize=None)
 def compile_scalar(e: ScalarExpr) -> Callable[[float, float], float]:
     """Compile to a plain `f(x1, x2) -> float`.  Semantics match `evaluate`,
-    including DomainError on domain violations."""
+    including DomainError on domain violations, with one exception: a zero
+    base under a negative integer power raises ZeroDivisionError, where
+    `evaluate` raises DomainError."""
     return eval(f"lambda x1, x2: {_emit(e)}", _NAMESPACE)  # noqa: S307 - generated from our own AST
 
 
@@ -723,25 +725,13 @@ class VectorFieldExpr:
 
 
 @dataclass(frozen=True)
-class Domain:
-    """Plane or half-plane descriptor for map/connection domains."""
-
-    kind: str  # "plane" | "half-x1"
-
-
-PLANE = Domain("plane")
-HALF_X1 = Domain("half-x1")
-
-
-@dataclass(frozen=True)
 class PlaneMap:
-    """A map (x1, x2) -> (f1, f2) with a declared domain.  Used for the
-    affine embeddings/isomorphisms between catalog models and for the
+    """A map (x1, x2) -> (f1, f2).  Used for the affine
+    embeddings/isomorphisms between catalog models and for the
     straightening immersions built from quasi-Einstein bases."""
 
     f1: ScalarExpr
     f2: ScalarExpr
-    domain: Domain = PLANE
 
     def __call__(self, p: Point) -> Point:
         return evaluate(self.f1, p), evaluate(self.f2, p)

@@ -32,6 +32,9 @@ from .integrate import Blowup, Field, LeftDomain, StepCollapse, Status, Trajecto
 from .killing import ProbeReport, run_probe
 
 HORIZON = 50.0
+#: a complete verdict is re-confirmed at this multiple of the horizon
+CONFIRM_FACTOR = 4.0
+#: half-plane geodesics stop where x1 falls to this edge
 B_DOMAIN_EDGE = 1e-12
 
 #: time variable of closed-form curves (expression trees in one variable)
@@ -68,11 +71,8 @@ def _make_rhs(spec: ChristoffelSpec) -> Field:
     return Field(("u", "w", "v1", "v2"), prelude, comps, tuple(zip("abcdef", spec.coeffs)))
 
 
-def _domain_opts(spec: ChristoffelSpec) -> dict:
-    """Integrator options that stop half-plane geodesics at the x1 edge."""
-    if spec.kind == "inverse-x1":
-        return {"domain_fn": lambda y: y[0], "domain_threshold": B_DOMAIN_EDGE}
-    return {}
+def _edge(spec: ChristoffelSpec) -> float | None:
+    return B_DOMAIN_EDGE if spec.kind == "inverse-x1" else None
 
 
 def _state(x0, v0) -> tuple[float, float, float, float]:
@@ -81,7 +81,7 @@ def _state(x0, v0) -> tuple[float, float, float, float]:
 
 def geodesic_integrate(spec: ChristoffelSpec, x0, v0, t_end: float) -> Trajectory:
     """Integrate the geodesic from x0 with velocity v0 to signed time t_end."""
-    return integrate(_make_rhs(spec), _state(x0, v0), t_end, **_domain_opts(spec))
+    return integrate(_make_rhs(spec), _state(x0, v0), t_end, edge=_edge(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +355,16 @@ def default_geodesic_inits(record: ModelRecord):
 
 def geodesic_completeness_probe(record: ModelRecord,
                                 T: float = HORIZON,
-                                init_set=None,
-                                confirm_T: float | None = None) -> ProbeReport:
+                                init_set=None) -> ProbeReport:
     """Integrate every initial condition both directions and declare the
     model complete when nothing escapes before the horizon; complete
-    verdicts are re-confirmed at four times the horizon (the defaults give
-    50 then 200).  Verdicts are compared against the expected flag (None
-    for half-plane families)."""
+    verdicts are re-confirmed at CONFIRM_FACTOR times the horizon (the
+    defaults give 50 then 200).  Verdicts are compared against the
+    expected flag (None for half-plane families)."""
     if init_set is None:
         bases, vels = default_geodesic_inits(record)
         init_set = [(b, v) for b in bases for v in vels]
-    rhs, opts = _make_rhs(record.spec), _domain_opts(record.spec)
-    runs = [(f"geodesic a={v0[0]:g} b={v0[1]:g}", tuple(v0), tuple(x0), rhs,
-             _state(x0, v0), opts) for x0, v0 in init_set]
-    return run_probe(record, "geodesic", runs, T, 4.0 * T if confirm_T is None else confirm_T)
+    rhs = _make_rhs(record.spec)
+    runs = [(f"geodesic a={v0[0]:g} b={v0[1]:g}", tuple(v0), tuple(x0), rhs, _state(x0, v0))
+            for x0, v0 in init_set]
+    return run_probe(record, "geodesic", runs, T, CONFIRM_FACTOR, _edge(record.spec))

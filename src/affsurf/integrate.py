@@ -9,13 +9,13 @@ the ways a trajectory can fail to reach its horizon:
   ladder whose crossing intervals shrink geometrically, the signature of a
   finite-time singularity.  The bracket encloses the blowup time t* and is
   far narrower than the 1e-3 contract.
-* Unbounded(t): the state grew beyond the numeric cap (or the domain value
-  underflowed to zero) without a finite-time signature: exponential and
+* Unbounded(t): the state grew beyond the numeric cap (or x1 underflowed
+  to zero above the edge) without a finite-time signature: exponential and
   doubly exponential flows do this while existing for all time.  The run is
   cut off at t and no escape is claimed.
-* LeftDomain(t): a monitored domain function crossed its threshold (the
-  half-plane edge x1 = 0).  The crossing time is located by bisection on
-  the dense output.
+* LeftDomain(t): the first state component x1 fell to the run's edge (the
+  half-plane boundary x1 = 0, or a margin above it).  The crossing time is
+  located by bisection on the dense output.
 * StepCollapse(t): the adaptive step fell under 1e-13 without ladder
   evidence, which happens when the right-hand side itself becomes singular
   while the state stays moderate (log-type escapes).
@@ -23,6 +23,9 @@ the ways a trajectory can fail to reach its horizon:
 Distinguishing Blowup/LeftDomain/StepCollapse from Unbounded matters:
 complete flows routinely overflow doubles long before the horizon, and only
 the ladder convergence test separates them from finite-time escapes.
+
+The half-plane is one number: a run given an `edge` keeps x1 = y[0] above
+it, and a run without one is on the plane.
 
 State dimensions here are 2 (flows) and 4 (geodesics), so the stepper core
 works on plain float tuples; numpy enters only for storage and dense output.
@@ -40,7 +43,8 @@ the first step the horizon cut short, where the step size would have been
 clamped to land on it.  Every step before that one is the same at any
 longer horizon, so integrate() resumes there and returns what a fresh run
 to the longer horizon returns, bit for bit; a run whose status was settled
-before any cut is returned as it is.  The probes confirm a complete verdict
+before any cut is returned as it is.  The extension must keep the run's
+direction and its edge, compared by value.  The probes confirm a complete verdict
 this way, extending each horizon-T run instead of integrating again from
 t = 0.  The history is kept in flat buffers of doubles (8 bytes per
 component), from which the Trajectory's arrays are read without a copy.
@@ -69,10 +73,10 @@ STATE_CAP = 1e15
 MAX_STEPS = 400_000
 LADDER = (1e7, 1e9, 1e11, 1e13, 1e15)
 CONVERGENCE_RATIO = 0.5
-# Domain values at or below this are float-underflow artifacts: the
+# x1 values at or below this are float-underflow artifacts: the
 # trajectory approached the edge asymptotically and ran out of dynamic
 # range, which is evidence of completeness, not of finite-time exit.
-UNDERFLOW_G = 1e-280
+UNDERFLOW_X1 = 1e-280
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,6 @@ class Trajectory:
     states: np.ndarray
     derivs: np.ndarray
     status: Status
-    direction: str  # "forward" | "backward"
     checkpoint: Checkpoint  # where integrate() resumes to extend the run
 
     @property
@@ -164,16 +167,17 @@ class Trajectory:
 
 class Checkpoint:
     """Where integrate() extends a run, made in `direction` to the horizon
-    `span` over `domain` (domain_fn, domain_threshold): the loop's state
-    (steps used, t, y, f, h, ladder index, ladder times) at the first step
-    the horizon cut short, and the first n rows (of dim components) of the
-    run's flat history buffers ts, ys and fs.  loop is None when the run
-    ended before any cut; its status then stands at every longer horizon."""
+    `span` with the x1 `edge` (a float, or None for no edge): the loop's
+    state (steps used, t, y, f, h, ladder index, ladder times) at the first
+    step the horizon cut short, and the first n rows (of dim components) of
+    the run's flat history buffers ts, ys and fs.  loop is None when the run
+    ended before any cut; its status then stands at every longer horizon.
+    An extension must pass an edge equal in value to this one."""
 
-    __slots__ = ("direction", "span", "domain", "dim", "ts", "ys", "fs", "n", "loop", "status")
+    __slots__ = ("direction", "span", "edge", "dim", "ts", "ys", "fs", "n", "loop", "status")
 
-    def __init__(self, direction, span, domain, dim, ts, ys, fs, n, loop, status):
-        self.direction, self.span, self.domain, self.dim = direction, span, domain, dim
+    def __init__(self, direction, span, edge, dim, ts, ys, fs, n, loop, status):
+        self.direction, self.span, self.edge, self.dim = direction, span, edge, dim
         self.ts, self.ys, self.fs, self.n = ts, ys, fs, n
         self.loop, self.status = loop, status
 
@@ -210,38 +214,36 @@ def integrate(rhs: Callable,
               y0,
               t_end: float,
               *,
-              domain_fn: Callable | None = None,
-              domain_threshold: float = 0.0) -> Trajectory:
+              edge: float | None = None) -> Trajectory:
     """Integrate the autonomous system y' = rhs(y) from t = 0 to t_end
     (t_end may be negative).  rhs maps a float tuple to a float sequence
     of the same length (TypeError otherwise).
-    domain_fn, when given, must stay above domain_threshold along the
-    trajectory (the half-plane monitor passes x1).
+    edge, when given, is a value that y[0] must stay above along the
+    trajectory: the half-plane runs pass 0.0 or a margin above it.
     y0 may instead be the Checkpoint of an earlier run of the same rhs in
-    the same direction and domain, to a horizon no longer than |t_end|
-    (ValueError otherwise): the run is extended from there, and the result
-    is that of a fresh run to t_end."""
+    the same direction with an equal edge, to a horizon no longer than
+    |t_end| (ValueError otherwise): the run is extended from there, and the
+    result is that of a fresh run to t_end."""
     from array import array  # on the first integration, not at import
 
     direction = "forward" if t_end >= 0 else "backward"
     sgn = 1.0 if t_end >= 0 else -1.0
     span = abs(t_end)
-    domain = (domain_fn, domain_threshold)
     if isinstance(y0, Checkpoint):
         cp = y0
-        if cp.direction != direction or not span >= cp.span or cp.domain != domain:
-            raise ValueError(f"cannot extend a {cp.direction} run to {cp.span} over a "
-                             f"different domain, a shorter horizon or the other direction")
+        if cp.direction != direction or not span >= cp.span or cp.edge != edge:
+            raise ValueError(f"cannot extend a {cp.direction} run to {cp.span} with "
+                             f"another edge, a shorter horizon or the other direction")
         dim, n = cp.dim, cp.n
         if cp.loop is None:
-            return _trajectory(cp.ts, cp.ys, cp.fs, dim, cp.status, direction, cp)
+            return _trajectory(cp.ts, cp.ys, cp.fs, dim, cp.status, cp)
         ts, ys, fs = cp.ts[:n], cp.ys[:n * dim], cp.fs[:n * dim]
         used, t, y, f, h, ladder_idx, ladder_times = cp.loop
         ladder_times = list(ladder_times)
     else:
         y = tuple(float(v) for v in y0)
         dim = len(y)
-        if domain_fn is not None and domain_fn(y) <= domain_threshold:
+        if edge is not None and y[0] <= edge:
             raise DomainError("initial point outside the domain")
         try:
             f = tuple(float(v) for v in rhs(y))
@@ -263,18 +265,17 @@ def integrate(rhs: Callable,
 
     def finish(status: Status) -> Trajectory:
         n, loop = (len(ts), None) if cut is None else cut
-        cp = Checkpoint(direction, span, domain, dim, ts, ys, fs, n, loop, status)
-        return _trajectory(ts, ys, fs, dim, status, direction, cp)
+        cp = Checkpoint(direction, span, edge, dim, ts, ys, fs, n, loop, status)
+        return _trajectory(ts, ys, fs, dim, status, cp)
 
     def stalled_status():
         blow = _classify_ladder(ladder_times, t, sgn)
         if blow is not None:
             return blow
-        if domain_fn is not None:
-            g = domain_fn(y)
-            if g <= UNDERFLOW_G:
+        if edge is not None:
+            if y[0] <= UNDERFLOW_X1:
                 return Unbounded(sgn * t)
-            if g <= max(1e-8, domain_threshold * 4):
+            if y[0] <= max(1e-8, edge * 4):
                 return LeftDomain(sgn * t)
         return StepCollapse(sgn * t, _rhs_grew([_norm_inf(fs[i:i + dim])
                                                 for i in range(0, len(fs), dim)]))
@@ -302,19 +303,17 @@ def integrate(rhs: Callable,
             continue
 
         t_new = t + h
-        # domain crossing within the accepted step
-        if domain_fn is not None:
-            if domain_fn(y_new) <= domain_threshold:
-                if domain_fn(y) <= UNDERFLOW_G:
-                    return finish(Unbounded(sgn * t))
-                seg = _segment(t, y, f, t_new, y_new, f_new, sgn)
-                t_cross = _bisect_crossing(
-                    lambda tt: domain_fn(seg(tt)) - domain_threshold, t, t_new)
-                y_cross = tuple(float(v) for v in seg(t_cross))
-                ts.append(sgn * t_cross)
-                ys.extend(y_cross)
-                fs.extend(_safe_rhs(rhs, y_cross, f_new))
-                return finish(LeftDomain(sgn * t_cross))
+        # edge crossing within the accepted step
+        if edge is not None and y_new[0] <= edge:
+            if y[0] <= UNDERFLOW_X1:
+                return finish(Unbounded(sgn * t))
+            seg = _segment(t, y, f, t_new, y_new, f_new, sgn)
+            t_cross = _bisect_crossing(lambda tt: seg(tt)[0] - edge, t, t_new)
+            y_cross = tuple(float(v) for v in seg(t_cross))
+            ts.append(sgn * t_cross)
+            ys.extend(y_cross)
+            fs.extend(_safe_rhs(rhs, y_cross, f_new))
+            return finish(LeftDomain(sgn * t_cross))
 
         # threshold ladder crossings (for blowup/unbounded classification)
         n_new = _norm_inf(y_new)
@@ -338,11 +337,11 @@ def integrate(rhs: Callable,
     raise RuntimeError(f"integrator exceeded max_steps ({MAX_STEPS})")
 
 
-def _trajectory(ts, ys, fs, dim, status, direction, checkpoint) -> Trajectory:
+def _trajectory(ts, ys, fs, dim, status, checkpoint) -> Trajectory:
     """A Trajectory whose arrays read the history buffers in place."""
     n = len(ts)
     return Trajectory(np.frombuffer(ts), np.frombuffer(ys).reshape(n, dim),
-                      np.frombuffer(fs).reshape(n, dim), status, direction, checkpoint)
+                      np.frombuffer(fs).reshape(n, dim), status, checkpoint)
 
 
 _KERNEL_NAMESPACE = {**_NAMESPACE, "DomainError": DomainError, "_RHS_ERRORS": _RHS_ERRORS,

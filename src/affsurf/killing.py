@@ -40,6 +40,8 @@ from .expr import Point, VectorFieldExpr, _emit, add, compile_jet, const, mul
 from .integrate import ESCAPE_STATUSES, Field, Status, Trajectory, Unbounded, _exec, integrate
 
 PROBE_HORIZON = 20.0
+#: a complete verdict is re-confirmed at this multiple of the horizon
+CONFIRM_FACTOR = 3.0
 N_RANDOM_COMBOS = 8
 COMBO_SEED = 20240815
 
@@ -83,10 +85,10 @@ def _field_rhs(X: VectorFieldExpr) -> Field:
 
 
 def flow_integrate(X: VectorFieldExpr, p0: Point, t_end: float,
-                   half_plane: bool = False) -> Trajectory:
-    """Integrate the flow x' = X(x) from p0 to signed time t_end."""
-    domain_fn = (lambda y: y[0]) if half_plane else None
-    return integrate(_field_rhs(X), p0, t_end, domain_fn=domain_fn)
+                   edge: float | None = None) -> Trajectory:
+    """Integrate the flow x' = X(x) from p0 to signed time t_end, keeping
+    x1 above edge when one is given."""
+    return integrate(_field_rhs(X), p0, t_end, edge=edge)
 
 
 def combination(basis, coeffs) -> VectorFieldExpr:
@@ -144,22 +146,24 @@ def default_flow_inits(record: ModelRecord) -> tuple[Point, ...]:
     return ((0.3, -0.7), (0.5, 0.0))
 
 
-def run_probe(record: ModelRecord, kind: str, runs, T: float,
-              confirm_T: float) -> ProbeReport:
+def run_probe(record: ModelRecord, kind: str, runs, T: float, confirm_factor: float,
+              edge: float | None) -> ProbeReport:
     """The probe engine behind both completeness probes.  Each run is
-    (label, coeffs, init, rhs, y0, integrate options) and is integrated
-    forward and backward to the horizon.  Incomplete as soon as one run
-    escapes; a complete verdict is confirmed at confirm_T when that exceeds
-    T, each run extended from the checkpoint of its horizon-T run."""
+    (label, coeffs, init, rhs, y0) and is integrated forward and backward
+    to the horizon, every run with the same x1 edge.  Incomplete as soon
+    as one run escapes; a complete verdict is confirmed at confirm_factor
+    times T when that exceeds T, each run extended from the checkpoint of
+    its horizon-T run."""
     expected = (record.expected.killing_complete if kind == "killing"
                 else record.expected.geodesically_complete)
+    horizons = (T, confirm_factor * T)
     kept: deque = deque()  # checkpoints of the horizon-T runs, in run order
-    for confirming, horizon in enumerate((T, confirm_T)):
+    for confirming, horizon in enumerate(horizons):
         witnesses: list[FlowWitness] = []
         unbounded = 0
-        for label, coeffs, init, rhs, y0, opts in runs:
+        for label, coeffs, init, rhs, y0 in runs:
             for t_end, dirname in ((horizon, "forward"), (-horizon, "backward")):
-                tr = integrate(rhs, kept.popleft() if confirming else y0, t_end, **opts)
+                tr = integrate(rhs, kept.popleft() if confirming else y0, t_end, edge=edge)
                 if isinstance(tr.status, ESCAPE_STATUSES):
                     witnesses.append(FlowWitness(label, coeffs, init, dirname, tr.status))
                     continue
@@ -167,7 +171,7 @@ def run_probe(record: ModelRecord, kind: str, runs, T: float,
                     unbounded += 1
                 if not (confirming or witnesses):
                     kept.append(tr.checkpoint)
-        if witnesses or not confirm_T > T:
+        if witnesses or not horizons[1] > T:
             break
     return ProbeReport(record.ref.label(), kind, complete=not witnesses, horizon=horizon,
                        expected=expected, witnesses=witnesses, unbounded_runs=unbounded)
@@ -177,12 +181,12 @@ def killing_completeness_probe(record: ModelRecord,
                                T: float = PROBE_HORIZON,
                                init_set=None,
                                n_combos: int = N_RANDOM_COMBOS,
-                               seed: int = COMBO_SEED,
-                               confirm_T: float | None = None) -> ProbeReport:
+                               seed: int = COMBO_SEED) -> ProbeReport:
     """Flow every Killing basis field and seeded random unit combinations
-    from each initial point, both directions.  Incomplete as soon as one
-    flow escapes before the horizon; complete verdicts are re-confirmed at
-    three times the horizon (pass confirm_T=0 to skip)."""
+    from each initial point, both directions; half-plane flows stop at the
+    edge x1 = 0.  Incomplete as soon as one flow escapes before the
+    horizon; complete verdicts are re-confirmed at CONFIRM_FACTOR times the
+    horizon."""
     inits = tuple(init_set) if init_set is not None else default_flow_inits(record)
     basis = record.killing_basis
     dim = len(basis)
@@ -194,12 +198,12 @@ def killing_completeness_probe(record: ModelRecord,
         v = rng.normal(size=dim)
         coeffs = tuple(float(x) for x in v / np.linalg.norm(v))
         jobs.append((f"combo[{c}]", coeffs, combination(basis, coeffs)))
-    opts = {"domain_fn": (lambda y: y[0]) if record.mtype == "B" else None}
     runs = []
     for label, coeffs, X in jobs:
         rhs = _field_rhs(X)
-        runs.extend((label, coeffs, p0, rhs, p0, opts) for p0 in inits)
-    return run_probe(record, "killing", runs, T, 3.0 * T if confirm_T is None else confirm_T)
+        runs.extend((label, coeffs, p0, rhs, p0) for p0 in inits)
+    return run_probe(record, "killing", runs, T, CONFIRM_FACTOR,
+                     0.0 if record.mtype == "B" else None)
 
 
 def verify_killing_basis(record: ModelRecord, grid=None, tol: float = RESIDUAL_TOL):

@@ -180,7 +180,7 @@ def immersion(record: ModelRecord) -> PlaneMap:
     coeff = np.linalg.solve(m.T, np.eye(3))  # columns: combos hitting e1, e2, e3
     phi1 = ex.add(*(ex.mul(ex.const(float(coeff[i, 1])), psis[i]) for i in range(3)))
     phi2 = ex.add(*(ex.mul(ex.const(float(coeff[i, 2])), psis[i]) for i in range(3)))
-    return PlaneMap(phi1, phi2, record.spec.domain)
+    return PlaneMap(phi1, phi2)
 
 
 def line_image_residual(pm: PlaneMap, points) -> float:

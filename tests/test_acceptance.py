@@ -210,14 +210,13 @@ def test_criterion_7_affine_map_verification(records):
         rec = C.instantiate(fam, **kw)
         entry = rec.maps[0]
         swapped = C.AffineMapEntry(entry.name, ex.PlaneMap(
-            entry.plane_map.f2, entry.plane_map.f1, entry.plane_map.domain), entry.target)
+            entry.plane_map.f2, entry.plane_map.f1), entry.target)
         assert not P.verify_map_entry(rec, swapped).passed, fam
     bump = ex.mul(ex.const(0.01), ex.sin(ex.x1))
     for rec in records:
         for entry in rec.maps:
             mutated = C.AffineMapEntry(entry.name, ex.PlaneMap(
-                ex.add(entry.plane_map.f1, bump), entry.plane_map.f2,
-                entry.plane_map.domain), entry.target)
+                ex.add(entry.plane_map.f1, bump), entry.plane_map.f2), entry.target)
             assert not P.verify_map_entry(rec, mutated).passed, (rec.ref.label(), entry.name)
     _report(7, f"{sum(seen.values())} map instances pass at 1e-8; mutations fail")
 

@@ -8,8 +8,9 @@ import pytest
 from affsurf import catalog as C
 from affsurf import expr as ex
 from affsurf import geodesic as G
-from affsurf.connection import KINDS, ricci_at
+from affsurf.connection import KINDS
 from affsurf.integrate import Blowup, ReachedHorizon
+from test_connection import ricci_at
 
 AB_SAMPLES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 2.0)]
 
@@ -280,5 +281,5 @@ class TestProbe:
         assert rep.unbounded_runs == 1 and not rep.witnesses
 
     def test_half_plane_probe_not_classified(self):
-        rep = G.geodesic_completeness_probe(C.instantiate("B.N56"), T=10.0, confirm_T=0.0)
+        rep = G.geodesic_completeness_probe(C.instantiate("B.N56"), T=10.0)
         assert rep.expected is None and rep.verdict == "not-classified"

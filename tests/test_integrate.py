@@ -178,12 +178,12 @@ class TestGrowthIsNotEscape:
 
 class TestDomainMonitor:
     def test_transversal_crossing(self):
-        tr = integrate(lambda y: (-1.0,), (1.0,), 10.0, domain_fn=lambda y: y[0])
+        tr = integrate(lambda y: (-1.0,), (1.0,), 10.0, edge=0.0)
         assert isinstance(tr.status, LeftDomain)
         assert abs(tr.status.t - 1.0) < 1e-9
 
     def test_asymptotic_decay_not_an_exit(self):
-        tr = integrate(lambda y: (-y[0],), (1.0,), 60.0, domain_fn=lambda y: y[0])
+        tr = integrate(lambda y: (-y[0],), (1.0,), 60.0, edge=0.0)
         assert isinstance(tr.status, ReachedHorizon)
 
     def test_underflow_is_not_an_exit(self):
@@ -193,7 +193,7 @@ class TestDomainMonitor:
             if u <= 0:
                 raise ZeroDivisionError
             return (-u * (1.0 - math.log(u)),)
-        tr = integrate(rhs, (0.5,), 60.0, domain_fn=lambda y: y[0])
+        tr = integrate(rhs, (0.5,), 60.0, edge=0.0)
         assert isinstance(tr.status, (ReachedHorizon, Unbounded))
 
     def test_singular_rhs_near_edge(self):
@@ -201,14 +201,14 @@ class TestDomainMonitor:
             if y[0] <= 0:
                 raise ZeroDivisionError
             return (-1.0 / y[0],)
-        tr = integrate(rhs, (1.0,), 10.0, domain_fn=lambda y: y[0])
+        tr = integrate(rhs, (1.0,), 10.0, edge=0.0)
         assert isinstance(tr.status, (LeftDomain, StepCollapse))
         t_star = tr.status.t
         assert abs(t_star - 0.5) < 1e-3
 
     def test_initial_point_outside(self):
         with pytest.raises(DomainError):
-            integrate(lambda y: (1.0,), (-1.0,), 1.0, domain_fn=lambda y: y[0])
+            integrate(lambda y: (1.0,), (-1.0,), 1.0, edge=0.0)
 
 
 class TestFlowGroupLaw:
@@ -516,10 +516,10 @@ class TestExtendedRun:
     @pytest.mark.parametrize("sgn", [1.0, -1.0])
     def test_killing_basis_fields_of_every_record(self, sgn):
         for rec in catalog.all_records():
-            opts = {"domain_fn": (lambda y: y[0]) if rec.mtype == "B" else None}
+            edge = 0.0 if rec.mtype == "B" else None
             for X in rec.killing_basis:
                 assert_extends(killing._field_rhs(X), killing.default_flow_inits(rec)[0],
-                               sgn * 2.0, 3.0, **opts)
+                               sgn * 2.0, 3.0, edge=edge)
 
     @pytest.mark.parametrize("sgn", [1.0, -1.0])
     def test_geodesics_of_every_plane_record(self, sgn):
@@ -536,11 +536,34 @@ class TestExtendedRun:
         # B.N06's field d/dx1 reaches the edge x1 = 0 at t = -1 from x1 = 1
         field = killing._field_rhs(catalog.instantiate("B.N06").killing_basis[0])
         rhs = (lambda y: field(y)) if plain else field
-        edge = lambda y: y[0]  # noqa: E731
-        short = assert_extends(rhs, (1.0, 0.5), -0.5, 3.0, domain_fn=edge)
+        short = assert_extends(rhs, (1.0, 0.5), -0.5, 3.0, edge=0.0)
         assert isinstance(short.status, ReachedHorizon)
-        longer = integrate(rhs, short.checkpoint, -1.5, domain_fn=edge)
+        longer = integrate(rhs, short.checkpoint, -1.5, edge=0.0)
         assert isinstance(longer.status, LeftDomain) and abs(longer.status.t + 1.0) < 1e-9
+
+    def test_helper_runs_extend_with_the_edge_passed_again(self):
+        """Runs of geodesic_integrate and flow_integrate extend with their
+        edge given again as a value of its own: the edge is compared by
+        value."""
+        rec = catalog.instantiate("B.N43")
+        rhs = geodesic._make_rhs(rec.spec)
+        edge = 0.5e-12 * 2.0  # equal to B_DOMAIN_EDGE, another float object
+        assert edge == geodesic.B_DOMAIN_EDGE
+        for sgn in (1.0, -1.0):
+            for k in range(4):
+                v0 = (math.cos(math.pi * k / 4), math.sin(math.pi * k / 4))
+                short = geodesic.geodesic_integrate(rec.spec, rec.base_point, v0, sgn * 0.5)
+                assert isinstance(short.status, ReachedHorizon)
+                longer = integrate(rhs, short.checkpoint, sgn * 2.0, edge=edge)
+                fresh = geodesic.geodesic_integrate(rec.spec, rec.base_point, v0, sgn * 2.0)
+                assert same_run(longer, fresh)
+        # B.N06's field d/dx1 reaches the edge x1 = 0 at t = -1 from x1 = 1
+        X = catalog.instantiate("B.N06").killing_basis[0]
+        short = killing.flow_integrate(X, (1.0, 0.5), -0.5, edge=0.0)
+        assert isinstance(short.status, ReachedHorizon)
+        longer = integrate(killing._field_rhs(X), short.checkpoint, -1.5, edge=-0.0)
+        assert same_run(longer, killing.flow_integrate(X, (1.0, 0.5), -1.5, edge=0.0))
+        assert isinstance(longer.status, LeftDomain)
 
     def test_unbounded_before_the_horizon_stands(self):
         rhs = lambda y: (y[0],)  # noqa: E731
@@ -593,11 +616,15 @@ class TestExtendedRun:
     def test_shorter_horizon_other_direction_or_domain_raises(self):
         rhs = lambda y: (y[1], -y[0])  # noqa: E731
         cp = integrate(rhs, (1.0, 0.0), 3.0).checkpoint
-        for t_end, opts in ((2.0, {}), (-6.0, {}), (6.0, {"domain_fn": lambda y: y[0]}),
+        for t_end, opts in ((2.0, {}), (-6.0, {}), (6.0, {"edge": 0.0}),
                             (float("nan"), {})):
             with pytest.raises(ValueError):
                 integrate(rhs, cp, t_end, **opts)
         assert same_run(integrate(rhs, cp, 3.0), integrate(rhs, (1.0, 0.0), 3.0))
+        edged = integrate(rhs, (1.0, 0.0), 3.0, edge=-2.0).checkpoint
+        for opts in ({"edge": -1.0}, {}):
+            with pytest.raises(ValueError):
+                integrate(rhs, edged, 6.0, **opts)
 
     def test_extension_skips_the_prefix(self):
         """Regression guard without timing: extending A.M46's benchmark

@@ -122,23 +122,23 @@ class TestFlows:
         # finite-time escape one unit backward
         rec = C.instantiate("B.N13", sign=1)
         X = rec.killing_basis[0]
-        tr = K.flow_integrate(X, (1.0, -1.0), -10.0, half_plane=True)
+        tr = K.flow_integrate(X, (1.0, -1.0), -10.0, edge=0.0)
         assert isinstance(tr.status, Blowup)
         assert tr.status.t_lo <= -1.0 <= tr.status.t_hi
-        fwd = K.flow_integrate(X, (1.0, -1.0), 10.0, half_plane=True)
+        fwd = K.flow_integrate(X, (1.0, -1.0), 10.0, edge=0.0)
         assert isinstance(fwd.status, ReachedHorizon)
 
     def test_scaling_flow_stays_in_half_plane(self):
         X = ex.VectorFieldExpr(ex.x1, ex.x2)
-        tr = K.flow_integrate(X, (1.0, 1.0), 50.0, half_plane=True)
+        tr = K.flow_integrate(X, (1.0, 1.0), 50.0, edge=0.0)
         assert not tr.escaped
-        back = K.flow_integrate(X, (1.0, 1.0), -50.0, half_plane=True)
+        back = K.flow_integrate(X, (1.0, 1.0), -50.0, edge=0.0)
         assert isinstance(back.status, ReachedHorizon)
 
     def test_closed_form_witness_path(self):
         rec = C.instantiate("B.N13", sign=1)
         X = rec.killing_basis[0]
-        tr = K.flow_integrate(X, (1.0, -1.0), 0.9, half_plane=True)
+        tr = K.flow_integrate(X, (1.0, -1.0), 0.9, edge=0.0)
         for t in (0.2, 0.5, 0.85):
             s = 1.0 + t  # xi(s) = (s^-2, -s^-1), xi(1) = (1, -1)
             got = tr.eval(t)

@@ -9,8 +9,8 @@ from affsurf import catalog as C
 from affsurf import expr as ex
 from affsurf import geodesic as G
 from affsurf import projective as P
-from affsurf.connection import ChristoffelSpec, ricci_at
-from test_connection import same_bits
+from affsurf.connection import ChristoffelSpec
+from test_connection import ricci_at, same_bits
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +267,7 @@ class TestMapVerification:
             rec = C.instantiate(fam, **kw)
             entry = rec.maps[0]
             swapped = C.AffineMapEntry(entry.name, ex.PlaneMap(
-                entry.plane_map.f2, entry.plane_map.f1, entry.plane_map.domain), entry.target)
+                entry.plane_map.f2, entry.plane_map.f1), entry.target)
             rep = P.verify_map_entry(rec, swapped)
             assert not rep.passed, (fam, rep.max_deviation)
 
@@ -279,7 +279,6 @@ class TestMapVerification:
         for rec in C.all_records():
             for entry in rec.maps:
                 mutated = C.AffineMapEntry(entry.name, ex.PlaneMap(
-                    ex.add(entry.plane_map.f1, bump), entry.plane_map.f2,
-                    entry.plane_map.domain), entry.target)
+                    ex.add(entry.plane_map.f1, bump), entry.plane_map.f2), entry.target)
                 rep = P.verify_map_entry(rec, mutated)
                 assert not rep.passed, (rec.ref.label(), entry.name)

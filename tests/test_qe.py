@@ -8,8 +8,8 @@ import pytest
 from affsurf import catalog as C
 from affsurf import expr as ex
 from affsurf import qe
-from affsurf.connection import ricci_sym_at
 from affsurf.projective import LinearForm, deform
+from test_connection import ricci_sym_at
 
 
 @pytest.fixture(scope="module")
