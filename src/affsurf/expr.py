@@ -421,25 +421,30 @@ def compile_scalar(e: ScalarExpr) -> Callable[[float, float], float]:
 def compile_jet(e: ScalarExpr) -> Callable[[float, float], tuple[float, ...]]:
     """Compile the 2-jet of e to `f(x1, x2) -> (e, d1 e, d2 e, d1 d1 e,
     d1 d2 e, d2 d2 e)`.  Each component is the source `compile_scalar`
-    emits for that derivative tree, so the values are bit-identical."""
+    emits for that derivative tree, except that a subexpression the six
+    trees repeat is evaluated once (`_emit_shared`), so the values are
+    bit-identical."""
     d1, d2 = diff(e, 1), diff(e, 2)
     trees = (e, d1, d2, diff(d1, 1), diff(d1, 2), diff(d2, 2))
-    return eval(f"lambda x1, x2: ({', '.join(_emit(t) for t in trees)})",  # noqa: S307
+    return eval(f"lambda x1, x2: ({', '.join(_emit_shared(trees))})",  # noqa: S307
                 _NAMESPACE)
 
 
-def _emit(e: ScalarExpr) -> str:
+def _emit(e: ScalarExpr, sub: Callable[[ScalarExpr], str] | None = None) -> str:
+    """Python source of e over x1, x2; its operands are emitted by sub
+    (by _emit itself when None)."""
+    sub = sub or _emit
     if isinstance(e, Const):
         return repr(float(e.value))
     if isinstance(e, Coord):
         return f"x{e.axis}"
     if isinstance(e, Sum):
-        return "(" + " + ".join(_emit(t) for t in e.terms) + ")"
+        return "(" + " + ".join(sub(t) for t in e.terms) + ")"
     if isinstance(e, Prod):
-        return "(" + " * ".join(_emit(f) for f in e.factors) + ")"
+        return "(" + " * ".join(sub(f) for f in e.factors) + ")"
     if isinstance(e, Pow):
         p = e.exponent
-        b = _emit(e.base)
+        b = sub(e.base)
         if isinstance(p, Fraction) and p.denominator == 1:
             n = int(p)
             if n > 0:
@@ -448,8 +453,53 @@ def _emit(e: ScalarExpr) -> str:
         return f"_powf({b}, {float(p)!r})"
     if isinstance(e, Func):
         fn = {"exp": "_exp", "log": "_log", "sin": "_sin", "cos": "_cos", "arctan": "_atan"}[e.name]
-        return f"{fn}({_emit(e.arg)})"
+        return f"{fn}({sub(e.arg)})"
     raise TypeError(f"not a ScalarExpr: {e!r}")
+
+
+def _emit_shared(trees) -> list[str]:
+    """The sources `_emit` gives trees, except that a compound subexpression
+    (sum, product, power or function) whose source occurs more than once
+    across them is evaluated once: its first occurrence binds the value
+    with `:=` to a name `_s0`, `_s1`, ..., and later occurrences read that
+    name.  Python evaluates these sources left to right and none of them
+    skips an operand, so the first occurrence in the text is the first one
+    evaluated: values, NaNs, signed zeros and the first exception raised
+    are those of the plain sources evaluated in order.  The names must be
+    free wherever the sources are evaluated."""
+    plain: dict[int, str] = {}  # source by node identity; the trees keep every node alive
+
+    def source(e):
+        key = id(e)
+        if key not in plain:
+            plain[key] = _emit(e, source)
+        return plain[key]
+
+    seen: dict[str, int] = {}  # occurrences, not counting those inside a repeat
+
+    def count(e):
+        text = source(e)
+        if isinstance(e, (Sum, Prod, Pow, Func)):
+            seen[text] = seen.get(text, 0) + 1
+            if seen[text] == 1:
+                _emit(e, count)
+        return text
+
+    names: dict[str, str] = {}
+
+    def shared(e):
+        text = source(e)
+        if seen.get(text, 0) < 2:
+            return _emit(e, shared)
+        if text in names:
+            return names[text]
+        body = _emit(e, shared)  # operands first: they bind their own names
+        names[text] = f"_s{len(names)}"
+        return f"({names[text]} := {body})"
+
+    for t in trees:
+        count(t)
+    return [shared(t) for t in trees]
 
 
 def _guarded_log(u: float) -> float:

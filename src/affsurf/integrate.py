@@ -28,13 +28,17 @@ The half-plane is one number: a run given an `edge` keeps x1 = y[0] above
 it, and a run without one is on the plane.
 
 State dimensions here are 2 (flows) and 4 (geodesics), so the stepper core
-works on plain float tuples; numpy enters only for storage and dense output.
-The step is a kernel generated from the tableau with every stage and
-component written out.  A right-hand side given as a Field (its source
-text) is inlined at every stage of a kernel of its own, compiled on first
-use and cached on the source; any other callable is called at each stage
-by one kernel per state dimension.  Either way the arithmetic is that of
-the generic tableau loop, operation for operation, so trajectories are
+works on plain floats; numpy enters only for storage and dense output.
+The loop over accepted and rejected steps is a kernel generated from the
+tableau with every stage and component written out, the state held in
+local floats.  It hands control back to integrate() only for the events
+that need it: the horizon cutting a step short, a stall (the step under
+H_MIN), an accepted step that reaches the edge or the next ladder rung,
+and the step limit.  A right-hand side given as a Field (its source text)
+is inlined at every stage of a loop of its own, compiled on first use and
+cached on the source; any other callable is called at each stage by one
+loop per state dimension.  Either way the arithmetic is that of the
+generic tableau loop, operation for operation, so trajectories are
 bit-identical to it.
 
 A run can be extended to a longer horizon.  Its Trajectory carries a
@@ -57,6 +61,7 @@ settings.  Exceeding the step limit raises RuntimeError.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -260,50 +265,42 @@ def integrate(rhs: Callable,
         h = _initial_step(y, f)
         t = 0.0
         used = 0
-    step = rhs.kernel if isinstance(rhs, Field) else _step_kernel(dim)
+    loop = rhs.kernel if isinstance(rhs, Field) else _loop_kernel(dim)
+    floor = -math.inf if edge is None else edge  # accepted steps are finite, so never <= -inf
     cut = None
 
     def finish(status: Status) -> Trajectory:
-        n, loop = (len(ts), None) if cut is None else cut
-        cp = Checkpoint(direction, span, edge, dim, ts, ys, fs, n, loop, status)
+        n, state = (len(ts), None) if cut is None else cut
+        cp = Checkpoint(direction, span, edge, dim, ts, ys, fs, n, state, status)
         return _trajectory(ts, ys, fs, dim, status, cp)
 
-    def stalled_status():
-        blow = _classify_ladder(ladder_times, t, sgn)
-        if blow is not None:
-            return blow
-        if edge is not None:
-            if y[0] <= UNDERFLOW_X1:
-                return Unbounded(sgn * t)
-            if y[0] <= max(1e-8, edge * 4):
-                return LeftDomain(sgn * t)
-        return StepCollapse(sgn * t, _rhs_grew([_norm_inf(fs[i:i + dim])
-                                                for i in range(0, len(fs), dim)]))
-
-    for used in range(used, MAX_STEPS):
-        if h > span - t:  # the horizon cuts this step short, or was reached
+    while True:
+        rung = LADDER[ladder_idx] if ladder_idx < len(LADDER) else STATE_CAP
+        event, used, t, y, f, h, y_new, f_new, enorm = loop(
+            rhs, sgn, span, floor, rung, MAX_STEPS, used, t, y, f, h, ts, ys, fs)
+        if event == "horizon":  # the horizon cuts this step short, or was reached
             if cut is None:
                 cut = (len(ts), (used, t, y, f, h, ladder_idx, tuple(ladder_times)))
             if t >= span:
                 return finish(ReachedHorizon(sgn * span))
             h = span - t
-
-        stepped = step(rhs, sgn, y, f, h)
-        if stepped is None:  # right-hand side failed inside the step
-            h *= 0.25
-            if h < H_MIN:
-                return finish(stalled_status())
             continue
-        y_new, f_new, enorm = stepped
-        if enorm > 1.0:
-            factor = 0.25 if not math.isfinite(enorm) else max(0.2, 0.9 * enorm ** -0.2)
-            h *= factor
-            if h < H_MIN:
-                return finish(stalled_status())
-            continue
+        if event == "limit":
+            raise RuntimeError(f"integrator exceeded max_steps ({MAX_STEPS})")
+        if event == "stall":  # h fell under H_MIN
+            blow = _classify_ladder(ladder_times, t, sgn)
+            if blow is not None:
+                return finish(blow)
+            if edge is not None:
+                if y[0] <= UNDERFLOW_X1:
+                    return finish(Unbounded(sgn * t))
+                if y[0] <= max(1e-8, edge * 4):
+                    return finish(LeftDomain(sgn * t))
+            return finish(StepCollapse(sgn * t, _rhs_grew([_norm_inf(fs[i:i + dim])
+                                                            for i in range(0, len(fs), dim)])))
 
+        # an accepted step that reached the edge or the next ladder rung
         t_new = t + h
-        # edge crossing within the accepted step
         if edge is not None and y_new[0] <= edge:
             if y[0] <= UNDERFLOW_X1:
                 return finish(Unbounded(sgn * t))
@@ -334,7 +331,7 @@ def integrate(rhs: Callable,
             return finish(blow if blow is not None else Unbounded(sgn * t))
 
         h *= min(5.0, max(0.2, 0.9 * (enorm + 1e-300) ** -0.2))
-    raise RuntimeError(f"integrator exceeded max_steps ({MAX_STEPS})")
+        used += 1
 
 
 def _trajectory(ts, ys, fs, dim, status, checkpoint) -> Trajectory:
@@ -346,48 +343,106 @@ def _trajectory(ts, ys, fs, dim, status, checkpoint) -> Trajectory:
 
 _KERNEL_NAMESPACE = {**_NAMESPACE, "DomainError": DomainError, "_RHS_ERRORS": _RHS_ERRORS,
                      "_isfinite": math.isfinite, "_sqrt": math.sqrt, "_inf": math.inf,
-                     "_max": max, "_abs": abs, "_float": float}
+                     "_float": float}
 
 
-def _step_lines(dim: int, stage: Callable) -> list[str]:
-    """Source of one Dormand-Prince step `_step(_rhs, _sgn, _y, _f, _h) ->
-    (y_new, f_new, enorm)`, or None when the right-hand side is undefined
-    at a stage point.  stage(s, point) gives the lines, indented for the
-    body of the try block, that set `_k{s}_0, _k{s}_1, ...` from the stage
-    point, a list of one source expression per component.  Every stage and
-    component is a local float and every tableau coefficient a literal, in
-    the order of the generic tableau loop: each sum runs left to right from
-    0.0 (the same addition as sum()'s int start 0, so -0.0 still becomes
-    0.0), zero coefficients included (0.0 * inf stays NaN), and the error,
-    scaled by h, is normed component by component as RMS over
-    ATOL + RTOL * max(|y|, |y_new|), inf when y_new is not finite.  Every
-    name the step binds begins with an underscore."""
+def _step_lines(dim: int, stage: Callable, failed: list[str]) -> list[str]:
+    """Source, unindented, of one Dormand-Prince step from the state
+    `_y{c}`, its derivative `_k0_{c}`, the step size `_h` and the signed
+    step `_sh`: the stages in a try block whose `except _RHS_ERRORS` clause
+    runs the lines `failed` (the right-hand side is undefined at a stage
+    point), then y_new `_n{c}`, f_new `_k6_{c}`, |y_new| `_b{c}` and the
+    error norm `_enorm`.  stage(s, point) gives the lines that set
+    `_k{s}_0, _k{s}_1, ...` from the stage point, a list of one source
+    expression per component.  Every stage and component is a local float
+    and every tableau coefficient a literal, in the order of the generic
+    tableau loop: each sum runs left to right from 0.0 (the same addition
+    as sum()'s int start 0, so -0.0 still becomes 0.0), zero coefficients
+    included (0.0 * inf stays NaN), and the error, scaled by h, is normed
+    component by component as RMS over ATOL + RTOL * max(|y|, |y_new|),
+    inf from the first component of y_new that is not finite.  |y|, |y_new|
+    and their max are selected by comparisons, which pick the values abs()
+    and max() pick except that a zero may come out as -0.0; ATOL + absorbs
+    that sign.  Every name the step binds begins with an underscore."""
     comps = range(dim)
 
     def combo(coeffs, c):
         return " + ".join(["0.0"] + [f"{a!r} * _k{s}_{c}" for s, a in enumerate(coeffs)])
 
-    lines = ["def _step(_rhs, _sgn, _y, _f, _h):",
-             f"    {_tup(f'_y{c}' for c in comps)} = _y",
-             f"    {_tup(f'_k0_{c}' for c in comps)} = _f",
-             "    _sh = _sgn * _h",
-             "    try:"]
+    body = []
     for s, row in enumerate(_A[1:], start=1):
-        lines += stage(s, [f"_y{c} + _sh * ({combo(row, c)})" for c in comps])
-    lines += [f"        _n{c} = _y{c} + _sh * ({combo(_B, c)})" for c in comps]
-    lines += stage(len(_A), [f"_n{c}" for c in comps])
-    lines += [f"        _e{c} = _h * ({combo(_E, c)})" for c in comps]
-    lines += ["    except _RHS_ERRORS:",
-              "        return None",
-              f"    _y_new = {_tup(f'_n{c}' for c in comps)}",
-              f"    _f_new = {_tup(f'_k{len(_A)}_{c}' for c in comps)}"]
-    for c in comps:
-        lines += [f"    if not _isfinite(_n{c}):",
-                  "        return _y_new, _f_new, _inf",
-                  f"    _t{c} = (_e{c} / ({ATOL!r} + {RTOL!r} * _max(_abs(_y{c}), _abs(_n{c})))) ** 2"]
-    lines += [f"    _enorm = {' + '.join(['0.0'] + [f'_t{c}' for c in comps])}",
-              f"    return _y_new, _f_new, _sqrt(_enorm / {dim}) if _isfinite(_enorm) else _enorm"]
-    return lines
+        body += stage(s, [f"_y{c} + _sh * ({combo(row, c)})" for c in comps])
+    body += [f"_n{c} = _y{c} + _sh * ({combo(_B, c)})" for c in comps]
+    body += stage(len(_A), [f"_n{c}" for c in comps])
+    body += [f"_e{c} = _h * ({combo(_E, c)})" for c in comps]
+    norm = [f"_enorm = {' + '.join(['0.0'] + [f'_q{c}' for c in comps])}",
+            "if _isfinite(_enorm):",
+            f"    _enorm = _sqrt(_enorm / {dim})"]
+    for c in reversed(comps):
+        norm = [f"if _isfinite(_n{c}):",
+                f"    _a = _y{c} if _y{c} >= 0.0 else -_y{c}",
+                f"    _b{c} = _n{c} if _n{c} >= 0.0 else -_n{c}",
+                f"    _q{c} = (_e{c} / ({ATOL!r} + {RTOL!r} * (_b{c} if _b{c} > _a else _a))) ** 2",
+                *_indent(norm)]
+    return ["try:", *_indent(body), "except _RHS_ERRORS:", *_indent(failed), "_enorm = _inf", *norm]
+
+
+def _loop_lines(dim: int, stage: Callable) -> list[str]:
+    """Source of the step loop `_loop(_rhs, _sgn, _span, _edge, _rung,
+    _max_steps, _used, _t, _y, _f, _h, _ts, _ys, _fs)`, which runs
+    integrate()'s passes `_used`, `_used` + 1, ... (below `_max_steps`)
+    from the state (t, y, f, h), with stages from stage (see _step_lines).
+    A rejected step scales h by 0.25 when the error norm is not finite or
+    a stage failed, else by max(0.2, 0.9 enorm^-0.2); an accepted step
+    appends (sgn t, y, f) to the flat histories ts, ys, fs and scales h by
+    min(5, max(0.2, 0.9 (enorm + 1e-300)^-0.2)).  The loop returns
+    `(event, used, t, y, f, h, y_new, f_new, enorm)` at the pass where
+    integrate() has work to do: 'horizon' before a step when h > span - t,
+    'stall' when a rejection takes h under H_MIN, 'accepted' (with the
+    step's y_new, f_new and enorm, nothing appended) when an accepted step
+    has y_new[0] <= edge or a component of |y_new| >= rung, and 'limit'
+    after the last pass; y_new, f_new and enorm are None but for
+    'accepted'."""
+    comps = range(dim)
+    y, f = _tup(f"_y{c}" for c in comps), _tup(f"_k0_{c}" for c in comps)
+    y_new, f_new = _tup(f"_n{c}" for c in comps), _tup(f"_k{len(_A)}_{c}" for c in comps)
+    state = f"_used, _t, {y}, {f}, _h"
+    stall = [f"if _h < {H_MIN!r}:", f"    return 'stall', {state}, None, None, None", "continue"]
+    reached = " or ".join(["_n0 <= _edge"] + [f"_b{c} >= _rung" for c in comps])
+    step = [*_step_lines(dim, stage, ["_h *= 0.25", *stall]),
+            "if _enorm > 1.0:",
+            "    if _isfinite(_enorm):",
+            "        _x = 0.9 * _enorm ** -0.2",
+            "        _h *= _x if _x > 0.2 else 0.2",
+            "    else:",
+            "        _h *= 0.25",
+            *_indent(stall),
+            f"if {reached}:",
+            f"    return 'accepted', {state}, {y_new}, {f_new}, _enorm",
+            "_t = _t + _h",
+            f"{y} = {y_new}",
+            f"{f} = {f_new}",
+            "_tsa(_sgn * _t)",
+            f"_ysx({y})",
+            f"_fsx({f})",
+            "_x = 0.9 * (_enorm + 1e-300) ** -0.2",
+            "_x = _x if _x > 0.2 else 0.2",
+            "_h *= _x if _x < 5.0 else 5.0"]
+    return ["def _loop(_rhs, _sgn, _span, _edge, _rung, _max_steps, _used, _t, _y, _f, _h,"
+            " _ts, _ys, _fs):",
+            f"    {y} = _y",
+            f"    {f} = _f",
+            "    _tsa, _ysx, _fsx = _ts.append, _ys.extend, _fs.extend",
+            "    for _used in range(_used, _max_steps):",
+            "        if _h > _span - _t:",
+            f"            return 'horizon', {state}, None, None, None",
+            "        _sh = _sgn * _h",
+            *_indent(step, 2),
+            f"    return 'limit', {state}, None, None, None"]
+
+
+def _indent(lines, depth: int = 1) -> list[str]:
+    return ["    " * depth + line for line in lines]
 
 
 def _tup(names) -> str:
@@ -400,16 +455,30 @@ def _exec(lines: list[str], name: str):
     return namespace[name]
 
 
+def _call_stage(dim: int) -> Callable:
+    """Stages of the call form: call `_rhs` on the stage point and convert
+    its outputs with float()."""
+    def stage(s, point):
+        ks = _tup(f"_k{s}_{c}" for c in range(dim))
+        return [f"{ks} = _rhs({_tup(point)})",
+                f"{ks} = {_tup(f'_float(_k{s}_{c})' for c in range(dim))}"]
+    return stage
+
+
 @lru_cache(maxsize=None)
-def _step_kernel(dim: int) -> Callable:
-    """The step for a plain callable right-hand side on states of dimension
-    dim (the call form): each stage calls `rhs` on the stage point and
-    converts its outputs with float()."""
-    def call(s, point):
-        ks = [f"_k{s}_{c}" for c in range(dim)]
-        return [f"        {_tup(ks)} = _rhs({_tup(point)})",
-                f"        {_tup(ks)} = {_tup(f'_float({k})' for k in ks)}"]
-    return _exec(_step_lines(dim, call), "_step")
+def _loop_kernel(dim: int) -> Callable:
+    """The step loop for a plain callable right-hand side on states of
+    dimension dim (the call form)."""
+    return _exec(_loop_lines(dim, _call_stage(dim)), "_loop")
+
+
+def _source_stage(names, prelude, comps) -> Callable:
+    """Stages of the source form: bind the stage point to names, run the
+    prelude and evaluate the components."""
+    def stage(s, point):
+        return ([f"{n} = {p}" for n, p in zip(names, point)] + list(prelude)
+                + [f"_k{s}_{c} = {src}" for c, src in enumerate(comps)])
+    return stage
 
 
 class Field:
@@ -419,22 +488,25 @@ class Field:
     `comps[c]`, which may read the names, the prelude's locals, the
     constants `consts` ((name, value) pairs) and the compiled-expression
     namespace (`_exp`, `_log`, `_powf`, ..., `inf`, `nan`).  Names that
-    begin with an underscore belong to the kernel.
+    begin with an underscore belong to the kernel and to the shared names
+    `_s0`, `_s1`, ... that `expr._emit_shared` binds in the components, so
+    the names, the constants and the prelude's locals may not begin with
+    one (ValueError).
 
-    integrate() steps a Field with its own Dormand-Prince kernel, the
-    source inlined at every stage (the source form); calling the Field runs
-    the same text as a plain right-hand side.  Both are compiled on first
-    use, cached on the source, and take the constants as closure values,
-    so Fields that differ only in their constants share one kernel.  A
-    Field hashes by identity (a plain class, because a dataclass costs
-    about 1 ms at import)."""
+    integrate() runs a Field through its own step loop, the source inlined
+    at every stage (the source form); calling the Field runs the same text
+    as a plain right-hand side.  Both are compiled on first use, cached on
+    the source, and take the constants as closure values, so Fields that
+    differ only in their constants share one kernel.  A Field hashes by
+    identity (a plain class, because a dataclass costs about 1 ms at
+    import)."""
 
     def __init__(self, names: tuple[str, ...], prelude: tuple[str, ...],
                  comps: tuple[str, ...], consts: tuple[tuple[str, float], ...] = ()):
-        bound = names + tuple(name for name, _ in consts)
+        bound = names + tuple(name for name, _ in consts) + _prelude_locals(prelude)
         if len(comps) != len(names) or any(n.startswith("_") for n in bound):
             raise ValueError(f"malformed field: names {names}, {len(comps)} components, "
-                             f"constants {[n for n, _ in consts]}")
+                             f"constants and prelude locals {bound[len(names):]}")
         self.names, self.prelude, self.comps, self.consts = names, prelude, comps, consts
 
     @cached_property
@@ -445,7 +517,8 @@ class Field:
 
     @property
     def kernel(self) -> Callable:
-        """`step(rhs, sgn, y, f, h)` with this field inlined (rhs is unused)."""
+        """The step loop with this field inlined (see _loop_lines; rhs is
+        unused)."""
         return self._code[0]
 
     def __call__(self, y) -> tuple[float, ...]:
@@ -453,19 +526,21 @@ class Field:
 
 
 @lru_cache(maxsize=None)
+def _prelude_locals(prelude: tuple[str, ...]) -> tuple[str, ...]:
+    """The names the prelude statements bind."""
+    return tuple(node.id for node in ast.walk(ast.parse("\n".join(prelude)))
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+
+
+@lru_cache(maxsize=None)
 def _field_code(names, prelude, comps, const_names) -> Callable:
-    """`make(*constants) -> (step, rhs)` for one field source."""
-    def source(s, point):
-        return ([f"        {n} = {p}" for n, p in zip(names, point)]
-                + [f"        {line}" for line in prelude]
-                + [f"        _k{s}_{c} = {src}" for c, src in enumerate(comps)])
+    """`make(*constants) -> (loop, rhs)` for one field source."""
     call = (["def _call(_p):"]
             + [f"    {n} = _float(_p[{c}])" for c, n in enumerate(names)]
-            + [f"    {line}" for line in prelude]
+            + _indent(prelude)
             + [f"    return {_tup(comps)}"])
-    body = _step_lines(len(names), source) + call + ["return _step, _call"]
-    return _exec([f"def _make({', '.join(const_names)}):"] + [f"    {line}" for line in body],
-                 "_make")
+    body = _loop_lines(len(names), _source_stage(names, prelude, comps)) + call + ["return _loop, _call"]
+    return _exec([f"def _make({', '.join(const_names)}):", *_indent(body)], "_make")
 
 
 def _segment(t0, y0, f0, t1, y1, f1, sgn):

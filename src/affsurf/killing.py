@@ -36,7 +36,7 @@ import numpy as np
 
 from .catalog import ModelRecord, sample_grid
 from .connection import ChristoffelSpec, max_abs
-from .expr import Point, VectorFieldExpr, _emit, add, compile_jet, const, mul
+from .expr import Point, VectorFieldExpr, _emit_shared, add, compile_jet, const, mul
 from .integrate import ESCAPE_STATUSES, Field, Status, Trajectory, Unbounded, _exec, integrate
 
 PROBE_HORIZON = 20.0
@@ -80,8 +80,9 @@ def _defect_kernel():
 
 
 def _field_rhs(X: VectorFieldExpr) -> Field:
-    """The right-hand side y -> X(y): X's two emitted components over x1, x2."""
-    return Field(("x1", "x2"), (), (_emit(X.c1), _emit(X.c2)))
+    """The right-hand side y -> X(y): X's two components over x1, x2,
+    emitted together so that a subexpression they repeat is evaluated once."""
+    return Field(("x1", "x2"), (), tuple(_emit_shared((X.c1, X.c2))))
 
 
 def flow_integrate(X: VectorFieldExpr, p0: Point, t_end: float,

@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affsurf import catalog as C
 from affsurf import expr as ex
+from affsurf import killing
 
 
 def central_fd(e, axis, p, h=1e-5):
@@ -226,6 +228,79 @@ class TestCompileJet:
     def test_components_of_a_polynomial(self):
         e = ex.parse_expr("x1^3*x2 + 2*x2^2")
         assert ex.compile_jet(e)(2.0, 3.0) == (42.0, 36.0, 20.0, 36.0, 12.0, 4.0)
+
+
+def shared_and_plain(trees):
+    """trees compiled to one tuple-valued function of (x1, x2) through
+    _emit_shared and through plain _emit; the shared sources."""
+    sources = ex._emit_shared(trees)
+    shared, plain = (eval(f"lambda x1, x2: ({', '.join(srcs)},)", ex._NAMESPACE)  # noqa: S307
+                     for srcs in (sources, [ex._emit(t) for t in trees]))
+    return shared, plain, sources
+
+
+def outcome(fn, p):
+    """fn(*p) with every value as float.hex, or the exception it raised as
+    (type, message)."""
+    try:
+        return [float(v).hex() for v in fn(*p)]
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+
+
+#: points outside every domain, or where the functions overflow
+OUTSIDE = [(0.0, 0.0), (-0.0, 1.0), (-1.0, 0.5), (-2.5, -3.0), (800.0, -800.0),
+           (1e200, 1e200), (-1e300, 2.0), (math.inf, 1.0), (1.0, math.nan)]
+
+
+def assert_shared_agrees(trees, points):
+    shared, plain, _ = shared_and_plain(trees)
+    for p in points:
+        assert outcome(shared, p) == outcome(plain, p), (trees, p)
+
+
+class TestEmitShared:
+    """Sources that evaluate a repeated subexpression once against the
+    plain sources, bit for bit, exceptions included."""
+
+    def test_killing_fields_of_every_record(self):
+        rng = np.random.default_rng(10)
+        named = 0
+        for rec in C.all_records():
+            basis = rec.killing_basis
+            fields = list(basis) + [killing.combination(basis, rng.normal(size=len(basis)))
+                                    for _ in range(3)]
+            for X in fields:
+                assert_shared_agrees((X.c1, X.c2), C.sample_grid(rec) + OUTSIDE)
+                named += "_s0" in "".join(ex._emit_shared((X.c1, X.c2)))
+        assert named > 50
+
+    def test_jet_trees_of_the_catalog(self):
+        named = 0
+        for rec in C.all_records():
+            exprs = list(rec.q_basis)
+            exprs += [c for X in rec.killing_basis for c in (X.c1, X.c2)]
+            exprs += [f for m in rec.maps for f in (m.plane_map.f1, m.plane_map.f2)]
+            for e in exprs:
+                trees = TestCompileJet.jet_trees(e)
+                assert_shared_agrees(trees, C.sample_grid(rec) + OUTSIDE)
+                named += "_s0" in "".join(ex._emit_shared(trees))
+        assert named > 100
+
+    def test_first_of_two_raising_subexpressions(self):
+        # at (0, -1) both 1/x1 and log(x2) raise; 1/x1 comes first
+        inv, lg = ex.power(ex.x1, -1), ex.log(ex.x2)
+        trees = (ex.add(ex.x1, ex.mul(inv, lg)), ex.mul(lg, inv), ex.add(lg, inv))
+        shared, plain, sources = shared_and_plain(trees)
+        assert sources[1] == "(_s1 * _s0)"
+        for p in ((0.0, -1.0), (0.0, 1.0), (1.0, -1.0), (2.0, 3.0)):
+            assert outcome(shared, p) == outcome(plain, p)
+        assert outcome(shared, (0.0, -1.0))[0] is ZeroDivisionError
+        assert outcome(shared, (1.0, -1.0))[0] is ex.DomainError
+
+    def test_operands_of_a_repeat_are_not_named_alone(self):
+        e = ex.parse_expr("(x1 + x2)^2")
+        assert ex._emit_shared((e, e)) == ["(_s0 := ((x1 + x2))**2)", "_s0"]
 
 
 class TestSubstitute:

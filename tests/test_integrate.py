@@ -4,8 +4,12 @@ The escape detectors are calibrated on textbook ODEs with known behavior
 before any geometry touches them.
 """
 
+import builtins
+import dis
 import hashlib
 import math
+import types
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +21,7 @@ from affsurf.connection import ChristoffelSpec
 from affsurf.expr import DomainError, VectorFieldExpr, const, log, parse_expr, power, x1, x2
 from affsurf.integrate import (_A, _B, _E, _RHS_ERRORS, ATOL, RTOL, Blowup, Field,
                                LeftDomain, ReachedHorizon, StepCollapse,
-                               Unbounded, _step_kernel, integrate)
+                               Unbounded, integrate)
 
 
 def lsum(terms):
@@ -59,6 +63,147 @@ def reference_step(rhs, sgn, y, f, h):
     return y_new, f_new, enorm
 
 
+def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
+    """integrate() as a plain Python loop over reference_step: the loop
+    that every generated step loop must reproduce, bit for bit.  passes,
+    when given, receives the outcome of each loop pass: 'cut' when the
+    horizon shortened its step, then 'failed', 'rejected' or 'accepted'."""
+    im = integrate_module
+    direction = "forward" if t_end >= 0 else "backward"
+    sgn = 1.0 if t_end >= 0 else -1.0
+    span = abs(t_end)
+    if isinstance(y0, im.Checkpoint):
+        cp = y0
+        if cp.direction != direction or not span >= cp.span or cp.edge != edge:
+            raise ValueError("cannot extend")
+        dim, n = cp.dim, cp.n
+        if cp.loop is None:
+            return im._trajectory(cp.ts, cp.ys, cp.fs, dim, cp.status, cp)
+        ts, ys, fs = cp.ts[:n], cp.ys[:n * dim], cp.fs[:n * dim]
+        used, t, y, f, h, ladder_idx, ladder_times = cp.loop
+        ladder_times = list(ladder_times)
+    else:
+        y = tuple(float(v) for v in y0)
+        dim = len(y)
+        if edge is not None and y[0] <= edge:
+            raise DomainError("initial point outside the domain")
+        f = tuple(float(v) for v in rhs(y))
+        ts, ys, fs = array("d", (0.0,)), array("d", y), array("d", f)
+        ladder_times = []
+        ladder_idx = 0
+        while ladder_idx < len(im.LADDER) and im._norm_inf(y) >= im.LADDER[ladder_idx]:
+            ladder_times.append(0.0)
+            ladder_idx += 1
+        h = im._initial_step(y, f)
+        t = 0.0
+        used = 0
+    cut = None
+    log = passes if passes is not None else []
+
+    def finish(status):
+        n, loop = (len(ts), None) if cut is None else cut
+        cp = im.Checkpoint(direction, span, edge, dim, ts, ys, fs, n, loop, status)
+        return im._trajectory(ts, ys, fs, dim, status, cp)
+
+    def stalled_status():
+        blow = im._classify_ladder(ladder_times, t, sgn)
+        if blow is not None:
+            return blow
+        if edge is not None:
+            if y[0] <= im.UNDERFLOW_X1:
+                return Unbounded(sgn * t)
+            if y[0] <= max(1e-8, edge * 4):
+                return LeftDomain(sgn * t)
+        return StepCollapse(sgn * t, im._rhs_grew([im._norm_inf(fs[i:i + dim])
+                                                   for i in range(0, len(fs), dim)]))
+
+    for used in range(used, im.MAX_STEPS):
+        if h > span - t:
+            if cut is None:
+                cut = (len(ts), (used, t, y, f, h, ladder_idx, tuple(ladder_times)))
+            if t >= span:
+                return finish(ReachedHorizon(sgn * span))
+            h = span - t
+            log.append("cut")
+
+        stepped = reference_step(rhs, sgn, y, f, h)
+        if stepped is None:
+            log.append("failed")
+            h *= 0.25
+            if h < im.H_MIN:
+                return finish(stalled_status())
+            continue
+        y_new, f_new, enorm = stepped
+        if enorm > 1.0:
+            log.append("rejected")
+            factor = 0.25 if not math.isfinite(enorm) else max(0.2, 0.9 * enorm ** -0.2)
+            h *= factor
+            if h < im.H_MIN:
+                return finish(stalled_status())
+            continue
+        log.append("accepted")
+
+        t_new = t + h
+        if edge is not None and y_new[0] <= edge:
+            if y[0] <= im.UNDERFLOW_X1:
+                return finish(Unbounded(sgn * t))
+            seg = im._segment(t, y, f, t_new, y_new, f_new, sgn)
+            t_cross = im._bisect_crossing(lambda tt: seg(tt)[0] - edge, t, t_new)
+            y_cross = tuple(float(v) for v in seg(t_cross))
+            ts.append(sgn * t_cross)
+            ys.extend(y_cross)
+            fs.extend(im._safe_rhs(rhs, y_cross, f_new))
+            return finish(LeftDomain(sgn * t_cross))
+
+        n_new = im._norm_inf(y_new)
+        while ladder_idx < len(im.LADDER) and n_new >= im.LADDER[ladder_idx]:
+            rung = im.LADDER[ladder_idx]
+            seg = im._segment(t, y, f, t_new, y_new, f_new, sgn)
+            t_cross = im._bisect_crossing(lambda tt: im._norm_inf(seg(tt)) - rung, t, t_new)
+            ladder_times.append(t_cross)
+            ladder_idx += 1
+
+        t, y, f = t_new, y_new, f_new
+        ts.append(sgn * t)
+        ys.extend(y)
+        fs.extend(f)
+
+        if n_new >= im.STATE_CAP:
+            blow = im._classify_ladder(ladder_times, t, sgn)
+            return finish(blow if blow is not None else Unbounded(sgn * t))
+
+        h *= min(5.0, max(0.2, 0.9 * (enorm + 1e-300) ** -0.2))
+    raise RuntimeError(f"integrator exceeded max_steps ({im.MAX_STEPS})")
+
+
+def one_step(dim, stage, consts=()):
+    """`step(rhs, sgn, y, f, h) -> (y_new, f_new, enorm)`, or None when the
+    right-hand side fails at a stage point: the step body that the step
+    loop of integrate() inlines, built from the same generator, with
+    stages from stage and the constants (name, value) as globals."""
+    tup = integrate_module._tup
+    y, f = tup(f"_y{c}" for c in range(dim)), tup(f"_k0_{c}" for c in range(dim))
+    lines = (["def _step(_rhs, _sgn, _y, _f, _h):", f"    {y} = _y", f"    {f} = _f",
+              "    _sh = _sgn * _h"]
+             + integrate_module._indent(integrate_module._step_lines(dim, stage, ["return None"]))
+             + [f"    return {tup(f'_n{c}' for c in range(dim))}, "
+                f"{tup(f'_k6_{c}' for c in range(dim))}, _enorm"])
+    namespace = {**integrate_module._KERNEL_NAMESPACE, **dict(consts)}
+    exec("\n".join(lines), namespace)  # noqa: S102
+    return namespace["_step"]
+
+
+def call_step(dim):
+    """The step of the call form on states of dimension dim."""
+    return one_step(dim, integrate_module._call_stage(dim))
+
+
+def field_step(field):
+    """field's step in the source form (its rhs argument is unused)."""
+    stage = integrate_module._source_stage(field.names, field.prelude, field.comps)
+    return one_step(len(field.names), stage, field.consts)
+
+
 def traced_step(stepper, rhs, sgn, y, f, h):
     """stepper's result and every stage point it called rhs at, each float
     as float.hex, for exact comparison."""
@@ -79,10 +224,10 @@ def hexed(step):
 
 
 def same_step(make_rhs, sgn, y, f, h):
-    """Assert that the generated kernel and reference_step agree bit for bit
-    on the step and on every stage point, each stepping with a fresh
-    make_rhs(); return the kernel's traced step."""
-    got = traced_step(_step_kernel(len(y)), make_rhs(), sgn, y, f, h)
+    """Assert that the generated step of the call form and reference_step
+    agree bit for bit on the step and on every stage point, each stepping
+    with a fresh make_rhs(); return the generated step's trace."""
+    got = traced_step(call_step(len(y)), make_rhs(), sgn, y, f, h)
     assert got == traced_step(reference_step, make_rhs(), sgn, y, f, h)
     return got
 
@@ -228,7 +373,8 @@ class TestFlowGroupLaw:
 
 
 class TestStepKernel:
-    """The generated kernel against the generic tableau loop, bit for bit."""
+    """The generated step of the call form against the generic tableau
+    loop, bit for bit."""
 
     @pytest.mark.parametrize("dim", [1, 2, 4])
     @pytest.mark.parametrize("sgn", [1.0, -1.0])
@@ -280,7 +426,7 @@ class TestStepKernel:
         y = tuple(0.1 * (c + 1) for c in range(dim))
         f = tuple(float(c) for c in rhs(y))
         same_step(lambda: rhs, 1.0, y, f, 0.01)
-        y_new, f_new, _ = _step_kernel(dim)(rhs, 1.0, y, f, 0.01)
+        y_new, f_new, _ = call_step(dim)(rhs, 1.0, y, f, 0.01)
         assert all(type(v) is float for v in y_new + f_new)
 
 
@@ -314,7 +460,7 @@ class TestScipyOracle:
 
 
 def same_fused_step(field, sgn, y, f, h):
-    """Assert that field's own kernel (the source form) and reference_step
+    """Assert that field's step in the source form and reference_step
     calling the field (the call form) agree bit for bit on the step and on
     every stage point; return the traced step.  The source form's stage
     points are logged by a copy of the field whose prelude first hands them
@@ -322,9 +468,9 @@ def same_fused_step(field, sgn, y, f, h):
     points = []
     spy = Field(field.names, (f"trace(({', '.join(field.names)},))",) + field.prelude,
                 field.comps, field.consts + (("trace", lambda p: points.append([c.hex() for c in p])),))
-    got = hexed(spy.kernel(None, sgn, y, f, h)), points
+    got = hexed(field_step(spy)(None, sgn, y, f, h)), points
     assert got == traced_step(reference_step, field, sgn, y, f, h)
-    assert hexed(field.kernel(None, sgn, y, f, h)) == got[0]
+    assert hexed(field_step(field)(None, sgn, y, f, h)) == got[0]
     return got
 
 
@@ -349,7 +495,8 @@ GEODESIC_SPECS = [catalog.instantiate("A.M16").spec,
 
 
 class TestFusedKernel:
-    """Each Field's generated kernel against the call form, bit for bit."""
+    """Each Field's generated step (the source form) against the call form,
+    bit for bit."""
 
     @pytest.mark.parametrize("sgn", [1.0, -1.0])
     def test_killing_fields_of_every_record(self, sgn):
@@ -440,6 +587,18 @@ class TestFusedKernel:
             Field(("x1", "x2"), (), ("x1",))
         with pytest.raises(ValueError):
             Field(("_y0",), (), ("1.0",))
+
+    @pytest.mark.parametrize("names,prelude,consts", [
+        (("_s0",), (), ()),
+        (("x1",), (), (("_s0", 1.0),)),
+        (("x1",), ("_s0 = x1 * x1",), ()),
+        (("x1",), ("if x1 > 0.0:", "    q, _s1 = x1, 2.0"), ()),
+    ], ids=["name", "constant", "prelude-local", "nested-prelude-local"])
+    def test_shared_names_are_reserved(self, names, prelude, consts):
+        # the components' shared names _s0, _s1, ... cannot be bound otherwise
+        with pytest.raises(ValueError):
+            Field(names, prelude, ("(_s0 := x1 * x1) + _s0",), consts)
+        Field(("x1",), ("q = x1 * x1",), ("(_s0 := q + 1.0) * _s0",), (("c", 1.0),))
 
 
 def trajectory_digest(tr) -> str:
@@ -640,3 +799,167 @@ class TestExtendedRun:
         prefix_steps = short.checkpoint.n - 1
         assert prefix_steps > 0
         assert fresh_calls[0] - extended_calls[0] >= 6 * prefix_steps
+
+
+def hexed_loop(loop):
+    """A checkpoint's loop tuple with every float as float.hex."""
+    if loop is None:
+        return None
+    used, t, y, f, h, ladder_idx, ladder_times = loop
+    return (used, t.hex(), [v.hex() for v in y], [v.hex() for v in f], h.hex(),
+            ladder_idx, [v.hex() for v in ladder_times])
+
+
+def assert_same_run(got, want):
+    """Bit for bit: times, states, derivs, status, and the checkpoint's
+    history length and loop tuple."""
+    assert same_run(got, want)
+    assert got.checkpoint.n == want.checkpoint.n
+    assert hexed_loop(got.checkpoint.loop) == hexed_loop(want.checkpoint.loop)
+
+
+def source_and_call_forms(field):
+    return field, lambda y: field(y)
+
+
+def assert_matches_reference(field, y0, t_end, edge=None):
+    """integrate() on field (the source form) and on a plain callable of it
+    (the call form) each give reference_integrate's run on field; return
+    that run and the outcome of each of its passes."""
+    passes = []
+    want = reference_integrate(field, y0, t_end, edge=edge, passes=passes)
+    for rhs in source_and_call_forms(field):
+        assert_same_run(integrate(rhs, y0, t_end, edge=edge), want)
+    return want, passes
+
+
+def field_of(*comps, prelude=()):
+    """A Field over x1, x2, ... with the given components."""
+    return Field(tuple(f"x{c + 1}" for c in range(len(comps))), prelude, comps)
+
+
+class TestStepLoop:
+    """integrate()'s step loops against the Python loop over
+    reference_step, bit for bit, on each way a run can go."""
+
+    def test_horizon_cut_then_extension(self):
+        field = field_of("x2", "-x1")
+        short, passes = assert_matches_reference(field, (1.0, 0.0), 5.0)
+        assert isinstance(short.status, ReachedHorizon) and "cut" in passes
+        want = reference_integrate(field, short.checkpoint, 15.0)
+        for rhs in source_and_call_forms(field):
+            got = integrate(rhs, integrate(rhs, (1.0, 0.0), 5.0).checkpoint, 15.0)
+            assert_same_run(got, want)
+
+    def test_rejected_steps(self):
+        # van der Pol at mu = 5
+        tr, passes = assert_matches_reference(
+            field_of("x2", "5.0 * (1.0 - x1 * x1) * x2 - x1"), (2.0, 0.0), 3.0)
+        assert isinstance(tr.status, ReachedHorizon) and "rejected" in passes
+
+    @pytest.mark.parametrize("sgn", [1.0, -1.0])
+    def test_half_plane_geodesics(self, sgn):
+        # B.N14 (kappa = 2) on four-component states: each start blows up
+        # one way and reaches the horizon the other
+        rhs = geodesic._make_rhs(GEODESIC_SPECS[1])
+        statuses = set()
+        for y0 in ((1.0, 0.5, -1.0, 0.3), (0.5, 0.0, -0.3, 1.0)):
+            tr, _ = assert_matches_reference(rhs, y0, sgn * 3.0, geodesic.B_DOMAIN_EDGE)
+            statuses.add(type(tr.status))
+        assert statuses == ({Blowup} if sgn > 0 else {ReachedHorizon})
+
+    def test_domain_error_at_a_stage(self):
+        tr, passes = assert_matches_reference(field_of("-1.0", "_log(x1)"), (1.0, 0.0), 5.0, 0.0)
+        assert isinstance(tr.status, LeftDomain) and "failed" in passes
+
+    @pytest.mark.parametrize("field,grew", [
+        (field_of("_exp(x1)"), True),
+        (field_of("1.0", prelude=("if x1 > 1.0:", "    raise DomainError('x1 > 1')")), False),
+    ], ids=["rhs-grew", "rhs-steady"])
+    def test_step_collapse(self, field, grew):
+        tr, _ = assert_matches_reference(field, (0.0,), 5.0)
+        assert tr.status == StepCollapse(tr.status.t, grew) and abs(tr.status.t - 1.0) < 1e-9
+
+    def test_left_domain_by_a_stall(self):
+        # stage points under 1e-9 fail: the steps stall above the edge
+        field = field_of("-1.0", prelude=("if x1 < 1e-9:", "    raise DomainError('x1 < 1e-9')"))
+        tr, passes = assert_matches_reference(field, (1.0,), 5.0, 0.0)
+        assert isinstance(tr.status, LeftDomain) and passes[-1] == "failed"
+
+    def test_edge_crossing(self):
+        tr, passes = assert_matches_reference(field_of("-1.0", "x1"), (1.0, 0.0), 5.0, 0.0)
+        assert isinstance(tr.status, LeftDomain) and passes[-1] == "accepted"
+        assert tr.times[-1] == tr.status.t and abs(tr.status.t - 1.0) < 1e-9
+
+    def test_x1_underflow_is_unbounded(self):
+        # x1 = 1e-284 - 1e-285 t stays under UNDERFLOW_X1 until it crosses 0
+        tr, passes = assert_matches_reference(field_of("-1e-285", "x1"), (1e-284, 1.0), 60.0, 0.0)
+        assert isinstance(tr.status, Unbounded) and passes[-1] == "accepted"
+
+    @pytest.mark.parametrize("rung", range(len(integrate_module.LADDER)))
+    def test_each_ladder_rung(self, rung):
+        # e^t crosses rung k at log(LADDER[k]); the last rung is STATE_CAP
+        t_end = math.log(integrate_module.LADDER[rung]) + 0.5
+        tr, _ = assert_matches_reference(field_of("x1"), (1.0,), t_end)
+        if rung < len(integrate_module.LADDER) - 1:
+            assert isinstance(tr.status, ReachedHorizon) and tr.checkpoint.loop[5] == rung + 1
+        else:
+            assert isinstance(tr.status, Unbounded)
+
+    def test_starting_above_rungs(self):
+        tr, _ = assert_matches_reference(field_of("x1"), (1e10,), 3.0)
+        assert tr.checkpoint.loop[5] == 3
+
+    @pytest.mark.parametrize("comp,status", [("x1 * x1", Blowup), ("x1", Unbounded)])
+    def test_state_cap(self, comp, status):
+        tr, _ = assert_matches_reference(field_of(comp), (1.0,), 50.0)
+        assert isinstance(tr.status, status)
+
+    def test_monkeypatched_step_limit(self, monkeypatch):
+        field = field_of("x2", "-x1")
+        _, passes = assert_matches_reference(field, (1.0, 0.0), 5.0)
+        needed = len(passes) - passes.count("cut") + 1  # the last pass reaches the horizon
+        monkeypatch.setattr(integrate_module, "MAX_STEPS", needed)
+        assert_matches_reference(field, (1.0, 0.0), 5.0)
+        monkeypatch.setattr(integrate_module, "MAX_STEPS", needed - 1)
+        runs = [lambda: reference_integrate(field, (1.0, 0.0), 5.0)]
+        runs += [lambda rhs=rhs: integrate(rhs, (1.0, 0.0), 5.0) for rhs in source_and_call_forms(field)]
+        for run in runs:
+            with pytest.raises(RuntimeError, match=f"max_steps \\({needed - 1}\\)"):
+                run()
+
+
+def global_reads(code) -> set:
+    """The names that code, and the code nested in it, read as globals."""
+    names = {ins.argval for ins in dis.get_instructions(code)
+             if ins.opname in ("LOAD_GLOBAL", "LOAD_NAME")}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= global_reads(const)
+    return names
+
+
+class TestGeneratedCode:
+    """Every global name a generated kernel reads is in its namespace, so
+    no branch that runs only on a rare event fails with NameError."""
+
+    def kernels(self):
+        fields = [geodesic._make_rhs(spec) for spec in GEODESIC_SPECS]
+        fields.append(killing._field_rhs(m46_benchmark_combination()))
+        fields.append(killing._field_rhs(VectorFieldExpr(
+            parse_expr("exp(x1) + log(x1) + sin(x2) + cos(x2) + arctan(x1) + x1^(1/2)"),
+            parse_expr("c*c*x1 + x2", {"c": 1e200}) + const(math.nan))))
+        return ([integrate_module._loop_kernel(dim) for dim in (1, 2, 4)]
+                + [fn for field in fields for fn in field._code]
+                + [killing._defect_kernel()])
+
+    def test_every_global_read_is_bound(self):
+        for fn in self.kernels():
+            missing = {name for name in global_reads(fn.__code__)
+                       if name not in fn.__globals__ and name not in vars(builtins)}
+            assert not missing, (fn.__name__, missing)
+
+    def test_every_namespace_entry_is_read(self):
+        read = set().union(*(global_reads(fn.__code__) for fn in self.kernels()))
+        assert set(integrate_module._KERNEL_NAMESPACE) <= read
+        assert "_s0" in killing._field_rhs(m46_benchmark_combination()).comps[0]
