@@ -116,9 +116,10 @@ def _ricci(G, dG, j: int, k: int) -> float:
     return 0.0 + _component(G, dG, 0, j, k, 0) + _component(G, dG, 1, j, k, 1)
 
 
-def curvature(spec: ChristoffelSpec, p: Point) -> tuple[float, ...]:
-    """The 16 components R_ijk^l, R(d_i, d_j) d_k = R_ijk^l d_l, (i, j, k, l)-major."""
-    G, dG = spec.symbols_at(p)
+def curvature(spec: ChristoffelSpec, p: Point, symbols=None) -> tuple[float, ...]:
+    """The 16 components R_ijk^l, R(d_i, d_j) d_k = R_ijk^l d_l, (i, j, k, l)-major;
+    symbols, when given, is `spec.symbols_at(p)`."""
+    G, dG = spec.symbols_at(p) if symbols is None else symbols
     return tuple(_component(G, dG, i, j, k, l)
                  for i in (0, 1) for j in (0, 1) for k in (0, 1) for l in (0, 1))
 
@@ -127,9 +128,10 @@ def curvature_at(spec: ChristoffelSpec, p: Point) -> np.ndarray:
     return np.reshape(curvature(spec, p), (2, 2, 2, 2))
 
 
-def ricci(spec: ChristoffelSpec, p: Point) -> tuple[float, float, float, float]:
-    """(rho_11, rho_12, rho_21, rho_22), rho(d_j, d_k) = trace of z -> R(z, d_j) d_k."""
-    G, dG = spec.symbols_at(p)
+def ricci(spec: ChristoffelSpec, p: Point, symbols=None) -> tuple[float, float, float, float]:
+    """(rho_11, rho_12, rho_21, rho_22), rho(d_j, d_k) = trace of z -> R(z, d_j) d_k;
+    symbols, when given, is `spec.symbols_at(p)`."""
+    G, dG = spec.symbols_at(p) if symbols is None else symbols
     return _ricci(G, dG, 0, 0), _ricci(G, dG, 0, 1), _ricci(G, dG, 1, 0), _ricci(G, dG, 1, 1)
 
 

@@ -48,14 +48,18 @@ COMBO_SEED = 20240815
 RESIDUAL_TOL = 1e-8
 
 
-def max_killing_residual(spec: ChristoffelSpec, X: VectorFieldExpr, grid) -> float:
+def max_killing_residual(spec: ChristoffelSpec, X: VectorFieldExpr, grid,
+                         symbols=None) -> float:
     """Max component of the Killing defect over coordinate-field pairs and
     grid points, read from the compiled 2-jets of the two components; NaN
-    when any component is NaN."""
-    jets = (compile_jet(X.c1), compile_jet(X.c2))
+    when any component is NaN.  symbols, when given, holds
+    `spec.symbols_at(p)` for each grid point."""
+    jet1, jet2 = compile_jet(X.c1), compile_jet(X.c2)
     defects = _defect_kernel()
-    return max_abs(v for p in grid
-                   for v in defects(jets[0](*p), jets[1](*p), *spec.symbols_at(p)))
+    if symbols is None:
+        symbols = [spec.symbols_at(p) for p in grid]
+    return max_abs(v for p, (G, dG) in zip(grid, symbols)
+                   for v in defects(jet1(*p), jet2(*p), G, dG))
 
 
 @lru_cache(maxsize=None)
@@ -210,5 +214,7 @@ def killing_completeness_probe(record: ModelRecord,
 def verify_killing_basis(record: ModelRecord, grid=None, tol: float = RESIDUAL_TOL):
     """Max Killing residual per basis field over the standard grid."""
     pts = grid if grid is not None else sample_grid(record)
-    res = tuple(max_killing_residual(record.spec, X, pts) for X in record.killing_basis)
+    symbols = [record.spec.symbols_at(p) for p in pts]
+    res = tuple(max_killing_residual(record.spec, X, pts, symbols)
+                for X in record.killing_basis)
     return res, all(r <= tol for r in res)

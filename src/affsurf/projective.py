@@ -32,7 +32,7 @@ from . import expr as ex
 from .catalog import AffineMapEntry, ModelRecord, instantiate_ref, sample_grid
 from .connection import ChristoffelSpec, _index_form, curvature, max_abs, ricci
 from .expr import PlaneMap, Point, ScalarExpr, compile_jet
-from .qe import max_residual, xi_matrix
+from .qe import max_residual, point_rows, xi_matrix
 
 FLAT_TOL = 1e-10
 QE_TOL = 1e-8
@@ -149,12 +149,14 @@ class FlattenReport:
 def flatten_report(record: ModelRecord, grid=None) -> FlattenReport:
     phi, flat = flatten(record)
     pts = grid if grid is not None else sample_grid(record)
-    rho_max = max_abs(v for p in pts for v in ricci(flat, p))
-    curv_max = max_abs(v for p in pts for v in curvature(flat, p))
+    flat_symbols = [flat.symbols_at(p) for p in pts]
+    rho_max = max_abs(v for p, sym in zip(pts, flat_symbols) for v in ricci(flat, p, sym))
+    curv_max = max_abs(v for p, sym in zip(pts, flat_symbols) for v in curvature(flat, p, sym))
+    rows = point_rows(record.spec, pts)
     res = {}
     for s in (1, -1):
         phi_expr = ex.mul(ex.const(s), phi.expr()) if s < 0 else phi.expr()
-        res[s] = max_residual(record.spec, ex.exp(phi_expr), pts)
+        res[s] = max_residual(record.spec, ex.exp(phi_expr), pts, rows)
     sign = 1 if res[1] <= res[-1] else -1
     return FlattenReport(record.ref.label(), phi, rho_max, curv_max, sign, res[sign])
 
@@ -205,16 +207,17 @@ def line_image_residual(pm: PlaneMap, points) -> float:
 # pullback verification of catalog maps
 
 
-def pullback_connection(pm: PlaneMap, target: ChristoffelSpec, p: Point):
+def pullback_connection(pm: PlaneMap, target: ChristoffelSpec, p: Point, jets=None):
     """Pull the target symbols back through the map at a point:
 
         G^pull_ij^k = (J^-1)^k_c [ d_i d_j Phi^c + G~_ab^c J^a_i J^b_j ]
 
     with the value and exact derivatives read from the 2-jets of the map
-    components.  The sum over (a, b) runs (a, b)-major from 0.0, each term
-    (G~_ab^c J^a_i) J^b_j, and J^-1 is J / det entry by entry."""
-    (v1, j11, j12, h111, h112, h122), (v2, j21, j22, h211, h212, h222) = (
-        compile_jet(fc)(*p) for fc in (pm.f1, pm.f2))
+    components (jets, when given, is their compiled pair).  The sum over
+    (a, b) runs (a, b)-major from 0.0, each term (G~_ab^c J^a_i) J^b_j, and
+    J^-1 is J / det entry by entry."""
+    jet1, jet2 = jets or (compile_jet(pm.f1), compile_jet(pm.f2))
+    (v1, j11, j12, h111, h112, h122), (v2, j21, j22, h211, h212, h222) = jet1(*p), jet2(*p)
     det = j11 * j22 - j12 * j21
     if abs(det) < 1e-14:
         raise ValueError(f"map is not immersive at {p}")
@@ -252,8 +255,10 @@ class MapReport:
 def verify_map_entry(record: ModelRecord, entry: AffineMapEntry, grid=None) -> MapReport:
     target = instantiate_ref(entry.target)
     pts = grid if grid is not None else sample_grid(record)
+    pm = entry.plane_map
+    jets = (compile_jet(pm.f1), compile_jet(pm.f2))
     worst = max_abs(u - v for p in pts
-                    for u, v in zip(pullback_connection(entry.plane_map, target.spec, p),
+                    for u, v in zip(pullback_connection(pm, target.spec, p, jets),
                                     record.spec.christoffel_at(p)))
     return MapReport(record.ref.label(), entry.name, entry.target.label(), worst)
 

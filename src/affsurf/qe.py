@@ -25,31 +25,27 @@ from .expr import Point, ScalarExpr, compile_jet
 DEFAULT_TOL = 1e-8
 
 
-def _hessian_kernel(spec: ChristoffelSpec, phi: ScalarExpr):
-    """Compiled point function p -> (phi, H11, H12, H22) with
-    (H phi)_ij = d_i d_j phi - G_ij^k d_k phi, read from the 2-jet of phi."""
+def point_rows(spec: ChristoffelSpec, grid) -> list:
+    """One row (p, symbols, rho_s) per grid point: the six symbols from
+    `christoffel_at` and the symmetrized Ricci tensor from `ricci_sym`,
+    computed once for every scalar a check tests on the grid."""
+    return [(p, spec.christoffel_at(p), ricci_sym(spec, p)) for p in grid]
+
+
+def max_residual(spec: ChristoffelSpec, phi: ScalarExpr, grid, rows=None) -> float:
+    """Max-norm quasi-Einstein residual of phi over a grid; NaN when any
+    entry is NaN.  The entries are H_ij + phi * rho_s_ij with the Hessian
+    (H phi)_ij = d_i d_j phi - G_ij^k d_k phi read from the 2-jet of phi;
+    rows, when given, is `point_rows(spec, grid)`."""
     jet = compile_jet(phi)
 
-    def at(p: Point):
-        val, g1, g2, f11, f12, f22 = jet(*p)
-        a, b, c, d, e, f = spec.christoffel_at(p)
-        return (val, f11 - (a * g1 + b * g2),
-                f12 - (c * g1 + d * g2), f22 - (e * g1 + f * g2))
-    return at
-
-
-def max_residual(spec: ChristoffelSpec, phi: ScalarExpr, grid) -> float:
-    """Max-norm quasi-Einstein residual of phi over a grid; NaN when any
-    entry is NaN."""
-    hess = _hessian_kernel(spec, phi)
-
     def entries():
-        for p in grid:
-            val, h11, h12, h22 = hess(p)
-            r11, r12, r22 = ricci_sym(spec, p)
-            yield h11 + val * r11
-            yield h12 + val * r12
-            yield h22 + val * r22
+        for p, (a, b, c, d, e, f), (r11, r12, r22) in (
+                point_rows(spec, grid) if rows is None else rows):
+            val, g1, g2, f11, f12, f22 = jet(*p)
+            yield (f11 - (a * g1 + b * g2)) + val * r11
+            yield (f12 - (c * g1 + d * g2)) + val * r12
+            yield (f22 - (e * g1 + f * g2)) + val * r22
     return max_abs(entries())
 
 
@@ -83,7 +79,8 @@ def verify_q_basis(record: ModelRecord, grid=None, tol: float = DEFAULT_TOL) -> 
         raise ValueError(f"{record.ref.label()} has a trivial solution space")
     pts = grid if grid is not None else sample_grid(record)
     n = int(round(len(pts) ** 0.5))
-    residuals = tuple(max_residual(record.spec, q, pts) for q in record.q_basis)
+    rows = point_rows(record.spec, pts)
+    residuals = tuple(max_residual(record.spec, q, pts, rows) for q in record.q_basis)
     _, det = xi_matrix(record.q_basis, record.base_point)
     return QEReport(record.ref.label(), (n, n), residuals, det, tol)
 

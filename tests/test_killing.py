@@ -8,8 +8,10 @@ import pytest
 from affsurf import catalog as C
 from affsurf import expr as ex
 from affsurf import killing as K
+from affsurf.connection import ChristoffelSpec, max_abs
 from affsurf.integrate import Blowup, ReachedHorizon
 from test_connection import same_bits
+from test_qe import oracle_records
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,16 @@ def loop_defects(spec, X, p):
                     val += d[m][i] * g[m][j][k]
                 out.append(val)
     return out
+
+
+def loop_max_killing_residual(spec, X, grid):
+    """The Killing residual of one field by a loop that evaluates the
+    symbols afresh at every point: the bit-identity oracle for the shared
+    per-point symbols that `verify_killing_basis` hands every field."""
+    jets = (ex.compile_jet(X.c1), ex.compile_jet(X.c2))
+    defects = K._defect_kernel()
+    return max_abs(v for p in grid
+                   for v in defects(jets[0](*p), jets[1](*p), *spec.symbols_at(p)))
 
 
 class TestDefectKernel:
@@ -108,6 +120,63 @@ class TestResidual:
             grid = C.sample_grid(rec, 10)
             res, ok = K.verify_killing_basis(rec, grid)
             assert ok, (rec.ref.label(), res)
+
+
+class TestSharedSymbols:
+    """verify_killing_basis evaluates the symbols once per grid point for all
+    of a record's fields; the residuals equal the per-field loop bit for bit,
+    NaN slots included."""
+
+    def test_every_record(self):
+        nan_models = []
+        for rec in oracle_records():
+            grid = C.sample_grid(rec)
+            want = [loop_max_killing_residual(rec.spec, X, grid) for X in rec.killing_basis]
+            res, ok = K.verify_killing_basis(rec, grid)
+            assert same_bits(res, want), rec.ref.label()
+            # without symbols, max_killing_residual evaluates its own
+            assert same_bits([K.max_killing_residual(rec.spec, X, grid)
+                              for X in rec.killing_basis], want), rec.ref.label()
+            assert ok == all(r <= K.RESIDUAL_TOL for r in want), rec.ref.label()
+            if any(math.isnan(r) for r in want):
+                nan_models.append(rec.ref.label())
+        assert nan_models == ["B.N14(kappa=1e+300)"]
+
+    def test_symbols_once_per_point(self, monkeypatch):
+        calls = []
+        symbols_at = ChristoffelSpec.symbols_at
+
+        def spy(spec, p):
+            calls.append(p)
+            return symbols_at(spec, p)
+        monkeypatch.setattr(ChristoffelSpec, "symbols_at", spy)
+        rec = C.instantiate("A.M06")
+        grid = C.sample_grid(rec)
+        K.verify_killing_basis(rec, grid)
+        assert len(rec.killing_basis) == 6 and calls == grid
+
+
+class TestKillingJetRank:
+    """The 1-jets (X^1, d_1 X^1, d_2 X^1, X^2, d_1 X^2, d_2 X^2) of the basis
+    fields at the base point are independent: an affine Killing field is
+    fixed by its 1-jet at a point, so the rank of their matrix is the
+    dimension of the Killing algebra, read from linear algebra alone."""
+
+    @staticmethod
+    def jet_matrix(basis, p):
+        return np.array([ex.compile_jet(X.c1)(*p)[:3] + ex.compile_jet(X.c2)(*p)[:3]
+                         for X in basis])
+
+    def test_rank_is_dim_killing(self, records):
+        for rec in records:
+            m = self.jet_matrix(rec.killing_basis, rec.base_point)
+            assert np.linalg.matrix_rank(m) == rec.expected.dim_killing, rec.ref.label()
+
+    def test_repeated_field_loses_rank(self):
+        rec = C.instantiate("A.M46")
+        basis = rec.killing_basis[:-1] + rec.killing_basis[:1]
+        m = self.jet_matrix(basis, rec.base_point)
+        assert np.linalg.matrix_rank(m) == rec.expected.dim_killing - 1
 
 
 class TestFlows:

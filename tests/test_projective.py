@@ -9,8 +9,9 @@ from affsurf import catalog as C
 from affsurf import expr as ex
 from affsurf import geodesic as G
 from affsurf import projective as P
-from affsurf.connection import ChristoffelSpec
+from affsurf.connection import ChristoffelSpec, curvature, max_abs, ricci
 from test_connection import ricci_at, same_bits
+from test_qe import loop_max_residual, oracle_records
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,68 @@ def einsum_pullback(pm, target, p):
                 for k in range(2):
                     out[i, j, k] = Jinv[k, 0] * vec[0] + Jinv[k, 1] * vec[1]
     return (out[0, 0, 0], out[0, 0, 1], out[0, 1, 0], out[0, 1, 1], out[1, 1, 0], out[1, 1, 1])
+
+
+def loop_flatten_report(record, grid):
+    """(rho~ max, curvature~ max, residual of e^{+phi}, residual of e^{-phi})
+    by loops that evaluate the flat symbols afresh for ricci and for
+    curvature, and the original symbols afresh for each sign: the
+    bit-identity oracle for the tables `flatten_report` shares."""
+    phi, flat = P.flatten(record)
+    rho_max = max_abs(v for p in grid for v in ricci(flat, p))
+    curv_max = max_abs(v for p in grid for v in curvature(flat, p))
+    plus = loop_max_residual(record.spec, ex.exp(phi.expr()), grid)
+    minus = loop_max_residual(record.spec, ex.exp(ex.mul(ex.const(-1), phi.expr())), grid)
+    return rho_max, curv_max, plus, minus
+
+
+def loop_map_deviation(record, entry, grid):
+    """A map's max deviation with both map jets looked up at every point:
+    the bit-identity oracle for the jets `verify_map_entry` looks up once."""
+    target = C.instantiate_ref(entry.target).spec
+    return max_abs(u - v for p in grid
+                   for u, v in zip(P.pullback_connection(entry.plane_map, target, p),
+                                   record.spec.christoffel_at(p)))
+
+
+class TestSharedTables:
+    """flatten_report and verify_affine_maps equal their per-point loops bit
+    for bit, NaN slots included."""
+
+    def test_flatten_every_constant_record(self, constant_records):
+        # the hostile parameters break down in floating point: NaN at 5e-324
+        hostile = [C.instantiate("A.M44", c=5e-324), C.instantiate("A.M32", c=5e-324),
+                   C.instantiate("A.M44", c=-1e16)]
+        nan_models = []
+        for rec in constant_records + hostile:
+            grid = C.sample_grid(rec)
+            rho_max, curv_max, plus, minus = loop_flatten_report(rec, grid)
+            rep = P.flatten_report(rec, grid)
+            sign = 1 if plus <= minus else -1
+            assert same_bits([rep.rho_tilde_max, rep.curvature_tilde_max, rep.qe_residual],
+                             [rho_max, curv_max, plus if sign > 0 else minus]), rec.ref.label()
+            assert rep.qe_sign == sign, rec.ref.label()
+            if math.isnan(rho_max):
+                nan_models.append(rec.ref.label())
+        assert len(nan_models) == 2
+
+    def test_every_map(self):
+        count = 0
+        for rec in oracle_records():
+            grid = C.sample_grid(rec)
+            for entry, rep in zip(rec.maps, P.verify_affine_maps(rec, grid)):
+                want = loop_map_deviation(rec, entry, grid)
+                assert same_bits(rep.max_deviation, want), (rec.ref.label(), entry.name)
+                count += 1
+        assert count == 44
+        # the overflow control: J^-1's zero entries times inf give NaN
+        rec = C.instantiate("A.M34", c=1e200)
+        big = ex.const(1e60)
+        entry = C.AffineMapEntry("scale", ex.PlaneMap(ex.mul(big, ex.x1), ex.mul(big, ex.x2)),
+                                 rec.ref)
+        grid = C.sample_grid(rec)
+        want = loop_map_deviation(rec, entry, grid)
+        assert math.isnan(want) and same_bits(P.verify_map_entry(rec, entry, grid).max_deviation, want)
 
 
 class TestDeform:

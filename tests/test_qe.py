@@ -8,8 +8,9 @@ import pytest
 from affsurf import catalog as C
 from affsurf import expr as ex
 from affsurf import qe
+from affsurf.connection import max_abs, ricci_sym
 from affsurf.projective import LinearForm, deform
-from test_connection import ricci_sym_at
+from test_connection import ricci_sym_at, same_bits
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +27,45 @@ def mutation_direction(record, grid):
     return cand
 
 
+def hessian_kernel(spec, phi):
+    """Point function p -> (phi, H11, H12, H22) with
+    (H phi)_ij = d_i d_j phi - G_ij^k d_k phi, read from the 2-jet of phi
+    and the symbols at that point."""
+    jet = ex.compile_jet(phi)
+
+    def at(p):
+        val, g1, g2, f11, f12, f22 = jet(*p)
+        a, b, c, d, e, f = spec.christoffel_at(p)
+        return (val, f11 - (a * g1 + b * g2),
+                f12 - (c * g1 + d * g2), f22 - (e * g1 + f * g2))
+    return at
+
+
+def loop_max_residual(spec, phi, grid):
+    """The quasi-Einstein residual of one scalar by a loop that evaluates
+    the symbols and ricci_sym afresh at every point: the bit-identity
+    oracle for the per-point rows that `qe.max_residual` reads."""
+    hess = hessian_kernel(spec, phi)
+
+    def entries():
+        for p in grid:
+            val, h11, h12, h22 = hess(p)
+            r11, r12, r22 = ricci_sym(spec, p)
+            yield h11 + val * r11
+            yield h12 + val * r12
+            yield h22 + val * r22
+    return max_abs(entries())
+
+
+def oracle_records():
+    """Every catalog record, plus one whose symbols overflow to NaN
+    residuals (`verify B.N14 --kappa 1e300`)."""
+    return C.all_records() + [C.instantiate("B.N14", kappa=1e300)]
+
+
 def hessian(spec, phi, p):
     """(H phi)_ij at a point."""
-    _, h11, h12, h22 = qe._hessian_kernel(spec, phi)(p)
+    _, h11, h12, h22 = hessian_kernel(spec, phi)(p)
     return np.array([[h11, h12], [h12, h22]])
 
 
@@ -104,6 +141,42 @@ class TestBasisReports:
             mu = mutation_direction(rec, grid)
             perturbed = ex.add(rec.q_basis[0], ex.mul(ex.const(1e-2), mu))
             assert qe.max_residual(rec.spec, perturbed, grid) > 1e-4, rec.ref.label()
+
+
+class TestSharedRows:
+    """verify_q_basis builds one row of symbols and rho_s per grid point and
+    every basis element reads it; the residuals equal the per-element loop
+    bit for bit, NaN slots included."""
+
+    def test_every_record(self):
+        nan_models = []
+        n = 0
+        for rec in oracle_records():
+            if not rec.q_basis:
+                continue
+            grid = C.sample_grid(rec)
+            want = [loop_max_residual(rec.spec, q, grid) for q in rec.q_basis]
+            assert same_bits(qe.verify_q_basis(rec, grid).residuals, want), rec.ref.label()
+            # without rows, max_residual builds its own
+            assert same_bits([qe.max_residual(rec.spec, q, grid) for q in rec.q_basis],
+                             want), rec.ref.label()
+            if any(math.isnan(r) for r in want):
+                nan_models.append(rec.ref.label())
+            n += 1
+        assert n == 68
+        assert nan_models == ["B.N14(kappa=1e+300)"]
+
+    def test_ricci_once_per_point(self, monkeypatch):
+        calls = []
+
+        def spy(spec, p):
+            calls.append(p)
+            return ricci_sym(spec, p)
+        monkeypatch.setattr(qe, "ricci_sym", spy)
+        rec = C.instantiate("A.M46")
+        grid = C.sample_grid(rec)
+        qe.verify_q_basis(rec, grid)
+        assert len(rec.q_basis) == 3 and calls == grid
 
 
 class TestXiMatrix:
