@@ -3,9 +3,9 @@
 Expression trees over the coordinates x1, x2 built from sums, products,
 rational/real powers and the transcendental functions exp, log, sin, cos,
 arctan.  They support exact symbolic differentiation, substitution, infix
-parsing/rendering, and compilation to fast scalar callables.  Every other
-module evaluates these trees: quasi-Einstein solution bases, affine Killing
-fields, embedding maps and closed-form geodesics are all stored in this form.
+rendering, and compilation to fast scalar callables.  Every other module
+evaluates these trees: quasi-Einstein solution bases, affine Killing fields
+and embedding maps are all stored in this form.
 Every pointwise check (quasi-Einstein, Killing, map pullback, the xi matrix,
 Jacobians) reads one compiled 2-jet, `compile_jet`, instead of
 differentiating at each point.
@@ -24,20 +24,9 @@ from typing import Callable, Mapping, Union
 Exponent = Union[Fraction, float]
 Point = tuple[float, float]
 
-_FUNCS = ("exp", "log", "sin", "cos", "arctan")
-
-
 class DomainError(ValueError):
     """Evaluation left the natural domain (log of a non-positive value,
     negative base under a fractional power, division by zero)."""
-
-
-class ParseError(ValueError):
-    """Syntax or identifier error; carries the byte offset of the failure."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} at offset {offset}")
-        self.offset = offset
 
 
 @dataclass(frozen=True)
@@ -120,7 +109,7 @@ class Pow(ScalarExpr):
 
 @dataclass(frozen=True)
 class Func(ScalarExpr):
-    name: str  # one of _FUNCS
+    name: str  # exp, log, sin, cos or arctan
     arg: ScalarExpr
 
 
@@ -283,10 +272,6 @@ def sin(arg) -> ScalarExpr:
 
 def cos(arg) -> ScalarExpr:
     return _func("cos", arg)
-
-
-def arctan(arg) -> ScalarExpr:
-    return _func("arctan", arg)
 
 
 # ---------------------------------------------------------------------------
@@ -527,167 +512,13 @@ _NAMESPACE = {
 
 
 # ---------------------------------------------------------------------------
-# parsing and rendering
-
-
-def parse_expr(text: str, params: Mapping[str, float] | None = None) -> ScalarExpr:
-    """Parse the infix grammar:
-
-        expr   := ['-'] term (('+'|'-') term)*
-        term   := factor (('*'|'/') factor)*
-        factor := base ('^' exponent)?
-        base   := number | ident | '(' expr ')' | func '(' expr ')'
-        func in {exp, log, sin, cos, arctan}
-
-    Identifiers are x1, x2 or named parameters supplied via `params`
-    (bound to constants at parse time).  Exponents are numbers, signed
-    rationals like (-3/2), or parameter names.
-    """
-    p = _Parser(text, dict(params or {}))
-    e = p.parse_expr()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise ParseError(f"unexpected input {text[p.pos]!r}", p.pos)
-    return e
-
-
-class _Parser:
-    def __init__(self, text: str, params: dict):
-        self.text = text
-        self.pos = 0
-        self.params = params
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def parse_expr(self) -> ScalarExpr:
-        terms = []
-        sign = 1
-        if self.peek() == "-":
-            self.pos += 1
-            sign = -1
-        elif self.peek() == "+":
-            self.pos += 1
-        t = self.parse_term()
-        terms.append(t if sign > 0 else neg(t))
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
-            t = self.parse_term()
-            terms.append(t if op == "+" else neg(t))
-        return add(*terms)
-
-    def parse_term(self) -> ScalarExpr:
-        factors = [self.parse_factor()]
-        while self.peek() in ("*", "/"):
-            op = self.peek()
-            self.pos += 1
-            f = self.parse_factor()
-            factors.append(f if op == "*" else power(f, -1))
-        return mul(*factors)
-
-    def parse_factor(self) -> ScalarExpr:
-        base = self.parse_base()
-        if self.peek() == "^":
-            self.pos += 1
-            return power(base, self.parse_exponent())
-        return base
-
-    def parse_base(self) -> ScalarExpr:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            e = self.parse_expr()
-            self.expect(")")
-            return e
-        if ch.isdigit() or ch == ".":
-            return const(self.parse_number())
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            name = self.parse_ident()
-            if name in _FUNCS:
-                self.expect("(")
-                arg = self.parse_expr()
-                self.expect(")")
-                return _func(name, arg)
-            if name == "x1":
-                return x1
-            if name == "x2":
-                return x2
-            if name in self.params:
-                return const(self.params[name])
-            raise ParseError(f"unknown identifier {name!r}", start)
-        raise ParseError("expected a number, identifier or '('", self.pos)
-
-    def parse_ident(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def parse_number(self):
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and (text[self.pos].isdigit() or text[self.pos] == "."):
-            self.pos += 1
-        if self.pos < len(text) and text[self.pos] in "eE":
-            probe = self.pos + 1
-            if probe < len(text) and text[probe] in "+-":
-                probe += 1
-            if probe < len(text) and text[probe].isdigit():
-                self.pos = probe
-                while self.pos < len(text) and text[self.pos].isdigit():
-                    self.pos += 1
-        tok = text[start:self.pos]
-        if tok.count(".") == 0 and "e" not in tok and "E" not in tok:
-            return Fraction(int(tok))
-        try:
-            return float(tok)
-        except ValueError:
-            raise ParseError(f"bad number {tok!r}", start) from None
-
-    def parse_exponent(self) -> Exponent:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            sign = 1
-            if self.peek() == "-":
-                self.pos += 1
-                sign = -1
-            num = self.parse_number()
-            if self.peek() == "/":
-                self.pos += 1
-                den = self.parse_number()
-                if not isinstance(num, Fraction) or not isinstance(den, Fraction):
-                    raise ParseError("rational exponent must be integer/integer", self.pos)
-                num = Fraction(num, den)
-            self.expect(")")
-            return sign * num if isinstance(num, Fraction) else sign * float(num)
-        if ch.isdigit() or ch == ".":
-            return self.parse_number()
-        if ch.isalpha():
-            start = self.pos
-            name = self.parse_ident()
-            if name in self.params:
-                v = self.params[name]
-                return Fraction(v) if isinstance(v, (int, Fraction)) else float(v)
-            raise ParseError(f"unknown identifier {name!r}", start)
-        raise ParseError("expected an exponent", self.pos)
+# rendering
 
 
 def render(e: ScalarExpr) -> str:
-    """Inverse of parse_expr: parse_expr(render(e)) is structurally equal
-    to e for every tree produced by the constructors in this module."""
+    """Infix text of e, as the catalog JSON writes it.  The test suite's
+    parser reads it back to a structurally equal tree for every tree
+    produced by the constructors in this module."""
     return _render(e, 0)
 
 
@@ -785,11 +616,6 @@ class PlaneMap:
 
     def __call__(self, p: Point) -> Point:
         return evaluate(self.f1, p), evaluate(self.f2, p)
-
-    def jacobian(self, p: Point):
-        _, j11, j12, *_ = compile_jet(self.f1)(*p)
-        _, j21, j22, *_ = compile_jet(self.f2)(*p)
-        return (j11, j12), (j21, j22)
 
 
 def pullback_field(phi: PlaneMap, target_field: VectorFieldExpr) -> VectorFieldExpr:

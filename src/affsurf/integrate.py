@@ -578,11 +578,11 @@ def _rhs_grew(hist) -> bool:
     return hist[-1] > 1e3 * max(ref, 1e-12)
 
 
-def _bisect_crossing(g, t_lo, t_hi, iters: int = 80) -> float:
-    """Bisection for the first sign change of g on [t_lo, t_hi]; assumes
-    g(t_lo) > 0 >= g(t_hi)."""
+def _bisect_crossing(g, t_lo, t_hi) -> float:
+    """Bisection for the first sign change of g on [t_lo, t_hi], at most 80
+    halvings; assumes g(t_lo) > 0 >= g(t_hi)."""
     lo, hi = t_lo, t_hi
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break

@@ -211,10 +211,10 @@ def killing_completeness_probe(record: ModelRecord,
                      0.0 if record.mtype == "B" else None)
 
 
-def verify_killing_basis(record: ModelRecord, grid=None, tol: float = RESIDUAL_TOL):
+def verify_killing_basis(record: ModelRecord, grid=None):
     """Max Killing residual per basis field over the standard grid."""
     pts = grid if grid is not None else sample_grid(record)
     symbols = [record.spec.symbols_at(p) for p in pts]
     res = tuple(max_killing_residual(record.spec, X, pts, symbols)
                 for X in record.killing_basis)
-    return res, all(r <= tol for r in res)
+    return res, all(r <= RESIDUAL_TOL for r in res)

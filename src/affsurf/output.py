@@ -34,11 +34,9 @@ def dump_json(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def trajectory_csv(traj: Trajectory, with_velocity: bool | None = None) -> str:
+def trajectory_csv(traj: Trajectory) -> str:
     """Columns t,x1,x2 for flows and t,x1,x2,v1,v2 for geodesics."""
-    dim = traj.states.shape[1]
-    if with_velocity is None:
-        with_velocity = dim >= 4
+    with_velocity = traj.states.shape[1] >= 4
     header = "t,x1,x2,v1,v2" if with_velocity else "t,x1,x2"
     lines = [header]
     for t, y in zip(traj.times, traj.states):
@@ -50,16 +48,29 @@ def trajectory_csv(traj: Trajectory, with_velocity: bool | None = None) -> str:
 
 
 def parse_trajectory_csv(text: str):
+    """The header and the rows of a trajectory CSV.  ValueError unless
+    there is a header and at least one row, every row is as wide as the
+    header and every value is finite."""
     lines = [ln for ln in text.strip().splitlines() if ln]
+    if not lines:
+        raise ValueError("trajectory CSV has no header")
     header = lines[0].split(",")
     rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    if not rows:
+        raise ValueError("trajectory CSV has no data rows")
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise ValueError(f"trajectory CSV row {i} has {len(row)} values "
+                             f"for {len(header)} columns")
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"trajectory CSV row {i} holds a non-finite value")
     return header, np.array(rows)
 
 
-def svg_polyline(points, width: int = 640, height: int = 480,
-                 x_label: str = "x1", y_label: str = "x2") -> str:
-    """A single polyline fitted into the viewBox with a 5% margin, with
-    axis labels; y grows upward."""
+def svg_polyline(points) -> str:
+    """A single polyline fitted into a 640 x 480 viewBox with a 5% margin,
+    with axis labels x1 and x2; y grows upward."""
+    width, height = 640, 480
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         raise ValueError("no points to plot")
@@ -82,13 +93,13 @@ def svg_polyline(points, width: int = 640, height: int = 480,
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">\n'
         f'  <rect width="{width}" height="{height}" fill="white"/>\n'
         f'  <polyline fill="none" stroke="black" stroke-width="1.5" points="{coords}"/>\n'
-        f'  <text x="{width - 30}" y="{height - 8}" font-size="14">{x_label}</text>\n'
-        f'  <text x="8" y="16" font-size="14">{y_label}</text>\n'
+        f'  <text x="{width - 30}" y="{height - 8}" font-size="14">x1</text>\n'
+        f'  <text x="8" y="16" font-size="14">x2</text>\n'
         f"</svg>\n"
     )
 
 
-def svg_from_csv(text: str, width: int = 640, height: int = 480) -> str:
+def svg_from_csv(text: str) -> str:
     header, rows = parse_trajectory_csv(text)
     i1, i2 = header.index("x1"), header.index("x2")
-    return svg_polyline(rows[:, (i1, i2)], width, height, "x1", "x2")
+    return svg_polyline(rows[:, (i1, i2)])

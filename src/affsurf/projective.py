@@ -1,4 +1,4 @@
-"""Strong projective deformation, flattening, immersions, map verification.
+"""Strong projective deformation, flattening, map verification.
 
 Two connections are strongly projectively equivalent when they differ by
 del~_X Y = del_X Y + dphi(X) Y + dphi(Y) X for a scalar phi.  For constant
@@ -15,11 +15,9 @@ reduces to one quadratic substitution plus a real root of a monic cubic;
 the root of smallest magnitude is chosen (ties toward the negative) and
 the rescaling is inverted before phi is reported.
 
-The same phi factors the solution basis as e^{phi} span{1, phi1, phi2};
-the map (phi1, phi2) immerses the plane and straightens unparameterized
-geodesics, which the line-image test checks numerically.  Affine maps
-between catalog models are verified by pulling the target connection back
-through the map and comparing against the source symbols on a grid.
+Affine maps between catalog models are verified by pulling the target
+connection back through the map and comparing against the source symbols
+on a grid.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from . import expr as ex
 from .catalog import AffineMapEntry, ModelRecord, instantiate_ref, sample_grid
 from .connection import ChristoffelSpec, _index_form, curvature, max_abs, ricci
 from .expr import PlaneMap, Point, ScalarExpr, compile_jet
-from .qe import max_residual, point_rows, xi_matrix
+from .qe import max_residual, point_rows
 
 FLAT_TOL = 1e-10
 QE_TOL = 1e-8
@@ -159,48 +157,6 @@ def flatten_report(record: ModelRecord, grid=None) -> FlattenReport:
         res[s] = max_residual(record.spec, ex.exp(phi_expr), pts, rows)
     sign = 1 if res[1] <= res[-1] else -1
     return FlattenReport(record.ref.label(), phi, rho_max, curv_max, sign, res[sign])
-
-
-# ---------------------------------------------------------------------------
-# the straightening immersion
-
-
-def immersion(record: ModelRecord) -> PlaneMap:
-    """Factor the solution basis as e^{phi} span{1, phi1, phi2} with phi
-    from the flattening, normalized so phi1, phi2 vanish at the base point
-    with unit Jacobian there; returns (phi1, phi2).  Rejects models whose
-    solution space is trivial."""
-    if not record.q_basis:
-        raise ValueError(f"{record.ref.label()} has a trivial solution space")
-    rep = flatten_report(record)
-    phi_expr = rep.phi.expr() if rep.qe_sign > 0 else ex.mul(ex.const(-1), rep.phi.expr())
-    inv = ex.exp(ex.mul(ex.const(-1), phi_expr))
-    psis = [ex.mul(q, inv) for q in record.q_basis]
-    m, det = xi_matrix(psis, record.base_point)
-    if abs(det) < 1e-12:
-        raise RuntimeError(f"{record.ref.label()}: basis degenerate at the base point")
-    coeff = np.linalg.solve(m.T, np.eye(3))  # columns: combos hitting e1, e2, e3
-    phi1 = ex.add(*(ex.mul(ex.const(float(coeff[i, 1])), psis[i]) for i in range(3)))
-    phi2 = ex.add(*(ex.mul(ex.const(float(coeff[i, 2])), psis[i]) for i in range(3)))
-    return PlaneMap(phi1, phi2)
-
-
-def line_image_residual(pm: PlaneMap, points) -> float:
-    """Deviation of the image of a curve from a straight line: total least
-    squares fit, max perpendicular distance normalized by the spread along
-    the fitted line.  A geodesic of a straightened model gives ~0; a circle
-    gives order one."""
-    img = np.array([pm((float(p[0]), float(p[1]))) for p in points])
-    if len(img) < 3:
-        raise ValueError("need at least 3 samples")
-    centered = img - img.mean(axis=0)
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    along = centered @ vt[0]
-    across = centered @ vt[1]
-    spread = float(along.max() - along.min())
-    if spread <= 1e-14:
-        raise ValueError("degenerate image: all samples coincide")
-    return float(np.max(np.abs(across))) / spread
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ class QEReport:
         }
 
 
-def verify_q_basis(record: ModelRecord, grid=None, tol: float = DEFAULT_TOL) -> QEReport:
+def verify_q_basis(record: ModelRecord, grid=None) -> QEReport:
     """Max residual of every catalog basis element over the standard grid,
     plus the determinant of the point-evaluation matrix at the base point."""
     if not record.q_basis:
@@ -82,7 +82,7 @@ def verify_q_basis(record: ModelRecord, grid=None, tol: float = DEFAULT_TOL) -> 
     rows = point_rows(record.spec, pts)
     residuals = tuple(max_residual(record.spec, q, pts, rows) for q in record.q_basis)
     _, det = xi_matrix(record.q_basis, record.base_point)
-    return QEReport(record.ref.label(), (n, n), residuals, det, tol)
+    return QEReport(record.ref.label(), (n, n), residuals, det, DEFAULT_TOL)
 
 
 def xi_matrix(q_basis, p: Point):

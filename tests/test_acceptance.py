@@ -18,6 +18,8 @@ from affsurf import projective as P
 from affsurf import qe
 from affsurf.connection import curvature_at
 from test_connection import ricci_rank
+from test_geodesic import closed_form_geodesic, escape_time
+from test_projective import immersion, line_image_residual
 from test_qe import mutation_direction
 
 AB_SAMPLES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 2.0)]
@@ -66,7 +68,7 @@ def test_criterion_2_geodesic_oracles():
     for fam, kw in fams:
         rec = C.instantiate(fam, **kw)
         for a, b in AB_SAMPLES:
-            cf = G.closed_form_geodesic(rec, a, b)
+            cf = closed_form_geodesic(rec, a, b)
             lo, hi = cf.inner_window()
             f = cf.compiled()
             for t_end in (hi, lo):
@@ -86,7 +88,7 @@ def test_criterion_2_geodesic_oracles():
                         ("A.M42", {"sign": -1.0}, (1.0, 0.0)),
                         ("A.M12", {"a1": 2.0, "a2": 3.0}, (1 / 6, 1 / 6))]:
         rec = C.instantiate(fam, **kw)
-        cf = G.closed_form_geodesic(rec, *ab)
+        cf = closed_form_geodesic(rec, *ab)
         lo, hi = cf.inner_window()
         f = cf.compiled()
         for t_end in (hi, lo):
@@ -105,13 +107,13 @@ def test_criterion_3_blowup_brackets():
     log-chart geodesic (1,1) escapes backward at t* = -1, with brackets of
     width at most 1e-3."""
     m26 = C.instantiate("A.M26")
-    et = G.escape_time(m26.spec, (0.0, 0.0), (1.0, 1.0))
+    et = escape_time(m26.spec, (0.0, 0.0), (1.0, 1.0))
     fwd = et["forward"]["bracket"]
     assert fwd is not None and fwd[0] <= 1.0 <= fwd[1]
     assert fwd[1] - fwd[0] <= 1e-3
     assert 0.999 <= fwd[0] and fwd[1] <= 1.001
     m16 = C.instantiate("A.M16")
-    et = G.escape_time(m16.spec, (0.0, 0.0), (1.0, 1.0))
+    et = escape_time(m16.spec, (0.0, 0.0), (1.0, 1.0))
     back = et["backward"]["bracket"]
     assert back is not None and back[0] <= -1.0 <= back[1]
     assert back[1] - back[0] <= 1e-3
@@ -254,17 +256,17 @@ def test_criterion_9_line_images():
     n = 0
     for fam, kw in models:
         rec = C.instantiate(fam, **kw)
-        pm = P.immersion(rec)
+        pm = immersion(rec)
         for _ in range(4):
             th = float(rng.uniform(0.0, 2.0 * math.pi))
             tr = G.geodesic_integrate(rec.spec, (0.0, 0.0),
                                       (math.cos(th), math.sin(th)), 0.8)
-            res = P.line_image_residual(pm, [s[:2] for s in tr.states])
+            res = line_image_residual(pm, [s[:2] for s in tr.states])
             worst = max(worst, res)
             n += 1
     assert n == 20 and worst <= 1e-6
-    pm06 = P.immersion(C.instantiate("A.M06"))
+    pm06 = immersion(C.instantiate("A.M06"))
     circle = [(math.cos(t), math.sin(t)) for t in np.linspace(0.0, 2.0, 50)]
-    control = P.line_image_residual(pm06, circle)
+    control = line_image_residual(pm06, circle)
     assert control > 1e-3
     _report(9, f"20 geodesics, worst residual {worst:.2e}; circle control {control:.2e}")

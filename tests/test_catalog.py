@@ -5,6 +5,7 @@ import pytest
 
 from affsurf import catalog as C
 from affsurf import expr as ex
+from test_expr import parse_expr
 
 
 def all_catalog_exprs():
@@ -122,7 +123,7 @@ class TestCoefficients:
 class TestRoundTrip:
     def test_every_catalog_expression_round_trips(self):
         for e in all_catalog_exprs():
-            assert ex.parse_expr(ex.render(e)) == e
+            assert parse_expr(ex.render(e)) == e
 
 
 class TestDerivativeProperty:

@@ -150,6 +150,18 @@ class TestPlot:
         r = run("plot", "--csv", str(tmp_path / "nope.csv"), "--svg", str(tmp_path / "o.svg"))
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("text", ["", "t,x1,x2\n", "t,x1,x2\n0,1\n",
+                                      "t,x1,x2\n0,1,nan\n1,2,nan\n"],
+                             ids=["empty", "header-only", "short-row", "nan"])
+    def test_malformed_csv_is_usage_error(self, tmp_path, text):
+        csv = tmp_path / "t.csv"
+        csv.write_text(text)
+        r = run("plot", "--csv", str(csv), "--svg", str(tmp_path / "o.svg"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error:")
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "o.svg").exists()
+
 
 class TestTable:
     def test_usage_error_on_unknown_table(self):

@@ -1,6 +1,8 @@
 """Geodesics: right-hand side, closed forms, escape times, probes."""
 
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +10,13 @@ import pytest
 from affsurf import catalog as C
 from affsurf import expr as ex
 from affsurf import geodesic as G
-from affsurf.connection import KINDS
-from affsurf.integrate import Blowup, ReachedHorizon
+from affsurf.catalog import ModelRecord
+from affsurf.connection import KINDS, ChristoffelSpec
+from affsurf.expr import ScalarExpr, compile_scalar, const, exp, log, power, sin, x1
+from affsurf.geodesic import HORIZON, geodesic_integrate
+from affsurf.integrate import Blowup, LeftDomain, ReachedHorizon, StepCollapse, Status
 from test_connection import ricci_at
+from test_expr import arctan
 
 AB_SAMPLES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 2.0)]
 
@@ -22,6 +28,274 @@ CLOSED_FORM_RECORDS = [
     ("A.M44", {"c": -2.0}), ("A.M44", {"c": -0.5}), ("A.M44", {"c": 1 / 3}), ("A.M44", {"c": 2.0}),
     ("A.M54t", {"c": 0.0}), ("A.M54t", {"c": -0.5}), ("A.M54t", {"c": 1 / 3}), ("A.M54t", {"c": 2.0}),
 ]
+
+
+# ---------------------------------------------------------------------------
+# closed forms: the oracles for the integrator and for blowup times
+
+#: time variable of closed-form curves (expression trees in one variable)
+t_var = x1
+
+
+class UnsupportedFamily(ValueError):
+    """No closed-form geodesic is available for this family or initial
+    velocity (the rank-2 families reduce to an equation without an
+    elementary solution except for special rays)."""
+
+
+@dataclass(frozen=True)
+class ClosedFormGeodesic:
+    family: str
+    a: float
+    b: float
+    curve: tuple[ScalarExpr, ScalarExpr]  # components as expressions in t
+    validity: tuple[float, float]  # open interval containing 0
+    notes: str = ""
+
+    def at(self, t: float) -> tuple[float, float]:
+        return (ex.evaluate(self.curve[0], (t, 0.0)),
+                ex.evaluate(self.curve[1], (t, 0.0)))
+
+    def compiled(self):
+        f1, f2 = compile_scalar(self.curve[0]), compile_scalar(self.curve[1])
+        return lambda t: (f1(t, 0.0), f2(t, 0.0))
+
+    def inner_window(self, frac: float = 0.8, clamp: float = 3.0) -> tuple[float, float]:
+        """Central part of the validity window.  Infinite ends are clamped:
+        exponentially growing coordinates push the absolute comparison
+        tolerance out of reach of dense-output interpolation much past
+        t of a few."""
+        lo = max(self.validity[0], -clamp)
+        hi = min(self.validity[1], clamp)
+        margin = 0.5 * (1.0 - frac) * (hi - lo)
+        return lo + margin, hi - margin
+
+
+def _interval(crossings) -> tuple[float, float]:
+    """Open validity interval around 0 given the finite parameter values
+    where some positivity constraint vanishes."""
+    lo, hi = -math.inf, math.inf
+    for c in crossings:
+        if c is None or not math.isfinite(c):
+            continue
+        if c < 0:
+            lo = max(lo, c)
+        elif c > 0:
+            hi = min(hi, c)
+    return lo, hi
+
+
+def _lin_root(alpha: float):
+    """Root of 1 + alpha*t."""
+    return None if alpha == 0.0 else -1.0 / alpha
+
+
+def closed_form_geodesic(model, a: float, b: float) -> ClosedFormGeodesic:
+    """The curve through the base point with initial velocity (a, b), as an
+    exact expression pair in t, with its maximal parameter window.
+
+    Supported: every flat plane family, A.M14, A.M24(c), A.M34(c),
+    A.M44(c), the auxiliary A.M54t(c), the b = 0 rays of A.M32/A.M42, and
+    the logarithmic rays of A.M12.  Everything else raises
+    UnsupportedFamily."""
+    mref = model.ref if isinstance(model, ModelRecord) else model
+    fam = mref.family
+    p = mref.p
+    a = float(a)
+    b = float(b)
+    t = t_var
+    ca, cb = const(a), const(b)
+
+    if fam == "A.M06":
+        return ClosedFormGeodesic(fam, a, b, (ca * t, cb * t), (-math.inf, math.inf))
+
+    if fam == "A.M16":
+        # (log(1+at), bt/(1+at))
+        curve = (log(1 + ca * t), cb * t * power(1 + ca * t, -1))
+        return ClosedFormGeodesic(fam, a, b, curve, _interval([_lin_root(a)]))
+
+    if fam == "A.M26":
+        curve = (-log(1 - ca * t), log(1 + cb * t))
+        return ClosedFormGeodesic(fam, a, b, curve, _interval([_lin_root(-a), _lin_root(b)]))
+
+    if fam == "A.M36":
+        curve = (ca * t, log(1 + cb * t))
+        return ClosedFormGeodesic(fam, a, b, curve, _interval([_lin_root(b)]))
+
+    if fam == "A.M46":
+        curve = (ca * t - const(Fraction(1, 2)) * cb * cb * t * t, cb * t)
+        return ClosedFormGeodesic(fam, a, b, curve, (-math.inf, math.inf))
+
+    if fam == "A.M56":
+        # (log((1+at)^2 + b^2 t^2)/2, arctan(bt/(1+at))); the arctan branch
+        # is chart-level: for b != 0 the true geodesic continues past
+        # 1 + at = 0 but this formula does not.
+        base = power(1 + ca * t, 2) + cb * cb * t * t
+        curve = (const(Fraction(1, 2)) * log(base), arctan(cb * t * power(1 + ca * t, -1)))
+        notes = "" if b == 0.0 else "branch window of the arctan chart formula"
+        return ClosedFormGeodesic(fam, a, b, curve, _interval([_lin_root(a)]), notes)
+
+    if fam == "A.M14":
+        if b == 0.0:
+            curve = (-log(1 - ca * t), const(0))
+            return ClosedFormGeodesic(fam, a, b, curve, _interval([_lin_root(-a)]))
+        inner = log(1 + 2 * cb * t)
+        curve = (-log(1 - ca * inner * power(2 * cb, -1)), const(Fraction(1, 2)) * inner)
+        crossings = [_lin_root(2 * b)]
+        if a != 0.0:
+            # 1 - (a/2b) log(1+2bt) = 0  =>  t = (e^{2b/a} - 1)/(2b)
+            crossings.append((math.exp(2 * b / a) - 1.0) / (2 * b))
+        return ClosedFormGeodesic(fam, a, b, curve, _interval(crossings))
+
+    if fam == "A.M24":
+        return _m24_closed_form(p["c"], a, b)
+
+    if fam == "A.M34":
+        return _m34_closed_form(p["c"], a, b)
+
+    if fam == "A.M44":
+        c = p["c"]
+        if b == 0.0:
+            return ClosedFormGeodesic(fam, a, b, (ca * t, const(0)), (-math.inf, math.inf))
+        inner = log(1 + 2 * cb * t)
+        curve = (const(-1) * power(8 * cb, -1) * inner * (const(-4 * a) + cb * const(c) * inner),
+                 const(Fraction(1, 2)) * inner)
+        return ClosedFormGeodesic(fam, a, b, curve, _interval([_lin_root(2 * b)]))
+
+    if fam == "A.M54t":
+        c = p["c"]
+        if b == 0.0:
+            return ClosedFormGeodesic(fam, a, b, (ca * t, const(0)), (-math.inf, math.inf))
+        if c == 0.0:
+            curve = (ca * power(cb, -1) * sin(cb * t), cb * t)
+            return ClosedFormGeodesic(fam, a, b, curve, (-math.inf, math.inf))
+        inner = 1 + 2 * cb * const(c) * t
+        phase = log(inner) * power(2 * const(c), -1)
+        curve = (ca * power(cb, -1) * power(inner, Fraction(1, 2)) * sin(phase), phase)
+        return ClosedFormGeodesic(fam, a, b, curve, _interval([_lin_root(2 * b * c)]))
+
+    if fam in ("A.M32", "A.M42"):
+        if b == 0.0:
+            curve = (const(Fraction(1, 2)) * log(1 + 2 * ca * t), const(0))
+            return ClosedFormGeodesic(fam, a, b, curve, _interval([_lin_root(2 * a)]))
+        raise UnsupportedFamily(f"{fam}: closed form known only for the b = 0 ray")
+
+    if fam == "A.M12":
+        return _m12_ray(p["a1"], p["a2"], a, b)
+
+    raise UnsupportedFamily(f"no closed-form geodesics for {fam}")
+
+
+def _m34_closed_form(c: float, a: float, b: float) -> ClosedFormGeodesic:
+    t = t_var
+    ca, cb = const(a), const(b)
+    if b == 0.0:
+        return ClosedFormGeodesic("A.M34", a, b, (ca * t, const(0)), (-math.inf, math.inf))
+    if c == -0.5:
+        curve = (ca * power(cb, -1) * (exp(cb * t) - 1), cb * t)
+        return ClosedFormGeodesic("A.M34", a, b, curve, (-math.inf, math.inf))
+    kappa = 1 + 2 * c
+    inner = 1 + cb * const(kappa) * t
+    curve = (ca * power(cb, -1) * (power(inner, 1.0 / kappa) - 1),
+             log(inner) * power(const(kappa), -1))
+    return ClosedFormGeodesic("A.M34", a, b, curve, _interval([_lin_root(b * kappa)]))
+
+
+def _m24_closed_form(c: float, a: float, b: float) -> ClosedFormGeodesic:
+    t = t_var
+    ca, cb = const(a), const(b)
+    if b == 0.0:
+        return ClosedFormGeodesic("A.M24", a, b, (-log(1 - ca * t), const(0)),
+                                  _interval([_lin_root(-a)]))
+    if c == -0.5:
+        if b < 0:
+            arg = ca * (exp(cb * t) - 1) - cb
+            shift = math.log(-b)
+        else:
+            arg = const(-1) * ca * (exp(cb * t) - 1) + cb
+            shift = math.log(b)
+        curve = (const(-1) * log(arg) + const(shift), cb * t)
+        # crossing of arg = 0: a(e^{bt}-1) = b resp. -a(e^{bt}-1) = -b
+        crossings = []
+        ratio = 1.0 + b / a if a != 0.0 else None
+        if ratio is not None and ratio > 0:
+            crossings.append(math.log(ratio) / b)
+        return ClosedFormGeodesic("A.M24", a, b, curve, _interval(crossings))
+    kappa = 1 + 2 * c
+    if b == -a:
+        inner = 1 + cb * const(kappa) * t
+        curve = (const(-1) * log(inner) * power(const(kappa), -1),
+                 log(inner) * power(const(kappa), -1))
+        return ClosedFormGeodesic("A.M24", a, b, curve, _interval([_lin_root(b * kappa)]))
+    ratio = b / (a + b)
+    if ratio <= 0:
+        raise UnsupportedFamily("A.M24: branch formula needs b/(a+b) > 0")
+    inner = 1 + cb * const(kappa) * t
+    curve = (const(math.log(ratio)) - log(1 - ca * power(inner, 1.0 / kappa) * power(const(a + b), -1)),
+             log(inner) * power(const(kappa), -1))
+    crossings = [_lin_root(b * kappa)]
+    if a != 0.0:
+        base = (a + b) / a
+        if base > 0:
+            crossings.append((base ** kappa - 1.0) / (b * kappa))
+    return ClosedFormGeodesic("A.M24", a, b, curve, _interval(crossings))
+
+
+def _m12_ray(a1: float, a2: float, a: float, b: float) -> ClosedFormGeodesic:
+    """Logarithmic ray geodesics log(1 + lambda*t) * alpha for the three
+    distinguished directions alpha of the rank-2 family."""
+    rays = []
+    if 1 + a1 + a2 != 0:
+        rays.append((1.0 / (1 + a1 + a2), 1.0 / (1 + a1 + a2)))
+    if 1 + a1 - a2 != 0:
+        rays.append(((1 - a2) / (1 + a1 - a2), a1 / (1 + a1 - a2)))
+    if 1 - a1 + a2 != 0:
+        rays.append((a2 / (1 - a1 + a2), (1 - a1) / (1 - a1 + a2)))
+    for alpha in rays:
+        cross = a * alpha[1] - b * alpha[0]
+        norm = math.hypot(*alpha)
+        if abs(cross) <= 1e-12 * max(1.0, math.hypot(a, b)) * max(1.0, norm):
+            lam = (a / alpha[0]) if alpha[0] != 0 else (b / alpha[1])
+            t = t_var
+            curve = (const(alpha[0]) * log(1 + const(lam) * t),
+                     const(alpha[1]) * log(1 + const(lam) * t))
+            return ClosedFormGeodesic("A.M12", a, b, curve, _interval([_lin_root(lam)]))
+    raise UnsupportedFamily("A.M12: closed form known only along the three log rays")
+
+
+# ---------------------------------------------------------------------------
+# escape times
+
+
+def _finite_endpoint(status: Status):
+    """Bracket of a finite escape time from a termination status, or None
+    when the run gives no finite endpoint (horizon reached or growth
+    without a finite-time signature)."""
+    if isinstance(status, Blowup):
+        return (status.t_lo, status.t_hi)
+    if isinstance(status, LeftDomain):
+        pad = 1e-6 * (1.0 + abs(status.t))
+        return (status.t - pad, status.t + pad)
+    if isinstance(status, StepCollapse):
+        pad = 1e-4 * (1.0 + abs(status.t))
+        return (status.t - 1e-6, status.t + pad)
+    return None
+
+
+def escape_time(spec: ChristoffelSpec, x0, v0, T: float = HORIZON):
+    """Bracket the maximal existence interval (t_minus, t_plus) around 0.
+    Infinite endpoints are reported as None brackets with the reached
+    horizon; finite endpoints carry brackets no wider than 1e-3."""
+    out = {}
+    for key, t_end in (("backward", -T), ("forward", T)):
+        tr = geodesic_integrate(spec, x0, v0, t_end)
+        bracket = _finite_endpoint(tr.status)
+        out[key] = {
+            "bracket": bracket,
+            "status": tr.status.to_json(),
+        }
+    return out
+
 
 
 def geodesic_rhs(spec, state):
@@ -104,12 +378,12 @@ class TestRhs:
 
 class TestClosedForms:
     def test_flat_plane_lines(self):
-        cf = G.closed_form_geodesic(C.instantiate("A.M06"), 2.0, 3.0)
+        cf = closed_form_geodesic(C.instantiate("A.M06"), 2.0, 3.0)
         assert cf.at(1.5) == (3.0, 4.5)
         assert cf.validity == (-math.inf, math.inf)
 
     def test_exponential_chart_formula(self):
-        cf = G.closed_form_geodesic(C.instantiate("A.M16"), 1.0, 1.0)
+        cf = closed_form_geodesic(C.instantiate("A.M16"), 1.0, 1.0)
         t = 0.8
         assert abs(cf.at(t)[0] - math.log(1 + t)) < 1e-14
         assert abs(cf.at(t)[1] - t / (1 + t)) < 1e-14
@@ -120,8 +394,8 @@ class TestClosedForms:
             rec = C.instantiate(fam, **kw)
             for a, b in AB_SAMPLES:
                 try:
-                    cf = G.closed_form_geodesic(rec, a, b)
-                except G.UnsupportedFamily:
+                    cf = closed_form_geodesic(rec, a, b)
+                except UnsupportedFamily:
                     pytest.fail(f"{fam} ({a},{b}) should have a closed form")
                 assert closed_form_residual(rec.spec, cf) <= 1e-9, (fam, kw, a, b)
 
@@ -129,7 +403,7 @@ class TestClosedForms:
         for fam, kw in CLOSED_FORM_RECORDS:
             rec = C.instantiate(fam, **kw)
             for a, b in AB_SAMPLES:
-                cf = G.closed_form_geodesic(rec, a, b)
+                cf = closed_form_geodesic(rec, a, b)
                 x0 = cf.at(0.0)
                 v0 = (ex.evaluate(ex.diff(cf.curve[0], 1), (0.0, 0.0)),
                       ex.evaluate(ex.diff(cf.curve[1], 1), (0.0, 0.0)))
@@ -140,24 +414,24 @@ class TestClosedForms:
         # b = -a branch and the b < 0 exponential branch are not hit by the
         # standard velocity samples
         rec = C.instantiate("A.M24", c=1 / 3)
-        cf = G.closed_form_geodesic(rec, 1.0, -1.0)
+        cf = closed_form_geodesic(rec, 1.0, -1.0)
         assert closed_form_residual(rec.spec, cf) <= 1e-9
         rec = C.instantiate("A.M24", c=-0.5)
         for ab in [(1.0, -2.0), (1.0, -1.0), (-1.0, 2.0)]:
-            cf = G.closed_form_geodesic(rec, *ab)
+            cf = closed_form_geodesic(rec, *ab)
             assert closed_form_residual(rec.spec, cf) <= 1e-9, ab
 
     def test_rank_two_rays(self):
         m32 = C.instantiate("A.M32", c=2.0)
-        cf = G.closed_form_geodesic(m32, 1.0, 0.0)
+        cf = closed_form_geodesic(m32, 1.0, 0.0)
         assert closed_form_residual(m32.spec, cf) <= 1e-12
-        with pytest.raises(G.UnsupportedFamily):
-            G.closed_form_geodesic(m32, 1.0, 1.0)
+        with pytest.raises(UnsupportedFamily):
+            closed_form_geodesic(m32, 1.0, 1.0)
         m12 = C.instantiate("A.M12", a1=2.0, a2=3.0)
-        with pytest.raises(G.UnsupportedFamily):
-            G.closed_form_geodesic(m12, 1.0, 0.5)
+        with pytest.raises(UnsupportedFamily):
+            closed_form_geodesic(m12, 1.0, 0.5)
         alpha = (1.0 / 6.0, 1.0 / 6.0)
-        cf = G.closed_form_geodesic(m12, *alpha)
+        cf = closed_form_geodesic(m12, *alpha)
         assert closed_form_residual(m12.spec, cf) <= 1e-12
 
 
@@ -165,7 +439,7 @@ class TestOracleAgreement:
     def test_log_chart_example_window(self):
         # matches (log(1+t), t/(1+t)) on [0, 5] and blows up at t = -1
         rec = C.instantiate("A.M16")
-        cf = G.closed_form_geodesic(rec, 1.0, 1.0)
+        cf = closed_form_geodesic(rec, 1.0, 1.0)
         fwd = G.geodesic_integrate(rec.spec, (0.0, 0.0), (1.0, 1.0), 5.0)
         assert isinstance(fwd.status, ReachedHorizon)
         f = cf.compiled()
@@ -181,7 +455,7 @@ class TestOracleAgreement:
         for fam, kw in CLOSED_FORM_RECORDS[:8]:
             rec = C.instantiate(fam, **kw)
             for a, b in AB_SAMPLES:
-                cf = G.closed_form_geodesic(rec, a, b)
+                cf = closed_form_geodesic(rec, a, b)
                 lo, hi = cf.inner_window()
                 f = cf.compiled()
                 for t_end in (hi, lo):
@@ -216,20 +490,20 @@ class TestAffineReparametrization:
 class TestEscapeTime:
     def test_quadrant_chart_brackets(self):
         rec = C.instantiate("A.M26")
-        et = G.escape_time(rec.spec, (0.0, 0.0), (1.0, 1.0))
+        et = escape_time(rec.spec, (0.0, 0.0), (1.0, 1.0))
         fwd, back = et["forward"]["bracket"], et["backward"]["bracket"]
         assert fwd is not None and fwd[0] <= 1.0 <= fwd[1] and 0.999 <= fwd[0] and fwd[1] <= 1.001
         assert back is not None and back[0] <= -1.0 <= back[1] and back[0] >= -1.001
 
     def test_flat_plane_unbounded(self):
         rec = C.instantiate("A.M06")
-        et = G.escape_time(rec.spec, (0.0, 0.0), (3.0, -2.0))
+        et = escape_time(rec.spec, (0.0, 0.0), (3.0, -2.0))
         assert et["forward"]["bracket"] is None
         assert et["backward"]["bracket"] is None
 
     def test_vertical_ray_of_log_chart_is_complete(self):
         rec = C.instantiate("A.M16")
-        et = G.escape_time(rec.spec, (0.0, 0.0), (0.0, 1.0))
+        et = escape_time(rec.spec, (0.0, 0.0), (0.0, 1.0))
         assert et["forward"]["bracket"] is None and et["backward"]["bracket"] is None
 
 

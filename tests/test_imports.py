@@ -1,9 +1,11 @@
-"""Source hygiene: every name a package module imports is used there, and
-every private module-level function or class is read somewhere in the
-package.
+"""Source hygiene: every name a package or test module imports is used
+there, every private module-level function or class is read somewhere in
+the package (or in the tests), and every module-level function or class
+of the package is reached from the command line or the benchmark.
 
 No linter ships with the package, so these AST scans are the guard against
-imports and helpers left behind when code moves or goes.
+imports and helpers left behind when code moves or goes, and against
+library code that only the tests call.
 """
 
 import ast
@@ -14,6 +16,8 @@ import pytest
 import affsurf
 
 MODULES = sorted(Path(affsurf.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,7 +33,7 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=[p.name for p in MODULES + TESTS])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -64,6 +68,7 @@ def dead_privates(sources: dict[str, str]) -> list[str]:
 
 def test_no_dead_private_code():
     assert dead_privates({p.stem: p.read_text() for p in MODULES}) == []
+    assert dead_privates({p.stem: p.read_text() for p in TESTS}) == []
 
 
 def test_scan_sees_dead_private_code():
@@ -71,3 +76,56 @@ def test_scan_sees_dead_private_code():
                     "class _Unread: pass\ndef _attr(): pass\ndef _alias(): pass\n",
                "b": "from a import _alias\nimport a\nx = a._attr() + _kept()\n"}
     assert dead_privates(sources) == ["a._self", "a._Unread"]
+
+
+def unreached(sources: dict[str, str], entries, outside) -> list[str]:
+    """module.name of every module-level function or class that no chain of
+    reads reaches.  The roots are every top-level statement of the entry
+    modules, every other top-level statement that is neither a definition
+    nor an import, and every name the outside sources read; a definition
+    is reached when a reached node reads its name, and then its own reads
+    count.  Imports elsewhere are no roots: a name is used where it is
+    read, and the import scan checks that each one is."""
+    defs: dict[str, list] = {}
+    seen: set[str] = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if module in entries:
+                seen |= reads(node)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append((module, node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                seen |= reads(node)
+    for source in outside:
+        seen |= reads(ast.parse(source))
+    todo = list(seen)
+    reached = set()
+    while todo:
+        for module, node in defs.get(todo.pop(), ()):
+            if id(node) not in reached:
+                reached.add(id(node))
+                new = reads(node) - seen
+                seen |= new
+                todo += new
+    return [f"{module}.{node.name}" for group in defs.values() for module, node in group
+            if id(node) not in reached]
+
+
+def test_no_test_only_library_code():
+    """Every module-level function and class of the package is reached from
+    the command line (cli.py, __main__.py) or from a name the benchmark
+    reads; an oracle only the tests call lives beside its tests."""
+    sources = {p.stem: p.read_text() for p in MODULES}
+    outside = [p.read_text() for p in PERFBENCH]
+    assert unreached(sources, {"cli", "__main__"}, outside) == []
+
+
+def test_scan_sees_test_only_code():
+    sources = {"cli": "from a import run\ndef main(): run()\n",
+               "a": "from b import helper\nTABLE = {'k': _kept}\n"
+                    "def run(): return helper()\ndef _kept(): pass\n"
+                    "def _ping(): return _pong()\ndef _pong(): return _ping()\n"
+                    "def oracle(): return _ping()\nclass Bench: pass\n",
+               "b": "from a import oracle\ndef helper(): pass\n"}
+    outside = ["from a import Bench\n"]
+    assert unreached(sources, {"cli"}, outside) == ["a._ping", "a._pong", "a.oracle"]

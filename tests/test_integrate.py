@@ -18,10 +18,11 @@ import pytest
 from affsurf import catalog, geodesic, killing
 from affsurf import integrate as integrate_module
 from affsurf.connection import ChristoffelSpec
-from affsurf.expr import DomainError, VectorFieldExpr, const, log, parse_expr, power, x1, x2
+from affsurf.expr import DomainError, VectorFieldExpr, const, log, power, x1, x2
 from affsurf.integrate import (_A, _B, _E, _RHS_ERRORS, ATOL, RTOL, Blowup, Field,
                                LeftDomain, ReachedHorizon, StepCollapse,
                                Unbounded, integrate)
+from test_expr import parse_expr
 
 
 def lsum(terms):

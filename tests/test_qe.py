@@ -11,6 +11,7 @@ from affsurf import qe
 from affsurf.connection import max_abs, ricci_sym
 from affsurf.projective import LinearForm, deform
 from test_connection import ricci_sym_at, same_bits
+from test_expr import parse_expr
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,7 @@ def qe_residual(spec, phi, p):
 class TestHessian:
     def test_parabolic_chart_solution(self):
         rec = C.instantiate("A.M46")
-        phi = ex.parse_expr("x2^2 + 2*x1")
+        phi = parse_expr("x2^2 + 2*x1")
         for p in [(0.0, 0.0), (0.7, -0.4)]:
             assert np.allclose(hessian(rec.spec, phi, p), 0, atol=1e-14)
 
