@@ -327,7 +327,7 @@ def main(argv=None) -> int:
     except (GuardError, DomainError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuntimeError, ArithmeticError) as err:  # max_steps, overflow
+    except (RuntimeError, ArithmeticError, MemoryError) as err:  # max_steps, overflow, memory
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as err:

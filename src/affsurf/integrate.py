@@ -36,10 +36,10 @@ that need it: the horizon cutting a step short, a stall (the step under
 H_MIN), an accepted step that reaches the edge or the next ladder rung,
 and the step limit.  A right-hand side given as a Field (its source text)
 is inlined at every stage of a loop of its own, compiled on first use and
-cached on the source; any other callable is called at each stage by one
-loop per state dimension.  Either way the arithmetic is that of the
-generic tableau loop, operation for operation, so trajectories are
-bit-identical to it.
+cached on the source.  Any other callable runs as a Field that calls it,
+so one loop serves every plain callable of a state dimension.  The
+arithmetic is that of the generic tableau loop, operation for operation,
+so trajectories are bit-identical to it.
 
 A run can be extended to a longer horizon.  Its Trajectory carries a
 Checkpoint: the loop's state (t, y, f, h, ladder, history, steps used) at
@@ -265,7 +265,7 @@ def integrate(rhs: Callable,
         h = _initial_step(y, f)
         t = 0.0
         used = 0
-    loop = rhs.kernel if isinstance(rhs, Field) else _loop_kernel(dim)
+    loop = (rhs if isinstance(rhs, Field) else _calling_field(rhs, dim)).kernel
     floor = -math.inf if edge is None else edge  # accepted steps are finite, so never <= -inf
     cut = None
 
@@ -277,7 +277,7 @@ def integrate(rhs: Callable,
     while True:
         rung = LADDER[ladder_idx] if ladder_idx < len(LADDER) else STATE_CAP
         event, used, t, y, f, h, y_new, f_new, enorm = loop(
-            rhs, sgn, span, floor, rung, MAX_STEPS, used, t, y, f, h, ts, ys, fs)
+            sgn, span, floor, rung, MAX_STEPS, used, t, y, f, h, ts, ys, fs)
         if event == "horizon":  # the horizon cuts this step short, or was reached
             if cut is None:
                 cut = (len(ts), (used, t, y, f, h, ladder_idx, tuple(ladder_times)))
@@ -346,16 +346,16 @@ _KERNEL_NAMESPACE = {**_NAMESPACE, "DomainError": DomainError, "_RHS_ERRORS": _R
                      "_float": float}
 
 
-def _step_lines(dim: int, stage: Callable, failed: list[str]) -> list[str]:
-    """Source, unindented, of one Dormand-Prince step from the state
-    `_y{c}`, its derivative `_k0_{c}`, the step size `_h` and the signed
-    step `_sh`: the stages in a try block whose `except _RHS_ERRORS` clause
-    runs the lines `failed` (the right-hand side is undefined at a stage
-    point), then y_new `_n{c}`, f_new `_k6_{c}`, |y_new| `_b{c}` and the
-    error norm `_enorm`.  stage(s, point) gives the lines that set
-    `_k{s}_0, _k{s}_1, ...` from the stage point, a list of one source
-    expression per component.  Every stage and component is a local float
-    and every tableau coefficient a literal, in the order of the generic
+def _step_lines(names, prelude, comps, failed: list[str]) -> list[str]:
+    """Source, unindented, of one Dormand-Prince step of the field source
+    (names, prelude, comps) (see Field) from the state `_y{c}`, its
+    derivative `_k0_{c}`, the step size `_h` and the signed step `_sh`: the
+    stages in a try block whose `except _RHS_ERRORS` clause runs the lines
+    `failed` (the right-hand side is undefined at a stage point), then
+    y_new `_n{c}`, f_new `_k6_{c}`, |y_new| `_b{c}` and the error norm
+    `_enorm`.  Stage s binds the stage point to the names, runs the prelude
+    and sets `_k{s}_{c}` to comps[c].  Every stage and component is a local
+    float and every tableau coefficient a literal, in the order of the generic
     tableau loop: each sum runs left to right from 0.0 (the same addition
     as sum()'s int start 0, so -0.0 still becomes 0.0), zero coefficients
     included (0.0 * inf stays NaN), and the error, scaled by h, is normed
@@ -363,22 +363,26 @@ def _step_lines(dim: int, stage: Callable, failed: list[str]) -> list[str]:
     inf from the first component of y_new that is not finite.  |y|, |y_new|
     and their max are selected by comparisons, which pick the values abs()
     and max() pick except that a zero may come out as -0.0; ATOL + absorbs
-    that sign.  Every name the step binds begins with an underscore."""
-    comps = range(dim)
+    that sign.  Every name the step binds but the field's begins with _."""
+    dim = len(names)
 
     def combo(coeffs, c):
         return " + ".join(["0.0"] + [f"{a!r} * _k{s}_{c}" for s, a in enumerate(coeffs)])
 
+    def stage(s, point):
+        return ([f"{n} = {p}" for n, p in zip(names, point)] + list(prelude)
+                + [f"_k{s}_{c} = {src}" for c, src in enumerate(comps)])
+
     body = []
     for s, row in enumerate(_A[1:], start=1):
-        body += stage(s, [f"_y{c} + _sh * ({combo(row, c)})" for c in comps])
-    body += [f"_n{c} = _y{c} + _sh * ({combo(_B, c)})" for c in comps]
-    body += stage(len(_A), [f"_n{c}" for c in comps])
-    body += [f"_e{c} = _h * ({combo(_E, c)})" for c in comps]
-    norm = [f"_enorm = {' + '.join(['0.0'] + [f'_q{c}' for c in comps])}",
+        body += stage(s, [f"_y{c} + _sh * ({combo(row, c)})" for c in range(dim)])
+    body += [f"_n{c} = _y{c} + _sh * ({combo(_B, c)})" for c in range(dim)]
+    body += stage(len(_A), [f"_n{c}" for c in range(dim)])
+    body += [f"_e{c} = _h * ({combo(_E, c)})" for c in range(dim)]
+    norm = [f"_enorm = {' + '.join(['0.0'] + [f'_q{c}' for c in range(dim)])}",
             "if _isfinite(_enorm):",
             f"    _enorm = _sqrt(_enorm / {dim})"]
-    for c in reversed(comps):
+    for c in reversed(range(dim)):
         norm = [f"if _isfinite(_n{c}):",
                 f"    _a = _y{c} if _y{c} >= 0.0 else -_y{c}",
                 f"    _b{c} = _n{c} if _n{c} >= 0.0 else -_n{c}",
@@ -387,11 +391,12 @@ def _step_lines(dim: int, stage: Callable, failed: list[str]) -> list[str]:
     return ["try:", *_indent(body), "except _RHS_ERRORS:", *_indent(failed), "_enorm = _inf", *norm]
 
 
-def _loop_lines(dim: int, stage: Callable) -> list[str]:
-    """Source of the step loop `_loop(_rhs, _sgn, _span, _edge, _rung,
-    _max_steps, _used, _t, _y, _f, _h, _ts, _ys, _fs)`, which runs
-    integrate()'s passes `_used`, `_used` + 1, ... (below `_max_steps`)
-    from the state (t, y, f, h), with stages from stage (see _step_lines).
+def _loop_lines(names, prelude, comps) -> list[str]:
+    """Source of the step loop `_loop(_sgn, _span, _edge, _rung,
+    _max_steps, _used, _t, _y, _f, _h, _ts, _ys, _fs)` of the field source
+    (names, prelude, comps), which runs integrate()'s passes `_used`,
+    `_used` + 1, ... (below `_max_steps`) from the state (t, y, f, h), each
+    step as _step_lines writes it.
     A rejected step scales h by 0.25 when the error norm is not finite or
     a stage failed, else by max(0.2, 0.9 enorm^-0.2); an accepted step
     appends (sgn t, y, f) to the flat histories ts, ys, fs and scales h by
@@ -403,13 +408,13 @@ def _loop_lines(dim: int, stage: Callable) -> list[str]:
     has y_new[0] <= edge or a component of |y_new| >= rung, and 'limit'
     after the last pass; y_new, f_new and enorm are None but for
     'accepted'."""
-    comps = range(dim)
-    y, f = _tup(f"_y{c}" for c in comps), _tup(f"_k0_{c}" for c in comps)
-    y_new, f_new = _tup(f"_n{c}" for c in comps), _tup(f"_k{len(_A)}_{c}" for c in comps)
+    cs = range(len(names))
+    y, f = _tup(f"_y{c}" for c in cs), _tup(f"_k0_{c}" for c in cs)
+    y_new, f_new = _tup(f"_n{c}" for c in cs), _tup(f"_k{len(_A)}_{c}" for c in cs)
     state = f"_used, _t, {y}, {f}, _h"
     stall = [f"if _h < {H_MIN!r}:", f"    return 'stall', {state}, None, None, None", "continue"]
-    reached = " or ".join(["_n0 <= _edge"] + [f"_b{c} >= _rung" for c in comps])
-    step = [*_step_lines(dim, stage, ["_h *= 0.25", *stall]),
+    reached = " or ".join(["_n0 <= _edge"] + [f"_b{c} >= _rung" for c in cs])
+    step = [*_step_lines(names, prelude, comps, ["_h *= 0.25", *stall]),
             "if _enorm > 1.0:",
             "    if _isfinite(_enorm):",
             "        _x = 0.9 * _enorm ** -0.2",
@@ -428,8 +433,7 @@ def _loop_lines(dim: int, stage: Callable) -> list[str]:
             "_x = 0.9 * (_enorm + 1e-300) ** -0.2",
             "_x = _x if _x > 0.2 else 0.2",
             "_h *= _x if _x < 5.0 else 5.0"]
-    return ["def _loop(_rhs, _sgn, _span, _edge, _rung, _max_steps, _used, _t, _y, _f, _h,"
-            " _ts, _ys, _fs):",
+    return ["def _loop(_sgn, _span, _edge, _rung, _max_steps, _used, _t, _y, _f, _h, _ts, _ys, _fs):",
             f"    {y} = _y",
             f"    {f} = _f",
             "    _tsa, _ysx, _fsx = _ts.append, _ys.extend, _fs.extend",
@@ -455,32 +459,6 @@ def _exec(lines: list[str], name: str):
     return namespace[name]
 
 
-def _call_stage(dim: int) -> Callable:
-    """Stages of the call form: call `_rhs` on the stage point and convert
-    its outputs with float()."""
-    def stage(s, point):
-        ks = _tup(f"_k{s}_{c}" for c in range(dim))
-        return [f"{ks} = _rhs({_tup(point)})",
-                f"{ks} = {_tup(f'_float(_k{s}_{c})' for c in range(dim))}"]
-    return stage
-
-
-@lru_cache(maxsize=None)
-def _loop_kernel(dim: int) -> Callable:
-    """The step loop for a plain callable right-hand side on states of
-    dimension dim (the call form)."""
-    return _exec(_loop_lines(dim, _call_stage(dim)), "_loop")
-
-
-def _source_stage(names, prelude, comps) -> Callable:
-    """Stages of the source form: bind the stage point to names, run the
-    prelude and evaluate the components."""
-    def stage(s, point):
-        return ([f"{n} = {p}" for n, p in zip(names, point)] + list(prelude)
-                + [f"_k{s}_{c} = {src}" for c, src in enumerate(comps)])
-    return stage
-
-
 class Field:
     """A right-hand side given by its source text: the state components are
     bound to `names`, the `prelude` statements run (they may raise
@@ -494,12 +472,11 @@ class Field:
     one (ValueError).
 
     integrate() runs a Field through its own step loop, the source inlined
-    at every stage (the source form); calling the Field runs the same text
-    as a plain right-hand side.  Both are compiled on first use, cached on
-    the source, and take the constants as closure values, so Fields that
-    differ only in their constants share one kernel.  A Field hashes by
-    identity (a plain class, because a dataclass costs about 1 ms at
-    import)."""
+    at every stage; calling the Field runs the same text as a plain
+    right-hand side.  Both are compiled on first use, cached on the source,
+    and take the constants as closure values, so Fields that differ only in
+    their constants share one kernel.  A Field hashes by identity (a plain
+    class, because a dataclass costs about 1 ms at import)."""
 
     def __init__(self, names: tuple[str, ...], prelude: tuple[str, ...],
                  comps: tuple[str, ...], consts: tuple[tuple[str, float], ...] = ()):
@@ -517,8 +494,7 @@ class Field:
 
     @property
     def kernel(self) -> Callable:
-        """The step loop with this field inlined (see _loop_lines; rhs is
-        unused)."""
+        """The step loop with this field inlined (see _loop_lines)."""
         return self._code[0]
 
     def __call__(self, y) -> tuple[float, ...]:
@@ -539,8 +515,18 @@ def _field_code(names, prelude, comps, const_names) -> Callable:
             + [f"    {n} = _float(_p[{c}])" for c, n in enumerate(names)]
             + _indent(prelude)
             + [f"    return {_tup(comps)}"])
-    body = _loop_lines(len(names), _source_stage(names, prelude, comps)) + call + ["return _loop, _call"]
+    body = _loop_lines(names, prelude, comps) + call + ["return _loop, _call"]
     return _exec([f"def _make({', '.join(const_names)}):", *_indent(body)], "_make")
+
+
+def _calling_field(rhs: Callable, dim: int) -> Field:
+    """A plain callable rhs on states of dimension dim as a Field that calls
+    it at each stage and converts its outputs with float(); a stage output
+    of another length fails the stage (ValueError).  rhs is a constant, so
+    all of them at one dimension share one kernel."""
+    ys, ks = tuple(f"y{c}" for c in range(dim)), tuple(f"k{c}" for c in range(dim))
+    return Field(ys, (f"{_tup(ks)} = rhs({_tup(ys)})",), tuple(f"_float({k})" for k in ks),
+                 (("rhs", rhs),))
 
 
 def _segment(t0, y0, f0, t1, y1, f1, sgn):

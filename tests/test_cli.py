@@ -214,6 +214,17 @@ class TestBadInput:
         assert code == 2
         assert err == "error: RuntimeError: integrator exceeded max_steps\n"
 
+    def test_memory_error_maps_to_exit_2(self, monkeypatch, capsys):
+        # the real run, `verify A.M06 --grid 30000`, asks for about 90 GB;
+        # under a memory limit sample_grid raises MemoryError
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cat, "sample_grid", exhausted)
+        code = cli.main(["verify", "A.M06", "--grid", "30000"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 #: extreme and non-finite magnitudes, plus the values the family guards
 #: exclude or single out (c in {0, -1}, b1 = 1, a1 + a2 = 1, c = -0.5)

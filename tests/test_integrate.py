@@ -6,6 +6,7 @@ before any geometry touches them.
 
 import builtins
 import dis
+import functools
 import hashlib
 import math
 import types
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from affsurf import catalog, geodesic, killing
+from affsurf import catalog, cli, geodesic, killing
 from affsurf import integrate as integrate_module
 from affsurf.connection import ChristoffelSpec
 from affsurf.expr import DomainError, VectorFieldExpr, const, log, power, x1, x2
@@ -177,32 +178,38 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
     raise RuntimeError(f"integrator exceeded max_steps ({im.MAX_STEPS})")
 
 
-def one_step(dim, stage, consts=()):
-    """`step(rhs, sgn, y, f, h) -> (y_new, f_new, enorm)`, or None when the
-    right-hand side fails at a stage point: the step body that the step
-    loop of integrate() inlines, built from the same generator, with
-    stages from stage and the constants (name, value) as globals."""
-    tup = integrate_module._tup
+@functools.lru_cache(maxsize=None)
+def step_code(names, prelude, comps):
+    """The compiled definition of `_step(_rhs, _sgn, _y, _f, _h) -> (y_new,
+    f_new, enorm)`, or None when the right-hand side fails at a stage
+    point: the step body that the step loop of integrate() inlines for the
+    field source (names, prelude, comps), built from the same generator
+    (_rhs is unused)."""
+    tup, dim = integrate_module._tup, len(names)
     y, f = tup(f"_y{c}" for c in range(dim)), tup(f"_k0_{c}" for c in range(dim))
     lines = (["def _step(_rhs, _sgn, _y, _f, _h):", f"    {y} = _y", f"    {f} = _f",
               "    _sh = _sgn * _h"]
-             + integrate_module._indent(integrate_module._step_lines(dim, stage, ["return None"]))
+             + integrate_module._indent(integrate_module._step_lines(names, prelude, comps,
+                                                                     ["return None"]))
              + [f"    return {tup(f'_n{c}' for c in range(dim))}, "
                 f"{tup(f'_k6_{c}' for c in range(dim))}, _enorm"])
-    namespace = {**integrate_module._KERNEL_NAMESPACE, **dict(consts)}
-    exec("\n".join(lines), namespace)  # noqa: S102
+    return compile("\n".join(lines), "<step>", "exec")
+
+
+def field_step(field):
+    """field's step (its rhs argument is unused), with field's constants as
+    globals."""
+    namespace = {**integrate_module._KERNEL_NAMESPACE, **dict(field.consts)}
+    exec(step_code(field.names, field.prelude, field.comps), namespace)  # noqa: S102
     return namespace["_step"]
 
 
 def call_step(dim):
-    """The step of the call form on states of dimension dim."""
-    return one_step(dim, integrate_module._call_stage(dim))
-
-
-def field_step(field):
-    """field's step in the source form (its rhs argument is unused)."""
-    stage = integrate_module._source_stage(field.names, field.prelude, field.comps)
-    return one_step(len(field.names), stage, field.consts)
+    """The step of a plain callable rhs on states of dimension dim: the step
+    of the Field that integrate() runs it as."""
+    def step(rhs, sgn, y, f, h):
+        return field_step(integrate_module._calling_field(rhs, dim))(None, sgn, y, f, h)
+    return step
 
 
 def traced_step(stepper, rhs, sgn, y, f, h):
@@ -225,7 +232,7 @@ def hexed(step):
 
 
 def same_step(make_rhs, sgn, y, f, h):
-    """Assert that the generated step of the call form and reference_step
+    """Assert that the generated step of a plain callable and reference_step
     agree bit for bit on the step and on every stage point, each stepping
     with a fresh make_rhs(); return the generated step's trace."""
     got = traced_step(call_step(len(y)), make_rhs(), sgn, y, f, h)
@@ -374,8 +381,8 @@ class TestFlowGroupLaw:
 
 
 class TestStepKernel:
-    """The generated step of the call form against the generic tableau
-    loop, bit for bit."""
+    """The generated step of a plain callable, run as a Field that calls it,
+    against the generic tableau loop, bit for bit."""
 
     @pytest.mark.parametrize("dim", [1, 2, 4])
     @pytest.mark.parametrize("sgn", [1.0, -1.0])
@@ -438,6 +445,40 @@ class TestRhsShape:
         with pytest.raises(TypeError):
             integrate(rhs, (1.0, 0.0), 1.0)
 
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_wrong_length_at_a_stage_fails_the_stage(self, length):
+        # unpacking a stage output of the wrong length raises ValueError,
+        # which fails the step as a right-hand side raising would
+        rhs = lambda y: (1.0,) * length  # noqa: E731
+        assert call_step(2)(rhs, 1.0, (0.5, 0.5), (1.0, 1.0), 0.1) is None
+
+
+class TestPlainCallable:
+    """integrate() runs a plain callable as a Field whose prelude calls it
+    (integrate._calling_field)."""
+
+    def test_plain_callables_share_one_loop_per_dimension(self):
+        fields = [integrate_module._calling_field(rhs, 2)
+                  for rhs in (lambda y: (y[1], -y[0]), lambda y: (y[0], y[0] * y[1]))]
+        assert fields[0].kernel.__code__ is fields[1].kernel.__code__
+        assert fields[0].kernel is not fields[1].kernel
+        integrate(lambda y: (y[1], -y[0]), (1.0, 0.0), 1.0)
+        misses = integrate_module._field_code.cache_info().misses
+        integrate(lambda y: (-y[1], y[0]), (1.0, 0.0), 1.0)
+        assert integrate_module._field_code.cache_info().misses == misses
+
+    def test_runtime_callers_pass_fields(self, monkeypatch, capsys):
+        """Every integrate() call of the program passes a Field, whose
+        source its kernel inlines, so none of them needs _calling_field."""
+        def refuse(rhs, dim):
+            raise AssertionError(f"integrate() was passed a plain callable {rhs!r}")
+        monkeypatch.setattr(integrate_module, "_calling_field", refuse)
+        assert cli.main(["flow", "B.N13p", "--init", "1,-1", "--T", "1"]) == 0
+        assert cli.main(["geodesic", "A.M26", "--init", "0,0,1,1", "--T", "1"]) == 0
+        assert capsys.readouterr().out
+        killing.killing_completeness_probe(catalog.instantiate("B.N06"), T=1.0)
+        geodesic.geodesic_completeness_probe(catalog.instantiate("A.M16"), T=1.0)
+
 
 class TestScipyOracle:
     def test_m46_benchmark_flow_matches_rk45(self):
@@ -461,11 +502,11 @@ class TestScipyOracle:
 
 
 def same_fused_step(field, sgn, y, f, h):
-    """Assert that field's step in the source form and reference_step
-    calling the field (the call form) agree bit for bit on the step and on
-    every stage point; return the traced step.  The source form's stage
-    points are logged by a copy of the field whose prelude first hands them
-    to a bound constant."""
+    """Assert that field's step, its source inlined, and reference_step
+    calling the field agree bit for bit on the step and on every stage
+    point; return the traced step.  The inlined step's stage points are
+    logged by a copy of the field whose prelude first hands them to a
+    bound constant."""
     points = []
     spy = Field(field.names, (f"trace(({', '.join(field.names)},))",) + field.prelude,
                 field.comps, field.consts + (("trace", lambda p: points.append([c.hex() for c in p])),))
@@ -496,8 +537,8 @@ GEODESIC_SPECS = [catalog.instantiate("A.M16").spec,
 
 
 class TestFusedKernel:
-    """Each Field's generated step (the source form) against the call form,
-    bit for bit."""
+    """Each Field's generated step, its source inlined, against
+    reference_step calling the Field, bit for bit."""
 
     @pytest.mark.parametrize("sgn", [1.0, -1.0])
     def test_killing_fields_of_every_record(self, sgn):
@@ -551,7 +592,7 @@ class TestFusedKernel:
         assert points[1][1] == "inf" and y_new[1] == "nan"
 
     def test_sums_start_from_zero(self):
-        # a stage sum of -0.0 terms is +0.0, as in the call form
+        # a stage sum of -0.0 terms is +0.0, as in reference_step
         field = Field(("x1", "x2"), (), ("x1", "x2"))
         _, points = same_fused_step(field, 1.0, (-0.0, -0.0), (-0.0, -0.0), 0.1)
         assert points[0] == [(0.0).hex()] * 2
@@ -571,8 +612,8 @@ class TestFusedKernel:
             same_fused_step(field, -1.0, y, field(y), 0.01)
 
     def test_integrate_steps_a_field_with_its_kernel(self):
-        """integrate runs the source form for a Field: stage points reach
-        the spy's prelude, and the trajectory equals the call form's."""
+        """integrate inlines a Field's source: stage points reach the spy's
+        prelude, and the trajectory equals a plain callable's."""
         points = []
         field = killing._field_rhs(VectorFieldExpr(x2, -x1))
         spy = Field(field.names, ("trace(x1)",), field.comps, (("trace", points.append),))
@@ -824,9 +865,9 @@ def source_and_call_forms(field):
 
 
 def assert_matches_reference(field, y0, t_end, edge=None):
-    """integrate() on field (the source form) and on a plain callable of it
-    (the call form) each give reference_integrate's run on field; return
-    that run and the outcome of each of its passes."""
+    """integrate() on field and on a plain callable of it each give
+    reference_integrate's run on field; return that run and the outcome of
+    each of its passes."""
     passes = []
     want = reference_integrate(field, y0, t_end, edge=edge, passes=passes)
     for rhs in source_and_call_forms(field):
@@ -950,8 +991,8 @@ class TestGeneratedCode:
         fields.append(killing._field_rhs(VectorFieldExpr(
             parse_expr("exp(x1) + log(x1) + sin(x2) + cos(x2) + arctan(x1) + x1^(1/2)"),
             parse_expr("c*c*x1 + x2", {"c": 1e200}) + const(math.nan))))
-        return ([integrate_module._loop_kernel(dim) for dim in (1, 2, 4)]
-                + [fn for field in fields for fn in field._code]
+        fields += [integrate_module._calling_field(coupled_rhs, dim) for dim in (1, 2, 4)]
+        return ([fn for field in fields for fn in field._code]
                 + [killing._defect_kernel()])
 
     def test_every_global_read_is_bound(self):
