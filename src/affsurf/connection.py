@@ -22,6 +22,11 @@ float arithmetic in the order a summed loop adds them,
               + (G_i1^l G_jk^1 - G_j1^l G_ik^1),
 
 rho_jk = 0.0 + R_0jk^0 + R_1jk^1 and rho_s_jk = 0.5 * (rho_jk + rho_kj).
+
+A constant spec has the same symbols, curvature and Ricci tensor at every
+point.  `over_grid` is the one place that uses this: a check that needs
+per-point connection data over a grid evaluates it there, once for a
+constant spec and once per point for the other kinds.
 """
 
 from __future__ import annotations
@@ -85,6 +90,15 @@ class ChristoffelSpec:
         return {"coeffs": list(self.coeffs), "kind": self.kind}
 
 
+def over_grid(spec: ChristoffelSpec, grid, fn) -> list:
+    """[fn(p) for p in grid], where fn(p) is connection data of spec at p
+    (symbols, curvature, Ricci): for a constant spec fn runs once, at the
+    first point, and its value stands for every point."""
+    if spec.kind == "constant" and len(grid):
+        return [fn(grid[0])] * len(grid)
+    return [fn(p) for p in grid]
+
+
 def _index_form(six: Coeffs):
     """(a, b, c, d, e, f) as nested tuples T[i][j][k] for Gamma_ij^k."""
     a, b, c, d, e, f = six
@@ -135,7 +149,8 @@ def ricci(spec: ChristoffelSpec, p: Point, symbols=None) -> tuple[float, float, 
     return _ricci(G, dG, 0, 0), _ricci(G, dG, 0, 1), _ricci(G, dG, 1, 0), _ricci(G, dG, 1, 1)
 
 
-def ricci_sym(spec: ChristoffelSpec, p: Point) -> tuple[float, float, float]:
-    """(rho_s11, rho_s12, rho_s22) of the symmetrized Ricci tensor."""
-    r11, r12, r21, r22 = ricci(spec, p)
+def ricci_sym(spec: ChristoffelSpec, p: Point, symbols=None) -> tuple[float, float, float]:
+    """(rho_s11, rho_s12, rho_s22) of the symmetrized Ricci tensor;
+    symbols, when given, is `spec.symbols_at(p)`."""
+    r11, r12, r21, r22 = ricci(spec, p, symbols)
     return 0.5 * (r11 + r11), 0.5 * (r12 + r21), 0.5 * (r22 + r22)

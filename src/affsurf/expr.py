@@ -2,10 +2,11 @@
 
 Expression trees over the coordinates x1, x2 built from sums, products,
 rational/real powers and the transcendental functions exp, log, sin, cos,
-arctan.  They support exact symbolic differentiation, substitution, infix
-rendering, and compilation to fast scalar callables.  Every other module
-evaluates these trees: quasi-Einstein solution bases, affine Killing fields
-and embedding maps are all stored in this form.
+arctan.  They support exact symbolic differentiation (each distinct node
+of a tree once per call), substitution, infix rendering, and compilation
+to fast scalar callables.  Every other module evaluates these trees:
+quasi-Einstein solution bases, affine Killing fields and embedding maps
+are all stored in this form.
 Every pointwise check (quasi-Einstein, Killing, map pullback, the xi matrix,
 Jacobians) reads one compiled 2-jet, `compile_jet`, instead of
 differentiating at each point.
@@ -337,39 +338,55 @@ def evaluate(e: ScalarExpr, p: Point) -> float:
 
 
 def diff(e: ScalarExpr, axis: int) -> ScalarExpr:
-    """Exact derivative with respect to x1 (axis=1) or x2 (axis=2)."""
+    """Exact derivative with respect to x1 (axis=1) or x2 (axis=2).  Each
+    distinct node is differentiated once per call: a node the tree holds
+    more than once (the factors a Leibniz sum repeats) reuses its
+    derivative."""
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
+    return _diff(e, axis, {})
+
+
+def _diff(e: ScalarExpr, axis: int, done: dict) -> ScalarExpr:
+    """diff's recursion; done maps the identity of each compound node
+    differentiated so far in the call to (node, derivative), and holding
+    the node keeps its identity from being reused."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Coord):
         return ONE if e.axis == axis else ZERO
+    hit = done.get(id(e))
+    if hit is not None:
+        return hit[1]
     if isinstance(e, Sum):
-        return add(*(diff(t, axis) for t in e.terms))
-    if isinstance(e, Prod):
+        out = add(*(_diff(t, axis, done) for t in e.terms))
+    elif isinstance(e, Prod):
         parts = []
         fs = e.factors
         for i in range(len(fs)):
-            parts.append(mul(*fs[:i], diff(fs[i], axis), *fs[i + 1:]))
-        return add(*parts)
-    if isinstance(e, Pow):
+            parts.append(mul(*fs[:i], _diff(fs[i], axis, done), *fs[i + 1:]))
+        out = add(*parts)
+    elif isinstance(e, Pow):
         p = e.exponent
-        return mul(const(p if isinstance(p, Fraction) else p),
-                   power(e.base, p - 1), diff(e.base, axis))
-    if isinstance(e, Func):
-        du = diff(e.arg, axis)
+        out = mul(const(p if isinstance(p, Fraction) else p),
+                  power(e.base, p - 1), _diff(e.base, axis, done))
+    elif isinstance(e, Func) and e.name in ("exp", "log", "sin", "cos", "arctan"):
+        du = _diff(e.arg, axis, done)
         u = e.arg
         if e.name == "exp":
-            return mul(exp(u), du)
-        if e.name == "log":
-            return mul(power(u, -1), du)
-        if e.name == "sin":
-            return mul(cos(u), du)
-        if e.name == "cos":
-            return mul(const(-1), sin(u), du)
-        if e.name == "arctan":
-            return mul(power(add(ONE, power(u, 2)), -1), du)
-    raise TypeError(f"not a ScalarExpr: {e!r}")
+            out = mul(exp(u), du)
+        elif e.name == "log":
+            out = mul(power(u, -1), du)
+        elif e.name == "sin":
+            out = mul(cos(u), du)
+        elif e.name == "cos":
+            out = mul(const(-1), sin(u), du)
+        else:
+            out = mul(power(add(ONE, power(u, 2)), -1), du)
+    else:
+        raise TypeError(f"not a ScalarExpr: {e!r}")
+    done[id(e)] = (e, out)
+    return out
 
 
 def substitute(e: ScalarExpr, repl: Mapping[int, ScalarExpr]) -> ScalarExpr:

@@ -12,7 +12,8 @@ reduces, per component k and index pair (i, j), to
 
 which is evaluated with exact derivatives of both X (the compiled 2-jets of
 its components) and the symbols, over a grid (a single point is a grid of
-one point).
+one point).  The symbols are evaluated once per grid point for all of a
+record's fields, or once for the whole grid when they are constant.
 
 The completeness probe integrates every basis field plus a fixed set of
 seeded random unit combinations, both directions, from a few interior
@@ -35,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .catalog import ModelRecord, sample_grid
-from .connection import ChristoffelSpec, max_abs
+from .connection import ChristoffelSpec, max_abs, over_grid
 from .expr import Point, VectorFieldExpr, _emit_shared, add, compile_jet, const, mul
 from .integrate import ESCAPE_STATUSES, Field, Status, Trajectory, Unbounded, _exec, integrate
 
@@ -57,7 +58,7 @@ def max_killing_residual(spec: ChristoffelSpec, X: VectorFieldExpr, grid,
     jet1, jet2 = compile_jet(X.c1), compile_jet(X.c2)
     defects = _defect_kernel()
     if symbols is None:
-        symbols = [spec.symbols_at(p) for p in grid]
+        symbols = over_grid(spec, grid, spec.symbols_at)
     return max_abs(v for p, (G, dG) in zip(grid, symbols)
                    for v in defects(jet1(*p), jet2(*p), G, dG))
 
@@ -214,7 +215,7 @@ def killing_completeness_probe(record: ModelRecord,
 def verify_killing_basis(record: ModelRecord, grid=None):
     """Max Killing residual per basis field over the standard grid."""
     pts = grid if grid is not None else sample_grid(record)
-    symbols = [record.spec.symbols_at(p) for p in pts]
+    symbols = over_grid(record.spec, pts, record.spec.symbols_at)
     res = tuple(max_killing_residual(record.spec, X, pts, symbols)
                 for X in record.killing_basis)
     return res, all(r <= RESIDUAL_TOL for r in res)

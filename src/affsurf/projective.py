@@ -13,7 +13,9 @@ e^{+phi}, e^{-phi} solves the quasi-Einstein equation of the original
 model.  The construction works in a rescaled chart where G_11^2 = 1 and
 reduces to one quadratic substitution plus a real root of a monic cubic;
 the root of smallest magnitude is chosen (ties toward the negative) and
-the rescaling is inverted before phi is reported.
+the rescaling is inverted before phi is reported.  The flat connection is
+constant, so its Ricci and curvature are evaluated once per check, not
+once per grid point.
 
 Affine maps between catalog models are verified by pulling the target
 connection back through the map and comparing against the source symbols
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import expr as ex
 from .catalog import AffineMapEntry, ModelRecord, instantiate_ref, sample_grid
-from .connection import ChristoffelSpec, _index_form, curvature, max_abs, ricci
+from .connection import ChristoffelSpec, _index_form, curvature, max_abs, over_grid, ricci
 from .expr import PlaneMap, Point, ScalarExpr, compile_jet
 from .qe import max_residual, point_rows
 
@@ -147,9 +149,13 @@ class FlattenReport:
 def flatten_report(record: ModelRecord, grid=None) -> FlattenReport:
     phi, flat = flatten(record)
     pts = grid if grid is not None else sample_grid(record)
-    flat_symbols = [flat.symbols_at(p) for p in pts]
-    rho_max = max_abs(v for p, sym in zip(pts, flat_symbols) for v in ricci(flat, p, sym))
-    curv_max = max_abs(v for p, sym in zip(pts, flat_symbols) for v in curvature(flat, p, sym))
+
+    def flat_data(p):
+        sym = flat.symbols_at(p)
+        return ricci(flat, p, sym), curvature(flat, p, sym)
+    flat_rows = over_grid(flat, pts, flat_data)
+    rho_max = max_abs(v for rho, _ in flat_rows for v in rho)
+    curv_max = max_abs(v for _, curv in flat_rows for v in curv)
     rows = point_rows(record.spec, pts)
     res = {}
     for s in (1, -1):

@@ -9,7 +9,9 @@ rho_s being the symmetrized Ricci tensor.  The catalog stores a three-element
 solution basis for every model whose solution space is nontrivial; this
 module verifies those bases on sample grids and computes the point-evaluation
 matrix whose nonzero determinant certifies that the basis is independent and
-the solution space is fully three-dimensional.
+the solution space is fully three-dimensional.  A check reads the symbols and
+rho_s of its grid from `point_rows`, which evaluates them once per point, or
+once for the whole grid when the symbols are constant.
 """
 
 from __future__ import annotations
@@ -19,17 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import ModelRecord, sample_grid
-from .connection import ChristoffelSpec, max_abs, ricci_sym
+from .connection import ChristoffelSpec, max_abs, over_grid, ricci_sym
 from .expr import Point, ScalarExpr, compile_jet
 
 DEFAULT_TOL = 1e-8
 
 
 def point_rows(spec: ChristoffelSpec, grid) -> list:
-    """One row (p, symbols, rho_s) per grid point: the six symbols from
-    `christoffel_at` and the symmetrized Ricci tensor from `ricci_sym`,
-    computed once for every scalar a check tests on the grid."""
-    return [(p, spec.christoffel_at(p), ricci_sym(spec, p)) for p in grid]
+    """One row (p, symbols, rho_s) per grid point: the six symbols and the
+    symmetrized Ricci tensor `ricci_sym`, both from one `symbols_at`,
+    computed once for every scalar a check tests on the grid (once for the
+    whole grid when the spec is constant, see `over_grid`)."""
+    def data(p):
+        sym = spec.symbols_at(p)
+        (((a, b), (c, d)), (_, (e, f))), _ = sym
+        return (a, b, c, d, e, f), ricci_sym(spec, p, sym)
+    return [(p, six, rho) for p, (six, rho) in zip(grid, over_grid(spec, grid, data))]
 
 
 def max_residual(spec: ChristoffelSpec, phi: ScalarExpr, grid, rows=None) -> float:

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from affsurf import catalog as C
+from affsurf import killing as K
 from affsurf import projective as P
 from affsurf import qe
-from affsurf.connection import ChristoffelSpec, curvature, curvature_at, ricci, ricci_sym
+from affsurf.connection import (ChristoffelSpec, curvature, curvature_at, over_grid, ricci,
+                                ricci_sym)
 from affsurf.expr import DomainError
 
 
@@ -162,6 +164,32 @@ class TestSymbolsAt:
         spec = ChristoffelSpec((1, 0, 0, 0, 0, 0), "inverse-x1")
         with pytest.raises(DomainError):
             spec.symbols_at((0.0, 1.0))
+
+
+class TestOverGrid:
+    """A constant spec's connection data is evaluated once for a whole grid,
+    the other kinds' once per point, and an empty grid evaluates none."""
+
+    @pytest.mark.parametrize("kind", ["constant", "inverse-x1", "linear-x1"])
+    def test_evaluations(self, kind):
+        spec = ChristoffelSpec((1.5, -2.0, 0.25, 3.0, -0.75, 0.5), kind)
+        grid = [(0.7, -0.4), (1.3, 0.9), (2.0, 0.0)]
+        seen = []
+
+        def fn(p):
+            seen.append(p)
+            return ricci_sym(spec, p)
+        assert over_grid(spec, grid, fn) == [ricci_sym(spec, p) for p in grid]
+        assert seen == (grid[:1] if kind == "constant" else grid)
+        seen.clear()
+        assert over_grid(spec, [], fn) == [] and seen == []
+
+    def test_checks_on_an_empty_grid(self):
+        rec = C.instantiate("A.M46")
+        assert qe.verify_q_basis(rec, []).residuals == (0.0, 0.0, 0.0)
+        assert K.verify_killing_basis(rec, []) == ((0.0,) * 6, True)
+        rep = P.flatten_report(rec, [])
+        assert (rep.rho_tilde_max, rep.curvature_tilde_max, rep.qe_residual) == (0.0, 0.0, 0.0)
 
 
 class TestCurvature:

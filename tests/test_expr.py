@@ -190,6 +190,55 @@ class _Parser:
 
 
 
+def plain_diff(e: ScalarExpr, axis: int) -> ScalarExpr:
+    """The differentiation rule without `diff`'s per-call memo: a node the
+    tree holds more than once is differentiated again at each occurrence.
+    The structural-equality oracle for `diff`."""
+    if isinstance(e, ex.Const):
+        return ex.ZERO
+    if isinstance(e, ex.Coord):
+        return ex.ONE if e.axis == axis else ex.ZERO
+    if isinstance(e, ex.Sum):
+        return add(*(plain_diff(t, axis) for t in e.terms))
+    if isinstance(e, ex.Prod):
+        parts = []
+        fs = e.factors
+        for i in range(len(fs)):
+            parts.append(mul(*fs[:i], plain_diff(fs[i], axis), *fs[i + 1:]))
+        return add(*parts)
+    if isinstance(e, ex.Pow):
+        p = e.exponent
+        return mul(const(p), power(e.base, p - 1), plain_diff(e.base, axis))
+    if isinstance(e, ex.Func):
+        du = plain_diff(e.arg, axis)
+        u = e.arg
+        if e.name == "exp":
+            return mul(ex.exp(u), du)
+        if e.name == "log":
+            return mul(power(u, -1), du)
+        if e.name == "sin":
+            return mul(ex.cos(u), du)
+        if e.name == "cos":
+            return mul(const(-1), ex.sin(u), du)
+        if e.name == "arctan":
+            return mul(power(add(ex.ONE, power(u, 2)), -1), du)
+    raise TypeError(f"not a ScalarExpr: {e!r}")
+
+
+def jet_trees(e, d=ex.diff):
+    """(e, d1 e, d2 e, d1 d1 e, d1 d2 e, d2 d2 e), the trees `compile_jet`
+    differentiates, by the rule d."""
+    d1, d2 = d(e, 1), d(e, 2)
+    return (e, d1, d2, d(d1, 1), d(d1, 2), d(d2, 2))
+
+
+def catalog_components(rec):
+    """Every q-basis element, Killing-field component and map component
+    of a record."""
+    return (list(rec.q_basis) + [c for X in rec.killing_basis for c in (X.c1, X.c2)]
+            + [f for m in rec.maps for f in (m.plane_map.f1, m.plane_map.f2)])
+
+
 def central_fd(e, axis, p, h=1e-5):
     lo = list(p)
     hi = list(p)
@@ -329,6 +378,54 @@ class TestDiff:
             got = ex.evaluate(d, p)
             assert abs(got - want) <= 1e-6 * (1 + abs(got))
 
+    def test_equals_plain_rule_on_catalog(self):
+        # the jet trees of every catalog component, and the shared sources
+        # compile_jet emits from them, character for character
+        checked = 0
+        for rec in C.all_records():
+            for e in catalog_components(rec):
+                got, want = jet_trees(e), jet_trees(e, plain_diff)
+                assert got == want, (rec.ref.label(), e)
+                assert ex._emit_shared(got) == ex._emit_shared(want), (rec.ref.label(), e)
+                checked += 1
+        assert checked > 800
+
+    def test_each_node_once_per_call(self, monkeypatch):
+        # d1 of a product repeats its factors in every Leibniz term; each
+        # distinct compound node is differentiated once, which visits each
+        # of its operands once
+        d1 = ex.diff(parse_expr("exp(x1)*sin(x1*x2)*log(x1)*x2^3"), 1)
+        distinct = {id(t): t for t in _nodes(d1)}
+        visits = []
+        recurse = ex._diff
+
+        def spy(t, axis, done):
+            visits.append(t)
+            return recurse(t, axis, done)
+        monkeypatch.setattr(ex, "_diff", spy)
+        assert ex.diff(d1, 1) == plain_diff(d1, 1)
+        assert len(visits) == 1 + sum(len(_operands(t)) for t in distinct.values())
+        assert len(visits) < len(list(_nodes(d1)))
+
+
+def _operands(t):
+    """The direct operands of an expression node."""
+    return getattr(t, "terms", ()) + getattr(t, "factors", ()) + tuple(
+        getattr(t, a) for a in ("base", "arg") if hasattr(t, a))
+
+
+def _nodes(t):
+    """Every node of a tree, once per place it occurs."""
+    yield t
+    for c in _operands(t):
+        yield from _nodes(c)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_exprs())
+def test_diff_equals_plain_rule_generated(e):
+    assert jet_trees(e) == jet_trees(e, plain_diff)
+
 
 class TestCompile:
     def test_matches_interpreter(self):
@@ -375,23 +472,15 @@ class TestCompile:
 
 
 class TestCompileJet:
-    @staticmethod
-    def jet_trees(e):
-        d1, d2 = ex.diff(e, 1), ex.diff(e, 2)
-        return (e, d1, d2, ex.diff(d1, 1), ex.diff(d1, 2), ex.diff(d2, 2))
-
     def test_bit_identical_to_compile_scalar_on_catalog(self):
         # every q-basis element, Killing-field component and map component,
         # at the standard grid points of its record
         checked = 0
         for rec in C.all_records():
-            exprs = list(rec.q_basis)
-            exprs += [c for X in rec.killing_basis for c in (X.c1, X.c2)]
-            exprs += [f for m in rec.maps for f in (m.plane_map.f1, m.plane_map.f2)]
             grid = C.sample_grid(rec)
-            for e in exprs:
+            for e in catalog_components(rec):
                 jet = ex.compile_jet(e)
-                fs = [ex.compile_scalar(t) for t in self.jet_trees(e)]
+                fs = [ex.compile_scalar(t) for t in jet_trees(e)]
                 for p in grid:
                     got = [float(v).hex() for v in jet(*p)]
                     assert got == [float(f(*p)).hex() for f in fs], (rec.ref.label(), e, p)
@@ -455,11 +544,8 @@ class TestEmitShared:
     def test_jet_trees_of_the_catalog(self):
         named = 0
         for rec in C.all_records():
-            exprs = list(rec.q_basis)
-            exprs += [c for X in rec.killing_basis for c in (X.c1, X.c2)]
-            exprs += [f for m in rec.maps for f in (m.plane_map.f1, m.plane_map.f2)]
-            for e in exprs:
-                trees = TestCompileJet.jet_trees(e)
+            for e in catalog_components(rec):
+                trees = jet_trees(e)
                 assert_shared_agrees(trees, C.sample_grid(rec) + OUTSIDE)
                 named += "_s0" in "".join(ex._emit_shared(trees))
         assert named > 100

@@ -143,6 +143,8 @@ class TestSharedSymbols:
         assert nan_models == ["B.N14(kappa=1e+300)"]
 
     def test_symbols_once_per_point(self, monkeypatch):
+        """A constant spec's symbols are evaluated once for the whole grid;
+        an inverse-x1 or linear-x1 spec's once per grid point."""
         calls = []
         symbols_at = ChristoffelSpec.symbols_at
 
@@ -150,10 +152,15 @@ class TestSharedSymbols:
             calls.append(p)
             return symbols_at(spec, p)
         monkeypatch.setattr(ChristoffelSpec, "symbols_at", spy)
-        rec = C.instantiate("A.M06")
-        grid = C.sample_grid(rec)
-        K.verify_killing_basis(rec, grid)
-        assert len(rec.killing_basis) == 6 and calls == grid
+        for label, params, kind, dim in (("A.M06", {}, "constant", 6),
+                                         ("B.N16", {"sign": 1.0}, "inverse-x1", 6),
+                                         ("A.M54t", {"c": 1.0}, "linear-x1", 4)):
+            rec = C.instantiate(label, **params)
+            grid = C.sample_grid(rec)
+            calls.clear()
+            K.verify_killing_basis(rec, grid)
+            assert rec.spec.kind == kind and len(rec.killing_basis) == dim, label
+            assert calls == (grid[:1] if kind == "constant" else grid), label
 
 
 class TestKillingJetRank:

@@ -9,8 +9,9 @@ from affsurf import catalog as C
 from affsurf import expr as ex
 from affsurf import geodesic as G
 from affsurf import projective as P
+from affsurf import qe
 from affsurf.catalog import ModelRecord
-from affsurf.connection import ChristoffelSpec, curvature, max_abs, ricci
+from affsurf.connection import ChristoffelSpec, curvature, max_abs, ricci, ricci_sym
 from affsurf.expr import PlaneMap, Point
 from affsurf.projective import flatten_report
 from affsurf.qe import xi_matrix
@@ -146,6 +147,28 @@ class TestSharedTables:
             if math.isnan(rho_max):
                 nan_models.append(rec.ref.label())
         assert len(nan_models) == 2
+
+    def test_flat_data_once(self, monkeypatch):
+        """The flat connection, constant like the record's, has its Ricci
+        and curvature evaluated once for the whole grid, and the record's
+        QE row once; a one-point grid costs the same."""
+        counts = {}
+
+        def spy(name, fn):
+            def counted(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args)
+            return counted
+        monkeypatch.setattr(P, "ricci", spy("ricci", ricci))
+        monkeypatch.setattr(P, "curvature", spy("curvature", curvature))
+        monkeypatch.setattr(qe, "ricci_sym", spy("ricci_sym", ricci_sym))
+        monkeypatch.setattr(ChristoffelSpec, "symbols_at",
+                            spy("symbols_at", ChristoffelSpec.symbols_at))
+        rec = C.instantiate("A.M46")
+        for grid in (C.sample_grid(rec), C.sample_grid(rec, 1)):
+            counts.clear()
+            assert P.flatten_report(rec, grid).passed
+            assert counts == {"ricci": 1, "curvature": 1, "ricci_sym": 1, "symbols_at": 2}
 
     def test_every_map(self):
         count = 0

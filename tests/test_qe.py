@@ -8,7 +8,7 @@ import pytest
 from affsurf import catalog as C
 from affsurf import expr as ex
 from affsurf import qe
-from affsurf.connection import max_abs, ricci_sym
+from affsurf.connection import ChristoffelSpec, max_abs, ricci_sym
 from affsurf.projective import LinearForm, deform
 from test_connection import ricci_sym_at, same_bits
 from test_expr import parse_expr
@@ -168,16 +168,32 @@ class TestSharedRows:
         assert nan_models == ["B.N14(kappa=1e+300)"]
 
     def test_ricci_once_per_point(self, monkeypatch):
-        calls = []
+        """A constant spec's row is evaluated once for the whole grid; an
+        inverse-x1 or linear-x1 spec's once per grid point, its symbols and
+        rho_s from one evaluation of the six symbols."""
+        calls, sixes = [], []
+        christoffel_at = ChristoffelSpec.christoffel_at
 
-        def spy(spec, p):
+        def spy(spec, p, symbols=None):
             calls.append(p)
-            return ricci_sym(spec, p)
+            return ricci_sym(spec, p, symbols)
+
+        def six_spy(spec, p):
+            sixes.append(p)
+            return christoffel_at(spec, p)
         monkeypatch.setattr(qe, "ricci_sym", spy)
-        rec = C.instantiate("A.M46")
-        grid = C.sample_grid(rec)
-        qe.verify_q_basis(rec, grid)
-        assert len(rec.q_basis) == 3 and calls == grid
+        monkeypatch.setattr(ChristoffelSpec, "christoffel_at", six_spy)
+        for label, params, kind in (("A.M46", {}, "constant"),
+                                    ("B.N16", {"sign": 1.0}, "inverse-x1"),
+                                    ("A.M54t", {"c": 1.0}, "linear-x1")):
+            rec = C.instantiate(label, **params)
+            grid = C.sample_grid(rec)
+            calls.clear()
+            sixes.clear()
+            qe.verify_q_basis(rec, grid)
+            want = grid[:1] if kind == "constant" else grid
+            assert rec.spec.kind == kind and len(rec.q_basis) == 3, label
+            assert calls == want and sixes == want, label
 
 
 class TestXiMatrix:
