@@ -138,6 +138,11 @@ class Family:
     dim_killing: int
     summary: str
 
+    def to_json(self) -> dict:
+        return {"family": self.name, "type": self.mtype, "params": list(self.param_names),
+                "guard": self.guard_text, "dim_killing": self.dim_killing,
+                "summary": self.summary}
+
 
 def vf(c1, c2) -> VectorFieldExpr:
     return VectorFieldExpr(ex._as_expr(c1), ex._as_expr(c2))

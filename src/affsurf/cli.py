@@ -165,24 +165,11 @@ def cmd_catalog(args) -> int:
         return EXIT_OK
     if args.family:
         fam = cat.FAMILIES[cat.parse_family_token(args.family)[0]]
-        payload = {
-            "family": fam.name, "type": fam.mtype, "params": list(fam.param_names),
-            "guard": fam.guard_text, "dim_killing": fam.dim_killing,
-            "summary": fam.summary,
-            "samples": list(cat.standard_samples(fam.name)),
-        }
-        _emit(payload, args.json_path)
+        _emit({**fam.to_json(), "samples": list(cat.standard_samples(fam.name))},
+              args.json_path)
         return EXIT_OK
     fams = cat.families(args.type)
-    payload = {
-        "count": len(fams),
-        "families": [
-            {"family": f.name, "type": f.mtype, "params": list(f.param_names),
-             "guard": f.guard_text, "dim_killing": f.dim_killing, "summary": f.summary}
-            for f in fams
-        ],
-    }
-    _emit(payload, args.json_path)
+    _emit({"count": len(fams), "families": [f.to_json() for f in fams]}, args.json_path)
     return EXIT_OK
 
 
@@ -265,7 +252,7 @@ def cmd_flatten(args) -> int:
     record = _resolve_model(args)
     if record.spec.kind != "constant":
         raise GuardError(f"{record.ref.label()} is not a constant-symbol model")
-    rep = proj.flatten_report(record)
+    rep = proj.flatten_report(record, cat.sample_grid(record))
     _emit(rep.to_json(), args.json_path)
     return EXIT_OK if rep.passed else EXIT_MISMATCH
 

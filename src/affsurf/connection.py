@@ -22,6 +22,9 @@ float arithmetic in the order a summed loop adds them,
               + (G_i1^l G_jk^1 - G_j1^l G_ik^1),
 
 rho_jk = 0.0 + R_0jk^0 + R_1jk^1 and rho_s_jk = 0.5 * (rho_jk + rho_kj).
+`curvature`, `ricci` and `ricci_sym` read the symbols (G, dG) of one point
+as `symbols_at` gives them, so a check that needs several of them at a point
+evaluates the symbols there once.
 
 A constant spec has the same symbols, curvature and Ricci tensor at every
 point.  `over_grid` is the one place that uses this: a check that needs
@@ -130,27 +133,27 @@ def _ricci(G, dG, j: int, k: int) -> float:
     return 0.0 + _component(G, dG, 0, j, k, 0) + _component(G, dG, 1, j, k, 1)
 
 
-def curvature(spec: ChristoffelSpec, p: Point, symbols=None) -> tuple[float, ...]:
-    """The 16 components R_ijk^l, R(d_i, d_j) d_k = R_ijk^l d_l, (i, j, k, l)-major;
-    symbols, when given, is `spec.symbols_at(p)`."""
-    G, dG = spec.symbols_at(p) if symbols is None else symbols
+def curvature(symbols) -> tuple[float, ...]:
+    """The 16 components R_ijk^l, R(d_i, d_j) d_k = R_ijk^l d_l, (i, j, k, l)-major,
+    of the symbols (G, dG) that `symbols_at` gives at a point."""
+    G, dG = symbols
     return tuple(_component(G, dG, i, j, k, l)
                  for i in (0, 1) for j in (0, 1) for k in (0, 1) for l in (0, 1))
 
 
 def curvature_at(spec: ChristoffelSpec, p: Point) -> np.ndarray:
-    return np.reshape(curvature(spec, p), (2, 2, 2, 2))
+    return np.reshape(curvature(spec.symbols_at(p)), (2, 2, 2, 2))
 
 
-def ricci(spec: ChristoffelSpec, p: Point, symbols=None) -> tuple[float, float, float, float]:
-    """(rho_11, rho_12, rho_21, rho_22), rho(d_j, d_k) = trace of z -> R(z, d_j) d_k;
-    symbols, when given, is `spec.symbols_at(p)`."""
-    G, dG = spec.symbols_at(p) if symbols is None else symbols
+def ricci(symbols) -> tuple[float, float, float, float]:
+    """(rho_11, rho_12, rho_21, rho_22), rho(d_j, d_k) = trace of z -> R(z, d_j) d_k,
+    of the symbols (G, dG) that `symbols_at` gives at a point."""
+    G, dG = symbols
     return _ricci(G, dG, 0, 0), _ricci(G, dG, 0, 1), _ricci(G, dG, 1, 0), _ricci(G, dG, 1, 1)
 
 
-def ricci_sym(spec: ChristoffelSpec, p: Point, symbols=None) -> tuple[float, float, float]:
-    """(rho_s11, rho_s12, rho_s22) of the symmetrized Ricci tensor;
-    symbols, when given, is `spec.symbols_at(p)`."""
-    r11, r12, r21, r22 = ricci(spec, p, symbols)
+def ricci_sym(symbols) -> tuple[float, float, float]:
+    """(rho_s11, rho_s12, rho_s22) of the symmetrized Ricci tensor of the
+    symbols (G, dG) that `symbols_at` gives at a point."""
+    r11, r12, r21, r22 = ricci(symbols)
     return 0.5 * (r11 + r11), 0.5 * (r12 + r21), 0.5 * (r22 + r22)

@@ -97,10 +97,6 @@ class Blowup:
     t_lo: float
     t_hi: float
 
-    @property
-    def width(self) -> float:
-        return abs(self.t_hi - self.t_lo)
-
     def to_json(self):
         return {"status": "blowup", "t_star_bracket": [self.t_lo, self.t_hi]}
 
@@ -154,20 +150,6 @@ class Trajectory:
     @property
     def escaped(self) -> bool:
         return isinstance(self.status, ESCAPE_STATUSES)
-
-    def eval(self, t: float) -> np.ndarray:
-        """Dense output by cubic Hermite interpolation between nodes."""
-        ts = self.times
-        lo, hi = (ts[0], ts[-1]) if ts[0] <= ts[-1] else (ts[-1], ts[0])
-        if not (lo - 1e-12 <= t <= hi + 1e-12):
-            raise ValueError(f"t={t} outside trajectory range [{lo}, {hi}]")
-        if ts[0] <= ts[-1]:
-            i = int(np.searchsorted(ts, t, side="right")) - 1
-        else:
-            i = int(np.searchsorted(-ts, -t, side="right")) - 1
-        i = max(0, min(i, len(ts) - 2))
-        return _hermite(ts[i], self.states[i], self.derivs[i],
-                        ts[i + 1], self.states[i + 1], self.derivs[i + 1], t)
 
 
 class Checkpoint:

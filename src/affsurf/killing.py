@@ -12,8 +12,9 @@ reduces, per component k and index pair (i, j), to
 
 which is evaluated with exact derivatives of both X (the compiled 2-jets of
 its components) and the symbols, over a grid (a single point is a grid of
-one point).  The symbols are evaluated once per grid point for all of a
-record's fields, or once for the whole grid when they are constant.
+one point).  `max_killing_residual` checks all of a record's fields on one
+grid: it evaluates the symbols once per grid point for all of them, or once
+for the whole grid when they are constant.
 
 The completeness probe integrates every basis field plus a fixed set of
 seeded random unit combinations, both directions, from a few interior
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .catalog import ModelRecord, sample_grid
+from .catalog import ModelRecord
 from .connection import ChristoffelSpec, max_abs, over_grid
 from .expr import Point, VectorFieldExpr, _emit_shared, add, compile_jet, const, mul
 from .integrate import ESCAPE_STATUSES, Field, Status, Trajectory, Unbounded, _exec, integrate
@@ -49,18 +50,19 @@ COMBO_SEED = 20240815
 RESIDUAL_TOL = 1e-8
 
 
-def max_killing_residual(spec: ChristoffelSpec, X: VectorFieldExpr, grid,
-                         symbols=None) -> float:
+def max_killing_residual(spec: ChristoffelSpec, fields: tuple[VectorFieldExpr, ...],
+                         grid) -> tuple[float, ...]:
     """Max component of the Killing defect over coordinate-field pairs and
-    grid points, read from the compiled 2-jets of the two components; NaN
-    when any component is NaN.  symbols, when given, holds
-    `spec.symbols_at(p)` for each grid point."""
-    jet1, jet2 = compile_jet(X.c1), compile_jet(X.c2)
+    grid points of each field in fields, read from the compiled 2-jets of
+    its two components; NaN when any component is NaN.  The symbols of a
+    grid point are evaluated once for every field (once for the whole grid
+    when the spec is constant, see `over_grid`)."""
     defects = _defect_kernel()
-    if symbols is None:
-        symbols = over_grid(spec, grid, spec.symbols_at)
-    return max_abs(v for p, (G, dG) in zip(grid, symbols)
-                   for v in defects(jet1(*p), jet2(*p), G, dG))
+    rows = list(zip(grid, over_grid(spec, grid, spec.symbols_at)))
+
+    def residual(jet1, jet2):
+        return max_abs(v for p, (G, dG) in rows for v in defects(jet1(*p), jet2(*p), G, dG))
+    return tuple(residual(compile_jet(X.c1), compile_jet(X.c2)) for X in fields)
 
 
 @lru_cache(maxsize=None)
@@ -212,10 +214,7 @@ def killing_completeness_probe(record: ModelRecord,
                      0.0 if record.mtype == "B" else None)
 
 
-def verify_killing_basis(record: ModelRecord, grid=None):
-    """Max Killing residual per basis field over the standard grid."""
-    pts = grid if grid is not None else sample_grid(record)
-    symbols = over_grid(record.spec, pts, record.spec.symbols_at)
-    res = tuple(max_killing_residual(record.spec, X, pts, symbols)
-                for X in record.killing_basis)
+def verify_killing_basis(record: ModelRecord, grid):
+    """Max Killing residual per basis field over the grid."""
+    res = max_killing_residual(record.spec, record.killing_basis, grid)
     return res, all(r <= RESIDUAL_TOL for r in res)

@@ -19,7 +19,8 @@ once per grid point.
 
 Affine maps between catalog models are verified by pulling the target
 connection back through the map and comparing against the source symbols
-on a grid.
+on a grid; a map check compiles the 2-jets of the map's two components
+once and `pullback_connection` reads them at every point.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .catalog import AffineMapEntry, ModelRecord, instantiate_ref, sample_grid
+from .catalog import AffineMapEntry, ModelRecord, instantiate_ref
 from .connection import ChristoffelSpec, _index_form, curvature, max_abs, over_grid, ricci
-from .expr import PlaneMap, Point, ScalarExpr, compile_jet
-from .qe import max_residual, point_rows
+from .expr import Point, ScalarExpr, compile_jet
+from .qe import RESIDUAL_TOL, max_residual
 
 FLAT_TOL = 1e-10
-QE_TOL = 1e-8
 MAP_TOL = 1e-8
 
 
@@ -100,13 +100,12 @@ def _branch1(coeffs):
     return a1, a2
 
 
-def flatten(model: ModelRecord | ChristoffelSpec):
+def flatten(spec: ChristoffelSpec):
     """A linear form phi and the flat spec deform(spec, phi, -1).
 
     Postconditions (checked by the callers and the report): the deformed
     Ricci and curvature vanish to 1e-10 and one of e^{+phi}, e^{-phi} has
     quasi-Einstein residual at most 1e-8 for the original connection."""
-    spec = model.spec if isinstance(model, ModelRecord) else model
     if spec.kind != "constant":
         raise ValueError("flattening is defined for constant-symbol connections")
     a, b, c, d, e, f = spec.coeffs
@@ -136,7 +135,7 @@ class FlattenReport:
     @property
     def passed(self) -> bool:
         return (self.rho_tilde_max <= FLAT_TOL and self.curvature_tilde_max <= FLAT_TOL
-                and self.qe_residual <= QE_TOL)
+                and self.qe_residual <= RESIDUAL_TOL)
 
     def to_json(self):
         return {"model": self.model, "phi": [self.phi.a1, self.phi.a2],
@@ -146,39 +145,36 @@ class FlattenReport:
                 "qe_residual": self.qe_residual, "pass": self.passed}
 
 
-def flatten_report(record: ModelRecord, grid=None) -> FlattenReport:
-    phi, flat = flatten(record)
-    pts = grid if grid is not None else sample_grid(record)
+def flatten_report(record: ModelRecord, grid) -> FlattenReport:
+    phi, flat = flatten(record.spec)
 
     def flat_data(p):
         sym = flat.symbols_at(p)
-        return ricci(flat, p, sym), curvature(flat, p, sym)
-    flat_rows = over_grid(flat, pts, flat_data)
+        return ricci(sym), curvature(sym)
+    flat_rows = over_grid(flat, grid, flat_data)
     rho_max = max_abs(v for rho, _ in flat_rows for v in rho)
     curv_max = max_abs(v for _, curv in flat_rows for v in curv)
-    rows = point_rows(record.spec, pts)
-    res = {}
-    for s in (1, -1):
-        phi_expr = ex.mul(ex.const(s), phi.expr()) if s < 0 else phi.expr()
-        res[s] = max_residual(record.spec, ex.exp(phi_expr), pts, rows)
-    sign = 1 if res[1] <= res[-1] else -1
-    return FlattenReport(record.ref.label(), phi, rho_max, curv_max, sign, res[sign])
+    plus, minus = max_residual(record.spec, (ex.exp(phi.expr()),
+                                             ex.exp(ex.mul(ex.const(-1), phi.expr()))), grid)
+    sign = 1 if plus <= minus else -1
+    return FlattenReport(record.ref.label(), phi, rho_max, curv_max, sign,
+                         plus if sign > 0 else minus)
 
 
 # ---------------------------------------------------------------------------
 # pullback verification of catalog maps
 
 
-def pullback_connection(pm: PlaneMap, target: ChristoffelSpec, p: Point, jets=None):
+def pullback_connection(jets, target: ChristoffelSpec, p: Point):
     """Pull the target symbols back through the map at a point:
 
         G^pull_ij^k = (J^-1)^k_c [ d_i d_j Phi^c + G~_ab^c J^a_i J^b_j ]
 
-    with the value and exact derivatives read from the 2-jets of the map
-    components (jets, when given, is their compiled pair).  The sum over
-    (a, b) runs (a, b)-major from 0.0, each term (G~_ab^c J^a_i) J^b_j, and
-    J^-1 is J / det entry by entry."""
-    jet1, jet2 = jets or (compile_jet(pm.f1), compile_jet(pm.f2))
+    with the value and exact derivatives read from jets, the compiled
+    2-jets of the two map components.  The sum over (a, b) runs (a, b)-major
+    from 0.0, each term (G~_ab^c J^a_i) J^b_j, and J^-1 is J / det entry by
+    entry."""
+    jet1, jet2 = jets
     (v1, j11, j12, h111, h112, h122), (v2, j21, j22, h211, h212, h222) = jet1(*p), jet2(*p)
     det = j11 * j22 - j12 * j21
     if abs(det) < 1e-14:
@@ -203,27 +199,25 @@ class MapReport:
     name: str
     target: str
     max_deviation: float
-    tol: float = MAP_TOL
 
     @property
     def passed(self) -> bool:
-        return self.max_deviation <= self.tol
+        return self.max_deviation <= MAP_TOL
 
     def to_json(self):
         return {"model": self.model, "map": self.name, "target": self.target,
                 "max_deviation": self.max_deviation, "pass": self.passed}
 
 
-def verify_map_entry(record: ModelRecord, entry: AffineMapEntry, grid=None) -> MapReport:
+def verify_map_entry(record: ModelRecord, entry: AffineMapEntry, grid) -> MapReport:
     target = instantiate_ref(entry.target)
-    pts = grid if grid is not None else sample_grid(record)
     pm = entry.plane_map
     jets = (compile_jet(pm.f1), compile_jet(pm.f2))
-    worst = max_abs(u - v for p in pts
-                    for u, v in zip(pullback_connection(pm, target.spec, p, jets),
+    worst = max_abs(u - v for p in grid
+                    for u, v in zip(pullback_connection(jets, target.spec, p),
                                     record.spec.christoffel_at(p)))
     return MapReport(record.ref.label(), entry.name, entry.target.label(), worst)
 
 
-def verify_affine_maps(record: ModelRecord, grid=None) -> list[MapReport]:
+def verify_affine_maps(record: ModelRecord, grid) -> list[MapReport]:
     return [verify_map_entry(record, entry, grid) for entry in record.maps]

@@ -19,6 +19,7 @@ from affsurf import qe
 from affsurf.connection import curvature_at
 from test_connection import ricci_rank
 from test_geodesic import closed_form_geodesic, escape_time
+from test_integrate import dense_eval
 from test_projective import immersion, line_image_residual
 from test_qe import mutation_direction
 
@@ -47,7 +48,7 @@ def test_criterion_1_qe_bases_and_mutations(records):
         assert abs(rep.xi_det) > 1e-10, rec.ref.label()
         mu = mutation_direction(rec, grid)
         mutated = ex.add(rec.q_basis[0], ex.mul(ex.const(1e-2), mu))
-        assert qe.max_residual(rec.spec, mutated, grid) > 1e-4, rec.ref.label()
+        assert qe.max_residual(rec.spec, (mutated,), grid)[0] > 1e-4, rec.ref.label()
         n_models += 1
         n_elements += len(rec.q_basis)
     assert n_models == 67  # all samples except the trivial-solution families
@@ -77,7 +78,7 @@ def test_criterion_2_geodesic_oracles():
                 tr = G.geodesic_integrate(rec.spec, rec.base_point, (a, b), t_end)
                 assert tr.status.to_json()["status"] == "reached-horizon", (fam, kw, a, b)
                 for t in np.linspace(0.0, t_end, 50)[1:]:
-                    xy = tr.eval(float(t))[:2]
+                    xy = dense_eval(tr, float(t))[:2]
                     want = f(float(t))
                     worst = max(worst, abs(xy[0] - want[0]), abs(xy[1] - want[1]))
             n_curves += 1
@@ -94,7 +95,7 @@ def test_criterion_2_geodesic_oracles():
         for t_end in (hi, lo):
             tr = G.geodesic_integrate(rec.spec, rec.base_point, ab, t_end)
             for t in np.linspace(0.0, t_end, 50)[1:]:
-                xy = tr.eval(float(t))[:2]
+                xy = dense_eval(tr, float(t))[:2]
                 want = f(float(t))
                 worst = max(worst, abs(xy[0] - want[0]), abs(xy[1] - want[1]))
         n_curves += 1
@@ -183,7 +184,7 @@ def test_criterion_6_flattening(records):
     for rec in records:
         if rec.spec.kind != "constant":
             continue
-        rep = P.flatten_report(rec)
+        rep = P.flatten_report(rec, C.sample_grid(rec))
         assert rep.rho_tilde_max <= 1e-10, rec.ref.label()
         assert rep.curvature_tilde_max <= 1e-10, rec.ref.label()
         assert rep.qe_residual <= 1e-8, rec.ref.label()
@@ -200,7 +201,7 @@ def test_criterion_7_affine_map_verification(records):
     the universal control."""
     seen = {}
     for rec in records:
-        for rep in P.verify_affine_maps(rec):
+        for rep in P.verify_affine_maps(rec, C.sample_grid(rec)):
             assert rep.passed, rep.to_json()
             seen.setdefault(rep.name, 0)
             seen[rep.name] += 1
@@ -219,13 +220,14 @@ def test_criterion_7_affine_map_verification(records):
         entry = rec.maps[0]
         swapped = C.AffineMapEntry(entry.name, ex.PlaneMap(
             entry.plane_map.f2, entry.plane_map.f1), entry.target)
-        assert not P.verify_map_entry(rec, swapped).passed, fam
+        assert not P.verify_map_entry(rec, swapped, C.sample_grid(rec)).passed, fam
     bump = ex.mul(ex.const(0.01), ex.sin(ex.x1))
     for rec in records:
+        grid = C.sample_grid(rec)
         for entry in rec.maps:
             mutated = C.AffineMapEntry(entry.name, ex.PlaneMap(
                 ex.add(entry.plane_map.f1, bump), entry.plane_map.f2), entry.target)
-            assert not P.verify_map_entry(rec, mutated).passed, (rec.ref.label(), entry.name)
+            assert not P.verify_map_entry(rec, mutated, grid).passed, (rec.ref.label(), entry.name)
     _report(7, f"{sum(seen.values())} map instances pass at 1e-8; mutations fail")
 
 

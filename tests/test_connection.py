@@ -34,12 +34,12 @@ def same_bits(got, want) -> bool:
 
 def ricci_at(spec, p):
     """rho as a 2x2 array."""
-    return np.reshape(ricci(spec, p), (2, 2))
+    return np.reshape(ricci(spec.symbols_at(p)), (2, 2))
 
 
 def ricci_sym_at(spec, p):
     """The symmetrized Ricci tensor as a 2x2 array."""
-    r11, r12, r22 = ricci_sym(spec, p)
+    r11, r12, r22 = ricci_sym(spec.symbols_at(p))
     return np.array([[r11, r12], [r12, r22]])
 
 
@@ -178,8 +178,8 @@ class TestOverGrid:
 
         def fn(p):
             seen.append(p)
-            return ricci_sym(spec, p)
-        assert over_grid(spec, grid, fn) == [ricci_sym(spec, p) for p in grid]
+            return ricci_sym(spec.symbols_at(p))
+        assert over_grid(spec, grid, fn) == [ricci_sym(spec.symbols_at(p)) for p in grid]
         assert seen == (grid[:1] if kind == "constant" else grid)
         seen.clear()
         assert over_grid(spec, [], fn) == [] and seen == []
@@ -217,7 +217,7 @@ class TestCurvature:
         # curvature_at adds the q terms in the loop's order, so the values
         # agree bit for bit, on the flattened specs too
         specs = [(r, r.spec) for r in records]
-        specs += [(r, P.flatten(r)[1]) for r in records if r.spec.kind == "constant"]
+        specs += [(r, P.flatten(r.spec)[1]) for r in records if r.spec.kind == "constant"]
         for rec, spec in specs:
             for p in C.sample_grid(rec):
                 a, b, c, d, e, f = spec.dchristoffel_at(p)[0]
@@ -247,18 +247,18 @@ class TestMatchesArrayFormulas:
     @staticmethod
     def check(spec, p):
         R = einsum_curvature(spec, p)
-        assert same_bits(curvature(spec, p), R.ravel()), p
+        assert same_bits(curvature(spec.symbols_at(p)), R.ravel()), p
         assert same_bits(curvature_at(spec, p), R), p
         rho = einsum_ricci(spec, p)
-        assert same_bits(ricci(spec, p), rho.ravel()), p
+        assert same_bits(ricci(spec.symbols_at(p)), rho.ravel()), p
         assert same_bits(ricci_at(spec, p), rho), p
         rs = einsum_ricci_sym(spec, p)
-        assert same_bits(ricci_sym(spec, p), [rs[0, 0], rs[0, 1], rs[1, 1]]), p
+        assert same_bits(ricci_sym(spec.symbols_at(p)), [rs[0, 0], rs[0, 1], rs[1, 1]]), p
         assert same_bits(ricci_sym_at(spec, p), rs), p
 
     def test_catalog_and_flattened_specs(self, records):
         specs = [(r, r.spec) for r in records]
-        specs += [(r, P.flatten(r)[1]) for r in records if r.spec.kind == "constant"]
+        specs += [(r, P.flatten(r.spec)[1]) for r in records if r.spec.kind == "constant"]
         for rec, spec in specs:
             for p in C.sample_grid(rec):
                 self.check(spec, p)
@@ -279,9 +279,9 @@ class TestMatchesArrayFormulas:
         grid = C.sample_grid(rec)
         for p in grid:
             self.check(rec.spec, p)
-        assert np.isnan(ricci_sym(rec.spec, grid[0])).any()
-        for phi in rec.q_basis:
-            assert math.isnan(qe.max_residual(rec.spec, phi, grid))
+        assert np.isnan(ricci_sym(rec.spec.symbols_at(grid[0]))).any()
+        residuals = qe.max_residual(rec.spec, rec.q_basis, grid)
+        assert len(residuals) == len(rec.q_basis) and all(math.isnan(r) for r in residuals)
 
 
 class TestRicci:

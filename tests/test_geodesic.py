@@ -17,6 +17,7 @@ from affsurf.geodesic import HORIZON, geodesic_integrate
 from affsurf.integrate import Blowup, LeftDomain, ReachedHorizon, StepCollapse, Status
 from test_connection import ricci_at
 from test_expr import arctan
+from test_integrate import dense_eval
 
 AB_SAMPLES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 2.0)]
 
@@ -443,7 +444,7 @@ class TestOracleAgreement:
         fwd = G.geodesic_integrate(rec.spec, (0.0, 0.0), (1.0, 1.0), 5.0)
         assert isinstance(fwd.status, ReachedHorizon)
         f = cf.compiled()
-        gap = max(max(abs(a - b) for a, b in zip(fwd.eval(float(t))[:2], f(float(t))))
+        gap = max(max(abs(a - b) for a, b in zip(dense_eval(fwd, float(t))[:2], f(float(t))))
                   for t in np.linspace(0.0, 5.0, 80)[1:])
         assert gap <= 1e-6
         back = G.geodesic_integrate(rec.spec, (0.0, 0.0), (1.0, 1.0), -5.0)
@@ -464,7 +465,7 @@ class TestOracleAgreement:
                     tr = G.geodesic_integrate(rec.spec, rec.base_point, (a, b), t_end)
                     assert isinstance(tr.status, ReachedHorizon), (fam, a, b, tr.status)
                     for t in np.linspace(0.0, t_end, 40)[1:]:
-                        xy = tr.eval(float(t))[:2]
+                        xy = dense_eval(tr, float(t))[:2]
                         want = f(float(t))
                         worst = max(worst, abs(xy[0] - want[0]), abs(xy[1] - want[1]))
         assert worst <= 1e-6
@@ -482,8 +483,8 @@ class TestAffineReparametrization:
         scaled = G.geodesic_integrate(rec.spec, (0.0, 0.0),
                                       (v0[0] * lam, v0[1] * lam), 1.0)
         for t in ts:
-            want = base.eval(float(lam * t))[:2]
-            got = scaled.eval(float(t))[:2]
+            want = dense_eval(base, float(lam * t))[:2]
+            got = dense_eval(scaled, float(t))[:2]
             assert np.allclose(got, want, atol=1e-8)
 
 

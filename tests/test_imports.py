@@ -1,7 +1,9 @@
 """Source hygiene: every name a package or test module imports is used
 there, every private module-level function or class is read somewhere in
-the package (or in the tests), and every module-level function or class
-of the package is reached from the command line or the benchmark.
+the package (or in the tests), every module-level function or class of the
+package is reached from the command line or the benchmark, and every
+method or property of the package's classes is read there or by the
+benchmark.
 
 No linter ships with the package, so these AST scans are the guard against
 imports and helpers left behind when code moves or goes, and against
@@ -129,3 +131,42 @@ def test_scan_sees_test_only_code():
                "b": "from a import oracle\ndef helper(): pass\n"}
     outside = ["from a import Bench\n"]
     assert unreached(sources, {"cli"}, outside) == ["a._ping", "a._pong", "a.oracle"]
+
+
+def unread_members(sources) -> list[str]:
+    """Class.name of every non-dunder method or property of a module-level
+    class that no attribute read in the sources reaches, reads inside its
+    own definition left out."""
+    trees = [ast.parse(source) for source in sources]
+    attrs: dict[str, int] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs[node.attr] = attrs.get(node.attr, 0) + 1
+    out = []
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("__"):
+                    continue
+                own = sum(isinstance(node, ast.Attribute) and node.attr == member.name
+                          for node in ast.walk(member))
+                if attrs.get(member.name, 0) == own:
+                    out.append(f"{cls.name}.{member.name}")
+    return out
+
+
+def test_no_test_only_members():
+    """Every method and property of the package's classes is read by the
+    package or the benchmark; dense output and the like live in the tests."""
+    assert unread_members([p.read_text() for p in MODULES + PERFBENCH]) == []
+
+
+def test_scan_sees_unread_members():
+    sources = ["class A:\n    def used(self): pass\n    def own(self): return self.own()\n"
+               "    @property\n    def prop(self): pass\n    def __len__(self): return 0\n"
+               "class B:\n    def unread(self): pass\n",
+               "def f(a): return a.used() + a.prop\n"]
+    assert unread_members(sources) == ["A.own", "B.unread"]

@@ -30,7 +30,7 @@ def immersion(record: ModelRecord) -> PlaneMap:
     solution space is trivial."""
     if not record.q_basis:
         raise ValueError(f"{record.ref.label()} has a trivial solution space")
-    rep = flatten_report(record)
+    rep = flatten_report(record, C.sample_grid(record))
     phi_expr = rep.phi.expr() if rep.qe_sign > 0 else ex.mul(ex.const(-1), rep.phi.expr())
     inv = ex.exp(ex.mul(ex.const(-1), phi_expr))
     psis = [ex.mul(q, inv) for q in record.q_basis]
@@ -83,6 +83,12 @@ def jacobian_nonsingular_on(pm, grid, tol=1e-9):
     return True
 
 
+def pullback(pm: PlaneMap, target, p: Point):
+    """The target symbols pulled back through pm at p, with both map jets
+    looked up at that point."""
+    return P.pullback_connection((ex.compile_jet(pm.f1), ex.compile_jet(pm.f2)), target, p)
+
+
 def einsum_pullback(pm, target, p):
     """The pulled-back symbols by the array formula: J, H and J^-1 as arrays
     and the G~_ab^c J^a_i J^b_j contraction as an einsum."""
@@ -110,9 +116,9 @@ def loop_flatten_report(record, grid):
     by loops that evaluate the flat symbols afresh for ricci and for
     curvature, and the original symbols afresh for each sign: the
     bit-identity oracle for the tables `flatten_report` shares."""
-    phi, flat = P.flatten(record)
-    rho_max = max_abs(v for p in grid for v in ricci(flat, p))
-    curv_max = max_abs(v for p in grid for v in curvature(flat, p))
+    phi, flat = P.flatten(record.spec)
+    rho_max = max_abs(v for p in grid for v in ricci(flat.symbols_at(p)))
+    curv_max = max_abs(v for p in grid for v in curvature(flat.symbols_at(p)))
     plus = loop_max_residual(record.spec, ex.exp(phi.expr()), grid)
     minus = loop_max_residual(record.spec, ex.exp(ex.mul(ex.const(-1), phi.expr())), grid)
     return rho_max, curv_max, plus, minus
@@ -123,7 +129,7 @@ def loop_map_deviation(record, entry, grid):
     the bit-identity oracle for the jets `verify_map_entry` looks up once."""
     target = C.instantiate_ref(entry.target).spec
     return max_abs(u - v for p in grid
-                   for u, v in zip(P.pullback_connection(entry.plane_map, target, p),
+                   for u, v in zip(pullback(entry.plane_map, target, p),
                                    record.spec.christoffel_at(p)))
 
 
@@ -215,28 +221,30 @@ class TestDeform:
 class TestFlatten:
     def test_rank_one_family_linear_form(self):
         for c in (-2.0, 1 / 3, 2.0):
-            phi, flat = P.flatten(C.instantiate("A.M34", c=c))
+            phi, flat = P.flatten(C.instantiate("A.M34", c=c).spec)
             assert phi.a1 == 0.0 and abs(phi.a2 - c) < 1e-12
             assert np.allclose(ricci_at(flat, (0.0, 0.0)), 0, atol=1e-12)
 
     def test_flat_plane_trivial(self):
-        phi, _ = P.flatten(C.instantiate("A.M06"))
+        phi, _ = P.flatten(C.instantiate("A.M06").spec)
         assert (phi.a1, phi.a2) == (0.0, 0.0)
 
     def test_rank_two_cubic_root(self):
-        rep = P.flatten_report(C.instantiate("A.M12", a1=2.0, a2=3.0))
+        rec = C.instantiate("A.M12", a1=2.0, a2=3.0)
+        rep = P.flatten_report(rec, C.sample_grid(rec))
         assert rep.rho_tilde_max <= 1e-10
         assert rep.qe_residual <= 1e-8
 
     def test_oscillatory_rank_two_swap_branch(self):
         # G_11^2 = 0, G_22^1 != 0 exercises the coordinate-swap branch
-        rep = P.flatten_report(C.instantiate("A.M22", b1=-1.0, b2=2.0))
+        rec = C.instantiate("A.M22", b1=-1.0, b2=2.0)
+        rep = P.flatten_report(rec, C.sample_grid(rec))
         assert rep.passed
         assert abs(rep.phi.a1 + 1.0) < 1e-9 and abs(rep.phi.a2 - 2.0) < 1e-9
 
     def test_postcondition_triple_across_catalog(self, constant_records):
         for rec in constant_records:
-            rep = P.flatten_report(rec)
+            rep = P.flatten_report(rec, C.sample_grid(rec))
             assert rep.rho_tilde_max <= 1e-10, rec.ref.label()
             assert rep.curvature_tilde_max <= 1e-10, rec.ref.label()
             assert rep.qe_residual <= 1e-8, rec.ref.label()
@@ -311,7 +319,7 @@ class TestPullback:
         entry = rec.maps[0]
         target = C.instantiate_ref(entry.target)
         for p in [(0.0, 0.0), (0.7, -0.3)]:
-            pulled = P.pullback_connection(entry.plane_map, target.spec, p)
+            pulled = pullback(entry.plane_map, target.spec, p)
             assert np.allclose(pulled, rec.spec.coeffs, atol=1e-12)
 
     def test_log_chart_recovers_half_plane_symbols(self):
@@ -319,19 +327,19 @@ class TestPullback:
         entry = rec.maps[0]
         target = C.instantiate_ref(entry.target)
         for p in [(0.5, 0.0), (2.0, -1.0)]:
-            pulled = P.pullback_connection(entry.plane_map, target.spec, p)
+            pulled = pullback(entry.plane_map, target.spec, p)
             assert np.allclose(pulled, rec.spec.christoffel_at(p), atol=1e-12)
 
     def test_identity_map_gives_zeros(self):
         rec = C.instantiate("A.M06")
         pm = ex.PlaneMap(ex.x1, ex.x2)
-        assert P.pullback_connection(pm, rec.spec, (0.3, 0.4)) == (0, 0, 0, 0, 0, 0)
+        assert pullback(pm, rec.spec, (0.3, 0.4)) == (0, 0, 0, 0, 0, 0)
 
     def test_singular_jacobian_rejected(self):
         rec = C.instantiate("A.M06")
         pm = ex.PlaneMap(ex.x1, ex.x1)
         with pytest.raises(ValueError):
-            P.pullback_connection(pm, rec.spec, (0.3, 0.4))
+            pullback(pm, rec.spec, (0.3, 0.4))
 
 
 class TestPullbackMatchesArrayFormula:
@@ -341,7 +349,7 @@ class TestPullbackMatchesArrayFormula:
     @staticmethod
     def check(pm, target, grid):
         for p in grid:
-            got = P.pullback_connection(pm, target, p)
+            got = pullback(pm, target, p)
             assert same_bits(got, einsum_pullback(pm, target, p)), p
 
     def test_every_catalog_map(self):
@@ -373,7 +381,7 @@ class TestPullbackMatchesArrayFormula:
                                  rec.ref)
         grid = C.sample_grid(rec)
         self.check(entry.plane_map, rec.spec, grid)
-        rep = P.verify_map_entry(rec, entry)
+        rep = P.verify_map_entry(rec, entry, grid)
         assert math.isnan(rep.max_deviation) and not rep.passed
 
 
@@ -381,19 +389,19 @@ class TestMapVerification:
     def test_all_catalog_maps_pass(self):
         count = 0
         for rec in C.all_records():
-            for rep in P.verify_affine_maps(rec):
+            for rep in P.verify_affine_maps(rec, C.sample_grid(rec)):
                 assert rep.passed, rep.to_json()
                 count += 1
         assert count >= 40
 
     def test_embedding_into_rank_one_target(self):
         rec = C.instantiate("A.M24", c=1 / 3)
-        rep, = P.verify_affine_maps(rec)
+        rep, = P.verify_affine_maps(rec, C.sample_grid(rec))
         assert rep.passed and rep.target == "A.M34(c=0.333333)"
 
     def test_half_plane_isomorphism(self):
         rec = C.instantiate("B.N34", kappa=2.0)
-        rep, = P.verify_affine_maps(rec)
+        rep, = P.verify_affine_maps(rec, C.sample_grid(rec))
         assert rep.passed and rep.target == "A.M44(c=0)"
 
     def test_transposed_components_fail_for_curved_targets(self):
@@ -407,7 +415,7 @@ class TestMapVerification:
             entry = rec.maps[0]
             swapped = C.AffineMapEntry(entry.name, ex.PlaneMap(
                 entry.plane_map.f2, entry.plane_map.f1), entry.target)
-            rep = P.verify_map_entry(rec, swapped)
+            rep = P.verify_map_entry(rec, swapped, C.sample_grid(rec))
             assert not rep.passed, (fam, rep.max_deviation)
 
     def test_nonlinear_bump_fails_for_every_map(self):
@@ -416,8 +424,9 @@ class TestMapVerification:
         # sin(x1) is transverse to all of them
         bump = ex.mul(ex.const(0.01), ex.sin(ex.x1))
         for rec in C.all_records():
+            grid = C.sample_grid(rec)
             for entry in rec.maps:
                 mutated = C.AffineMapEntry(entry.name, ex.PlaneMap(
                     ex.add(entry.plane_map.f1, bump), entry.plane_map.f2), entry.target)
-                rep = P.verify_map_entry(rec, mutated)
+                rep = P.verify_map_entry(rec, mutated, grid)
                 assert not rep.passed, (rec.ref.label(), entry.name)

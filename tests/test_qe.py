@@ -23,7 +23,7 @@ def mutation_direction(record, grid):
     """A perturbation direction that provably leaves the solution span:
     x1 when x1 is not itself a solution for this model, else x1*x2."""
     cand = ex.x1
-    if qe.max_residual(record.spec, cand, grid) <= 1e-3:
+    if qe.max_residual(record.spec, (cand,), grid)[0] <= 1e-3:
         cand = ex.mul(ex.x1, ex.x2)
     return cand
 
@@ -51,7 +51,7 @@ def loop_max_residual(spec, phi, grid):
     def entries():
         for p in grid:
             val, h11, h12, h22 = hess(p)
-            r11, r12, r22 = ricci_sym(spec, p)
+            r11, r12, r22 = ricci_sym(spec.symbols_at(p))
             yield h11 + val * r11
             yield h12 + val * r12
             yield h22 + val * r22
@@ -98,20 +98,20 @@ class TestResidual:
         rec = C.instantiate("A.M34", c=1 / 3)
         phi = ex.exp(ex.mul(ex.const(1 / 3), ex.x2))
         grid = C.sample_grid(rec)
-        assert qe.max_residual(rec.spec, phi, grid) <= 1e-8
+        assert qe.max_residual(rec.spec, (phi,), grid)[0] <= 1e-8
 
     def test_hyperbolic_solution(self):
         rec = C.instantiate("B.N43")
         phi = ex.div(ex.x2, ex.x1)
         grid = C.sample_grid(rec)
-        assert qe.max_residual(rec.spec, phi, grid) <= 1e-8
+        assert qe.max_residual(rec.spec, (phi,), grid)[0] <= 1e-8
 
     def test_nan_residual_fails_closed(self):
         # inf - inf = NaN at the five grid points with x1 = 1; the builtin
         # max would drop those and report a denormal
         rec = C.instantiate("A.M06")
         big = ex.mul(ex.exp(ex.mul(ex.const(700), ex.x1)), ex.exp(ex.mul(ex.const(700), ex.x1)))
-        r = qe.max_residual(rec.spec, ex.sub(big, big), C.sample_grid(rec))
+        r, = qe.max_residual(rec.spec, (ex.sub(big, big),), C.sample_grid(rec))
         assert math.isnan(r) and not r <= 1e-8
 
     def test_non_solution_on_flat(self):
@@ -125,12 +125,13 @@ class TestBasisReports:
         for rec in records:
             if not rec.q_basis:
                 continue
-            rep = qe.verify_q_basis(rec)
+            rep = qe.verify_q_basis(rec, C.sample_grid(rec))
             assert rep.passed, (rec.ref.label(), rep.residuals)
             assert abs(rep.xi_det) > 1e-10, rec.ref.label()
 
     def test_report_json(self):
-        rep = qe.verify_q_basis(C.instantiate("A.M22", b1=-1.0, b2=2.0))
+        rec = C.instantiate("A.M22", b1=-1.0, b2=2.0)
+        rep = qe.verify_q_basis(rec, C.sample_grid(rec))
         d = rep.to_json()
         assert d["pass"] and len(d["residuals"]) == 3 and "xi_det" in d
 
@@ -141,7 +142,7 @@ class TestBasisReports:
             grid = C.sample_grid(rec)
             mu = mutation_direction(rec, grid)
             perturbed = ex.add(rec.q_basis[0], ex.mul(ex.const(1e-2), mu))
-            assert qe.max_residual(rec.spec, perturbed, grid) > 1e-4, rec.ref.label()
+            assert qe.max_residual(rec.spec, (perturbed,), grid)[0] > 1e-4, rec.ref.label()
 
 
 class TestSharedRows:
@@ -158,8 +159,8 @@ class TestSharedRows:
             grid = C.sample_grid(rec)
             want = [loop_max_residual(rec.spec, q, grid) for q in rec.q_basis]
             assert same_bits(qe.verify_q_basis(rec, grid).residuals, want), rec.ref.label()
-            # without rows, max_residual builds its own
-            assert same_bits([qe.max_residual(rec.spec, q, grid) for q in rec.q_basis],
+            # one scalar at a time gives the same residuals
+            assert same_bits([qe.max_residual(rec.spec, (q,), grid)[0] for q in rec.q_basis],
                              want), rec.ref.label()
             if any(math.isnan(r) for r in want):
                 nan_models.append(rec.ref.label())
@@ -171,29 +172,38 @@ class TestSharedRows:
         """A constant spec's row is evaluated once for the whole grid; an
         inverse-x1 or linear-x1 spec's once per grid point, its symbols and
         rho_s from one evaluation of the six symbols."""
-        calls, sixes = [], []
+        calls, made, read, sixes = [], [], [], []
+        symbols_at = ChristoffelSpec.symbols_at
         christoffel_at = ChristoffelSpec.christoffel_at
 
-        def spy(spec, p, symbols=None):
+        def symbols_spy(spec, p):
             calls.append(p)
-            return ricci_sym(spec, p, symbols)
+            made.append(symbols_at(spec, p))
+            return made[-1]
+
+        def spy(symbols):
+            read.append(symbols)
+            return ricci_sym(symbols)
 
         def six_spy(spec, p):
             sixes.append(p)
             return christoffel_at(spec, p)
         monkeypatch.setattr(qe, "ricci_sym", spy)
+        monkeypatch.setattr(ChristoffelSpec, "symbols_at", symbols_spy)
         monkeypatch.setattr(ChristoffelSpec, "christoffel_at", six_spy)
         for label, params, kind in (("A.M46", {}, "constant"),
                                     ("B.N16", {"sign": 1.0}, "inverse-x1"),
                                     ("A.M54t", {"c": 1.0}, "linear-x1")):
             rec = C.instantiate(label, **params)
             grid = C.sample_grid(rec)
-            calls.clear()
-            sixes.clear()
+            for seen in (calls, made, read, sixes):
+                seen.clear()
             qe.verify_q_basis(rec, grid)
             want = grid[:1] if kind == "constant" else grid
             assert rec.spec.kind == kind and len(rec.q_basis) == 3, label
             assert calls == want and sixes == want, label
+            # rho_s of each row is computed from that row's symbols
+            assert len(read) == len(made) and all(r is m for r, m in zip(read, made)), label
 
 
 class TestXiMatrix:
@@ -233,4 +243,4 @@ class TestConformalTransformation:
         boost = ex.exp(phi.expr())
         for psi in rec.q_basis:
             moved = ex.mul(boost, psi)
-            assert qe.max_residual(deformed, moved, grid) <= 1e-8
+            assert qe.max_residual(deformed, (moved,), grid)[0] <= 1e-8
