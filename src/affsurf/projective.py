@@ -49,9 +49,6 @@ class LinearForm:
     def expr(self) -> ScalarExpr:
         return ex.add(ex.mul(ex.const(self.a1), ex.x1), ex.mul(ex.const(self.a2), ex.x2))
 
-    def __call__(self, p: Point) -> float:
-        return self.a1 * p[0] + self.a2 * p[1]
-
 
 def deform(spec: ChristoffelSpec, phi: LinearForm, sign: int) -> ChristoffelSpec:
     """Strong projective deformation of a constant-symbol connection by a

@@ -61,6 +61,42 @@ class TestGuards:
         with pytest.raises(C.GuardError):
             C.instantiate(fam, **kw)
 
+    @pytest.mark.parametrize("fam,kw,message", [
+        ("A.M12", {"a1": 0.0, "a2": 3.0}, "A.M12: a1*a2 ≠ 0 violated"),
+        ("A.M12", {"a1": -1.0, "a2": 2.0}, "A.M12: a1+a2 ≠ 1 violated"),
+        ("A.M24", {"c": -1.0}, "A.M24: c ∉ {0, -1} violated"),
+        ("A.M34", {"c": 0.0}, "A.M34: c ∉ {0, -1} violated"),
+        ("B.N66", {"c": 0.0}, "B.N66: c ∉ {0, -1} violated"),
+        ("A.M32", {"c": 0.0}, "A.M32: c ≠ 0 violated"),
+        ("B.N26", {"c": 0.0}, "B.N26: c ≠ 0 violated"),
+        ("B.N34", {"kappa": 0.0}, "B.N34: κ ≠ 0 violated"),
+        ("B.N14", {"kappa": 0.0}, "B.N14: κ ∉ {0, -1} violated"),
+        ("A.M22", {"b1": 1.0, "b2": 0.0}, "A.M22: b1 ≠ 1 violated"),
+        ("A.M42", {"sign": 0.5}, "A.M42: sign ∈ {+1, -1} violated"),
+        ("B.N16", {"sign": 2.0}, "B.N16: sign ∈ {+1, -1} violated"),
+        ("B.N13", {"sign": 0.0}, "B.N13: sign ∈ {+1, -1} violated"),
+        ("B.N24", {"kappa": 1.0, "theta": 0.0}, "B.N24: θ ≠ 0 violated"),
+        ("B.N24", {"kappa": -3.0, "theta": 3.0}, "B.N24: κ ∉ {0, -θ} violated"),
+        # θ is checked first, although the guard text lists κ first
+        ("B.N24", {"kappa": 0.0, "theta": 0.0}, "B.N24: θ ≠ 0 violated"),
+    ])
+    def test_guard_messages(self, fam, kw, message):
+        with pytest.raises(C.GuardError) as err:
+            C.instantiate(fam, **kw)
+        assert str(err.value) == message
+
+    def test_parameter_and_family_messages(self):
+        cases = [(lambda: C.ref("A.M24"), "A.M24: missing parameter 'c'"),
+                 (lambda: C.ref("A.M06", c=1.0), "A.M06: unknown parameter(s) ['c']"),
+                 (lambda: C.ref("A.M12", a1=2.0, a2=3.0, b=1.0),
+                  "A.M12: unknown parameter(s) ['b']"),
+                 (lambda: C.instantiate_ref(C.ModelRef("A.M99")), "unknown family 'A.M99'"),
+                 (lambda: C.parse_family_token("B.N99"), "unknown family 'B.N99'")]
+        for call, message in cases:
+            with pytest.raises(C.GuardError) as err:
+                call()
+            assert str(err.value) == message
+
     def test_missing_and_unknown_params(self):
         with pytest.raises(C.GuardError):
             C.ref("A.M24")

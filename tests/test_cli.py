@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, file outputs, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -56,6 +57,57 @@ class TestCatalog:
     def test_full_atlas_dump(self):
         code, d = run_json("catalog", "--records")
         assert code == 0 and d["count"] == 73
+
+
+#: sha256 of the stdout of `affsurf catalog <args>`; a refactor of the
+#: catalog keeps every listing and record dump byte-identical
+CATALOG_DIGESTS = [
+    ("", "76e1736970a957f3ea31fa3a2111967e5744f8e717822ac7bd75c17e93ff40d2"),
+    ("--records", "e68016da01e68c67609ea1d223cc47ffc886ac0fd20351e3a1e025c3bbc0c40f"),
+    ("--family A.M06", "75139d31d8dde7572e4146d01f0cc19fcaf1fc21c8c686f0261e53b8f310e50c"),
+    ("--family A.M16", "be0ab7b0ceaa542f9755dcafab80ce1e18d06db2ec6d1b2dc69562d6599cd363"),
+    ("--family A.M26", "f7a21a9a05be996df36f4f759261f16f9f790b75b56531d1b61c156b1dde0248"),
+    ("--family A.M36", "214d7c41ba4ea147d2559817ab8d0d84ed84595776a4abdc6e3adc22f5852b27"),
+    ("--family A.M46", "b6c591a920ad383f4870b34237108e9567292326f7566153f4cf59466e05eadf"),
+    ("--family A.M56", "8c92fa778a6607d0ba1c7ab5ebab327d27288ae7198dd4d155fccff42e0c4816"),
+    ("--family A.M14", "20b8b0147d2caf29cec51f6317a8eca453c9965a0a209cf70fee49c6dc0f8dc1"),
+    ("--family A.M24", "fd92d31cb1c1938ed4a1bbc264bf1235aca15e8ffe74c2a290456d7ef0a2f713"),
+    ("--family A.M34", "6dcc4c7b22f29858a8ed93384f295da73cd4bf3cc2a118b0add255e2f47293af"),
+    ("--family A.M44", "0321c3bbe785705e89a6febdb8246558e451121d76f904e59ea87944e20b18c6"),
+    ("--family A.M54", "c259fb4fb44f72c59947006857286139c35727687d1bcf17433787c9b1d4ba71"),
+    ("--family A.M54t", "d1e0bc0cc4cefbc247cbb8b27623c605a7603e62d60e37764fca955969f85ae1"),
+    ("--family A.M12", "b7de712644a67a413e5012df79a211e79d53a72c4e61e565718a721cfea4f6a8"),
+    ("--family A.M22", "0b4f80ec5c53cf968447093ca6978bd21b0415fdc0b6f6bc228ae239c26876ad"),
+    ("--family A.M32", "0c2a5628bb585e18d6716258c8d21b5be3c504e07ff73c22d83a8b3d57c16c44"),
+    ("--family A.M42", "665d4f2a0775fa63c62630b9a3f4a05aabd6d963a1d177bdd17ed99659edae33"),
+    ("--family B.N06", "19eacd13a71ade47df47d38b147adb60e12d2c666dcdf46ca61cbbaf8241bfc0"),
+    ("--family B.N16", "a8fd5da5383e9979acd81fec6199de8210bec8c40b6cc2c3730d90a607594dd7"),
+    ("--family B.N26", "8dc5d6cc183d3b8fdbc7120c9d08d2e90515cb3f05e6e7d691aa8fb9bc58be7e"),
+    ("--family B.N36", "22ab3d5613fa09ae6eebf3a204423d61f9a45bc762fd5ad199be40b8f77e0c72"),
+    ("--family B.N46", "4b4da31b6ae4ce1cf2d37e6b1561126b0023d8ccfc66dc2ca25da106b3723560"),
+    ("--family B.N56", "f81a3c68bc2e7bc284b27e565677c25b04fcb18a0360a4f113e33e09304e34f9"),
+    ("--family B.N66", "fd1e4116eb1530a873711e462a8bd2a54423e9e270486e97d07641b840b88e70"),
+    ("--family B.N14", "88d02fcbd6985779e6bb0c05b6b736bbc0988e06a8cea5700f4b36d365cc4bcb"),
+    ("--family B.N24", "efa80a9fde4435a629b77c8250dc1af4a96fe3a71d94eea9caa468a054d22b6e"),
+    ("--family B.N34", "432d9df87597a70369e05f2233cf78bbc840402b39ead3039626db241b37b8d6"),
+    ("--family B.N13", "5abbe45500006b13ae464835cbcc5aad2d276c08b3d655a5377d46490364f277"),
+    ("--family B.N23", "9623477b9b202a4c73328a7ec9ae70ea2937d5b33bc61ee4fbaf1785554300a8"),
+    ("--family B.N33", "3a1c93b9b10d9e73f17b23e02706d2b6f8dbe05b1e8b2e481eaf450a00546784"),
+    ("--family B.N43", "b9cf61b00bedbdddde714aa42e068a9d88332b156fdca7a6cd278108f842e742"),
+]
+
+
+class TestCatalogGolden:
+    @pytest.mark.parametrize("args,digest", CATALOG_DIGESTS,
+                             ids=[a or "listing" for a, _ in CATALOG_DIGESTS])
+    def test_output_digest(self, args, digest):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(["catalog", *args.split()]) == 0
+        assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == digest
+
+    def test_every_family_is_pinned(self):
+        assert [a.split()[-1] for a, _ in CATALOG_DIGESTS[2:]] == list(cat.FAMILIES)
 
 
 class TestVerify:

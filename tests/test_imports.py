@@ -1,9 +1,9 @@
 """Source hygiene: every name a package or test module imports is used
 there, every private module-level function or class is read somewhere in
-the package (or in the tests), every module-level function or class of the
-package is reached from the command line or the benchmark, and every
-method or property of the package's classes is read there or by the
-benchmark.
+the package (or in the tests), every module-level function, class or
+constant of the package is reached from the command line or the benchmark,
+and every method or property of the package's classes is read there or by
+the benchmark.
 
 No linter ships with the package, so these AST scans are the guard against
 imports and helpers left behind when code moves or goes, and against
@@ -80,22 +80,37 @@ def test_scan_sees_dead_private_code():
     assert dead_privates(sources) == ["a._self", "a._Unread"]
 
 
+def bound_names(node) -> list[str]:
+    """Names a top-level statement defines: a function or class, or each
+    plain name an assignment binds, dunder names such as __version__ left
+    out.  A statement that defines none is no definition."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+            and not (sub.id.startswith("__") and sub.id.endswith("__"))]
+
+
 def unreached(sources: dict[str, str], entries, outside) -> list[str]:
-    """module.name of every module-level function or class that no chain of
-    reads reaches.  The roots are every top-level statement of the entry
-    modules, every other top-level statement that is neither a definition
-    nor an import, and every name the outside sources read; a definition
-    is reached when a reached node reads its name, and then its own reads
-    count.  Imports elsewhere are no roots: a name is used where it is
-    read, and the import scan checks that each one is."""
+    """module.name of every module-level function, class or constant that
+    no chain of reads reaches.  The roots are every top-level statement of
+    the entry modules, every other top-level statement that is neither a
+    definition nor an import, and every name the outside sources read; a
+    definition is reached when a reached node reads a name it binds, and
+    then its own reads count.  Imports elsewhere are no roots: a name is
+    used where it is read, and the import scan checks that each one is."""
     defs: dict[str, list] = {}
     seen: set[str] = set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
             if module in entries:
                 seen |= reads(node)
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, []).append((module, node))
+            elif names := bound_names(node):
+                for name in names:
+                    defs.setdefault(name, []).append((module, node))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 seen |= reads(node)
     for source in outside:
@@ -109,14 +124,14 @@ def unreached(sources: dict[str, str], entries, outside) -> list[str]:
                 new = reads(node) - seen
                 seen |= new
                 todo += new
-    return [f"{module}.{node.name}" for group in defs.values() for module, node in group
+    return [f"{module}.{name}" for name, group in defs.items() for module, node in group
             if id(node) not in reached]
 
 
 def test_no_test_only_library_code():
-    """Every module-level function and class of the package is reached from
-    the command line (cli.py, __main__.py) or from a name the benchmark
-    reads; an oracle only the tests call lives beside its tests."""
+    """Every module-level function, class and constant of the package is
+    reached from the command line (cli.py, __main__.py) or from a name the
+    benchmark reads; an oracle only the tests call lives beside its tests."""
     sources = {p.stem: p.read_text() for p in MODULES}
     outside = [p.read_text() for p in PERFBENCH]
     assert unreached(sources, {"cli", "__main__"}, outside) == []
@@ -125,12 +140,20 @@ def test_no_test_only_library_code():
 def test_scan_sees_test_only_code():
     sources = {"cli": "from a import run\ndef main(): run()\n",
                "a": "from b import helper\nTABLE = {'k': _kept}\n"
-                    "def run(): return helper()\ndef _kept(): pass\n"
+                    "def run(): return helper(TABLE)\ndef _kept(): pass\n"
                     "def _ping(): return _pong()\ndef _pong(): return _ping()\n"
                     "def oracle(): return _ping()\nclass Bench: pass\n",
                "b": "from a import oracle\ndef helper(): pass\n"}
     outside = ["from a import Bench\n"]
     assert unreached(sources, {"cli"}, outside) == ["a._ping", "a._pong", "a.oracle"]
+
+
+def test_scan_sees_unreached_constants():
+    sources = {"cli": "from a import run\ndef main(): run()\n",
+               "a": "__version__ = '1'\nLIMIT = 3\nSTALE: int = 4\nREGISTRY = {}\n"
+                    "REGISTRY['k'] = _hook\ndef run(): return LIMIT\n"
+                    "def _hook(): return ORPHAN\nORPHAN = 5\nUNREAD = ORPHAN\n"}
+    assert unreached(sources, {"cli"}, []) == ["a.STALE", "a.UNREAD"]
 
 
 def unread_members(sources) -> list[str]:
