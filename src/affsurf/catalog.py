@@ -60,8 +60,16 @@ class ModelRef:
         return {"family": self.family, "params": {k: v for k, v in self.params}}
 
 
+def family_named(name: str) -> Family:
+    """The family called name; GuardError when there is none."""
+    fam = FAMILIES.get(name)
+    if fam is None:
+        raise GuardError(f"unknown family {name!r}")
+    return fam
+
+
 def ref(family: str, **params) -> ModelRef:
-    fam = FAMILIES[family]
+    fam = family_named(family)
     items = []
     for name in fam.param_names:
         if name not in params:
@@ -507,9 +515,7 @@ def instantiate(family: str, **params) -> ModelRecord:
 
 
 def instantiate_ref(mref: ModelRef) -> ModelRecord:
-    fam = FAMILIES.get(mref.family)
-    if fam is None:
-        raise GuardError(f"unknown family {mref.family!r}")
+    fam = family_named(mref.family)
     coeffs, q_basis, maps, killing = fam.build(mref.p)
     spec = ChristoffelSpec(tuple(float(v) for v in coeffs), _KINDS[fam.mtype])
     if killing is None:
@@ -527,7 +533,7 @@ def instantiate_ref(mref: ModelRef) -> ModelRecord:
 
 
 def standard_samples(family: str) -> tuple[dict, ...]:
-    fam = FAMILIES[family]
+    fam = family_named(family)
     return tuple(dict(zip(fam.param_names, values)) for values in fam.samples)
 
 
@@ -562,11 +568,9 @@ def sample_grid(record: ModelRecord, n: int = 5) -> list[tuple[float, float]]:
 def parse_family_token(token: str) -> tuple[str, dict]:
     """Resolve CLI family tokens, including sign-suffix aliases such as
     B.N13p / B.N13plus / B.N13m / B.N13minus."""
-    if token in FAMILIES:
-        return token, {}
-    for suffix, value in (("plus", 1.0), ("minus", -1.0), ("p", 1.0), ("m", -1.0)):
-        if token.endswith(suffix):
+    if token not in FAMILIES:
+        for suffix, value in (("plus", 1.0), ("minus", -1.0), ("p", 1.0), ("m", -1.0)):
             base = token[: -len(suffix)]
-            if base in FAMILIES and "sign" in FAMILIES[base].param_names:
+            if token.endswith(suffix) and base in FAMILIES and "sign" in FAMILIES[base].param_names:
                 return base, {"sign": value}
-    raise GuardError(f"unknown family {token!r}")
+    return family_named(token).name, {}

@@ -269,16 +269,10 @@ def cmd_table(args) -> int:
         T = args.T if args.T is not None else kil.PROBE_HORIZON
         rows = [kil.killing_completeness_probe(rec, T=T, seed=args.seed) for rec in records]
     agree = all(r.verdict in ("matches-theorem", "not-classified") for r in rows)
-    payload = {
-        "table": args.theorem,
-        "rows": [
-            {"model": r.model, "complete": r.complete,
-             "expected": "not-classified" if r.expected is None else r.expected,
-             "verdict": r.verdict}
-            for r in rows
-        ],
-        "agree": agree,
-    }
+    keys = ("model", "complete", "expected", "verdict")
+    payload = {"table": args.theorem,
+               "rows": [{k: row[k] for k in keys} for row in (r.to_json() for r in rows)],
+               "agree": agree}
     _emit(payload, args.json_path)
     return EXIT_OK if agree else EXIT_MISMATCH
 

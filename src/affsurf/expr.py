@@ -7,6 +7,9 @@ of a tree once per call), substitution, infix rendering, and compilation
 to fast scalar callables.  Every other module evaluates these trees:
 quasi-Einstein solution bases, affine Killing fields and embedding maps
 are all stored in this form.
+Each elementary function is one row of the table `_FUNCS`: its guarded
+value, which constant folding, `evaluate` and compiled code all call, and
+its derivative, which `diff` multiplies by the argument's.
 Every pointwise check (quasi-Einstein, Killing, map pullback, the xi matrix,
 Jacobians) reads one compiled 2-jet, `compile_jet`, instead of
 differentiating at each point.
@@ -110,7 +113,7 @@ class Pow(ScalarExpr):
 
 @dataclass(frozen=True)
 class Func(ScalarExpr):
-    name: str  # exp, log, sin, cos or arctan
+    name: str  # a key of _FUNCS: exp, log, sin, cos or arctan
     arg: ScalarExpr
 
 
@@ -132,12 +135,6 @@ def const(v) -> Const:
 
 def _as_expr(v) -> ScalarExpr:
     return v if isinstance(v, ScalarExpr) else const(v)
-
-
-def _is_const(e: ScalarExpr, value=None) -> bool:
-    if not isinstance(e, Const):
-        return False
-    return value is None or e.value == value
 
 
 def add(*terms) -> ScalarExpr:
@@ -228,21 +225,11 @@ def power(base, exponent) -> ScalarExpr:
         if exponent == 0:
             return ONE
         if isinstance(base, Const):
-            folded = _try_fold_pow(base.value, exponent)
-            if folded is not None:
-                return Const(folded)
+            try:
+                return Const(_pow_value(base.value, exponent))
+            except (DomainError, OverflowError):
+                pass
     return Pow(base, exponent)
-
-
-def _try_fold_pow(v, p: Fraction):
-    if isinstance(v, Fraction) and p.denominator == 1:
-        if v == 0 and p < 0:
-            return None
-        return v ** int(p)
-    try:
-        return _pow_value(float(v), p)
-    except (DomainError, OverflowError):
-        return None
 
 
 def div(a, b) -> ScalarExpr:
@@ -253,7 +240,7 @@ def _func(name: str, arg) -> ScalarExpr:
     arg = _as_expr(arg)
     if isinstance(arg, Const):
         try:
-            return Const(_func_value(name, float(arg.value)))
+            return Const(_FUNCS[name][0](float(arg.value)))
         except (DomainError, OverflowError):
             pass
     return Func(name, arg)
@@ -275,41 +262,34 @@ def cos(arg) -> ScalarExpr:
     return _func("cos", arg)
 
 
+def _guarded_log(u: float) -> float:
+    if u <= 0.0:
+        raise DomainError("log of a non-positive value")
+    return math.log(u)
+
+
+# name -> (value, derivative).  The value raises DomainError off its domain;
+# compiled code calls it as `_name`.  The derivative maps u to d/du name(u).
+_FUNCS: dict[str, tuple[Callable, Callable]] = {
+    "exp": (math.exp, exp),
+    "log": (_guarded_log, lambda u: power(u, -1)),
+    "sin": (math.sin, cos),
+    "cos": (math.cos, lambda u: neg(sin(u))),
+    "arctan": (math.atan, lambda u: power(add(ONE, power(u, 2)), -1)),
+}
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def _pow_value(u: float, p) -> float:
-    if isinstance(p, int):
-        p = Fraction(p)
-    pf = float(p)
+def _pow_value(u, p: Exponent):
+    """u**p; exact for a Fraction u under an integer p."""
     if isinstance(p, Fraction) and p.denominator == 1:
-        if u == 0.0 and p < 0:
+        if u == 0 and p < 0:
             raise DomainError("zero raised to a negative power")
         return u ** int(p)
-    if u < 0.0:
-        raise DomainError("negative base under a fractional power")
-    if u == 0.0:
-        if pf < 0:
-            raise DomainError("zero raised to a negative power")
-        return 0.0 if pf > 0 else 1.0
-    return u ** pf
-
-
-def _func_value(name: str, u: float) -> float:
-    if name == "exp":
-        return math.exp(u)
-    if name == "log":
-        if u <= 0.0:
-            raise DomainError("log of a non-positive value")
-        return math.log(u)
-    if name == "sin":
-        return math.sin(u)
-    if name == "cos":
-        return math.cos(u)
-    if name == "arctan":
-        return math.atan(u)
-    raise ValueError(f"unknown function {name!r}")
+    return _guarded_powf(float(u), float(p))
 
 
 def evaluate(e: ScalarExpr, p: Point) -> float:
@@ -328,8 +308,8 @@ def evaluate(e: ScalarExpr, p: Point) -> float:
         return out
     if isinstance(e, Pow):
         return _pow_value(evaluate(e.base, p), e.exponent)
-    if isinstance(e, Func):
-        return _func_value(e.name, evaluate(e.arg, p))
+    if isinstance(e, Func) and e.name in _FUNCS:
+        return _FUNCS[e.name][0](evaluate(e.arg, p))
     raise TypeError(f"not a ScalarExpr: {e!r}")
 
 
@@ -368,21 +348,9 @@ def _diff(e: ScalarExpr, axis: int, done: dict) -> ScalarExpr:
         out = add(*parts)
     elif isinstance(e, Pow):
         p = e.exponent
-        out = mul(const(p if isinstance(p, Fraction) else p),
-                  power(e.base, p - 1), _diff(e.base, axis, done))
-    elif isinstance(e, Func) and e.name in ("exp", "log", "sin", "cos", "arctan"):
-        du = _diff(e.arg, axis, done)
-        u = e.arg
-        if e.name == "exp":
-            out = mul(exp(u), du)
-        elif e.name == "log":
-            out = mul(power(u, -1), du)
-        elif e.name == "sin":
-            out = mul(cos(u), du)
-        elif e.name == "cos":
-            out = mul(const(-1), sin(u), du)
-        else:
-            out = mul(power(add(ONE, power(u, 2)), -1), du)
+        out = mul(const(p), power(e.base, p - 1), _diff(e.base, axis, done))
+    elif isinstance(e, Func) and e.name in _FUNCS:
+        out = mul(_FUNCS[e.name][1](e.arg), _diff(e.arg, axis, done))
     else:
         raise TypeError(f"not a ScalarExpr: {e!r}")
     done[id(e)] = (e, out)
@@ -453,9 +421,8 @@ def _emit(e: ScalarExpr, sub: Callable[[ScalarExpr], str] | None = None) -> str:
                 return f"({b})**{n}"
             return f"(1.0 / ({b})**{-n})"  # ZeroDivisionError on a zero base
         return f"_powf({b}, {float(p)!r})"
-    if isinstance(e, Func):
-        fn = {"exp": "_exp", "log": "_log", "sin": "_sin", "cos": "_cos", "arctan": "_atan"}[e.name]
-        return f"{fn}({sub(e.arg)})"
+    if isinstance(e, Func) and e.name in _FUNCS:
+        return f"_{e.name}({sub(e.arg)})"
     raise TypeError(f"not a ScalarExpr: {e!r}")
 
 
@@ -504,14 +471,8 @@ def _emit_shared(trees) -> list[str]:
     return [shared(t) for t in trees]
 
 
-def _guarded_log(u: float) -> float:
-    if u <= 0.0:
-        raise DomainError("log of a non-positive value")
-    return math.log(u)
-
-
 def _guarded_powf(u: float, pf: float) -> float:
-    """Real power with a known non-integer exponent."""
+    """Real power under an exponent not stored as an integer Fraction."""
     if u < 0.0:
         raise DomainError("negative base under a fractional power")
     if u == 0.0:
@@ -521,11 +482,8 @@ def _guarded_powf(u: float, pf: float) -> float:
     return u ** pf
 
 
-_NAMESPACE = {
-    "_exp": math.exp, "_log": _guarded_log, "_sin": math.sin,
-    "_cos": math.cos, "_atan": math.atan, "_powf": _guarded_powf,
-    "inf": math.inf, "nan": math.nan,  # repr of non-finite constants
-}
+_NAMESPACE = {f"_{name}": value for name, (value, _) in _FUNCS.items()}
+_NAMESPACE.update(_powf=_guarded_powf, inf=math.inf, nan=math.nan)  # inf, nan: repr of constants
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +516,7 @@ def _render(e: ScalarExpr, level: int) -> str:
         return f"({s})" if level >= 1 else s
     if isinstance(e, Prod):
         fs = e.factors
-        if _is_const(fs[0], -1) and len(fs) > 1:
+        if isinstance(fs[0], Const) and fs[0].value == -1 and len(fs) > 1:
             rest = fs[1] if len(fs) == 2 else Prod(fs[1:])
             s = "-" + _render(rest, 1)
             return f"({s})" if level >= 1 else s

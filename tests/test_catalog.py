@@ -90,6 +90,9 @@ class TestGuards:
                  (lambda: C.ref("A.M06", c=1.0), "A.M06: unknown parameter(s) ['c']"),
                  (lambda: C.ref("A.M12", a1=2.0, a2=3.0, b=1.0),
                   "A.M12: unknown parameter(s) ['b']"),
+                 (lambda: C.ref("A.M99"), "unknown family 'A.M99'"),
+                 (lambda: C.instantiate("A.M99", c=1.0), "unknown family 'A.M99'"),
+                 (lambda: C.standard_samples("B.N99"), "unknown family 'B.N99'"),
                  (lambda: C.instantiate_ref(C.ModelRef("A.M99")), "unknown family 'A.M99'"),
                  (lambda: C.parse_family_token("B.N99"), "unknown family 'B.N99'")]
         for call, message in cases:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from affsurf import catalog as C
 from affsurf import expr as ex
 from affsurf import killing
-from affsurf.expr import Exponent, ScalarExpr, _func, add, const, mul, neg, power, x1, x2
+from affsurf.expr import (DomainError, Exponent, ScalarExpr, _func, add, const, mul, neg, power,
+                          x1, x2)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +495,121 @@ class TestCompileJet:
     def test_components_of_a_polynomial(self):
         e = parse_expr("x1^3*x2 + 2*x2^2")
         assert ex.compile_jet(e)(2.0, 3.0) == (42.0, 36.0, 20.0, 36.0, 12.0, 4.0)
+
+
+# The constant-folding rules as they stood before `_FUNCS`, copied verbatim:
+# the oracle for folding through the table and through `_pow_value`.
+
+def _pow_value(u: float, p) -> float:
+    if isinstance(p, int):
+        p = Fraction(p)
+    pf = float(p)
+    if isinstance(p, Fraction) and p.denominator == 1:
+        if u == 0.0 and p < 0:
+            raise DomainError("zero raised to a negative power")
+        return u ** int(p)
+    if u < 0.0:
+        raise DomainError("negative base under a fractional power")
+    if u == 0.0:
+        if pf < 0:
+            raise DomainError("zero raised to a negative power")
+        return 0.0 if pf > 0 else 1.0
+    return u ** pf
+
+
+def _func_value(name: str, u: float) -> float:
+    if name == "exp":
+        return math.exp(u)
+    if name == "log":
+        if u <= 0.0:
+            raise DomainError("log of a non-positive value")
+        return math.log(u)
+    if name == "sin":
+        return math.sin(u)
+    if name == "cos":
+        return math.cos(u)
+    if name == "arctan":
+        return math.atan(u)
+    raise ValueError(f"unknown function {name!r}")
+
+
+def _try_fold_pow(v, p: Fraction):
+    if isinstance(v, Fraction) and p.denominator == 1:
+        if v == 0 and p < 0:
+            return None
+        return v ** int(p)
+    try:
+        return _pow_value(float(v), p)
+    except (DomainError, OverflowError):
+        return None
+
+
+FOLD_BASES = (0.0, -0.0, 5e-324, 1.0, -1.0, 2.5, -2.5, 710.0, 1e308, -1e308,
+              Fraction(0), Fraction(-8), Fraction(2))
+FOLD_EXPONENTS = (Fraction(2), Fraction(3), Fraction(-1), Fraction(-2), Fraction(1, 2),
+                  Fraction(-1, 2), Fraction(1, 3), Fraction(5, 3), Fraction(-3, 2),
+                  2.0, -3.0, 0.5, -0.5, 2.5, 1e300, -1e300)
+
+
+def fold_key(e):
+    """A folded constant by value type and bits; any other node by its repr,
+    which tells Fraction from float exponents and signed zeros apart."""
+    if isinstance(e, ex.Const):
+        return type(e.value), float(e.value).hex()
+    return repr(e)
+
+
+class TestFolding:
+    @pytest.mark.parametrize("name", _FUNCS)
+    def test_functions_fold_as_the_oracle(self, name):
+        for v in FOLD_BASES:
+            try:
+                want = ex.Const(_func_value(name, float(v)))
+            except (DomainError, OverflowError):
+                want = ex.Func(name, ex.Const(v))
+            assert fold_key(_func(name, ex.Const(v))) == fold_key(want), (name, v)
+
+    def test_powers_fold_as_the_oracle(self):
+        for v in FOLD_BASES:
+            for p in FOLD_EXPONENTS:
+                # power stores an integer-valued float exponent below 2**31 as a Fraction
+                whole = isinstance(p, float) and p.is_integer() and abs(p) < 2**31
+                q = Fraction(int(p)) if whole else p
+                folded = _try_fold_pow(v, q) if isinstance(q, Fraction) else None
+                want = ex.Pow(ex.Const(v), q) if folded is None else ex.Const(folded)
+                assert fold_key(power(ex.Const(v), p)) == fold_key(want), (v, p)
+
+
+class TestFuncTable:
+    DERIVATIVES = {"exp": math.exp(0.5), "log": 2.0, "sin": math.cos(0.5),
+                   "cos": -math.sin(0.5), "arctan": 0.8}
+
+    def test_rows(self):
+        assert tuple(ex._FUNCS) == _FUNCS
+
+    @pytest.mark.parametrize("name", _FUNCS)
+    def test_every_path_reads_the_row(self, name):
+        value, derivative = ex._FUNCS[name]
+        e, p = ex.Func(name, x1), (0.5, 0.25)
+        d1 = ex.diff(e, 1)
+        assert d1 == derivative(x1) and ex.diff(e, 2) == ex.ZERO
+        jet = ex.compile_jet(e)(*p)
+        assert ex.evaluate(e, p) == ex.compile_scalar(e)(*p) == jet[0] == value(0.5)
+        assert ex.evaluate(d1, p) == ex.compile_scalar(d1)(*p) == jet[1]
+        assert jet[1] == pytest.approx(self.DERIVATIVES[name], rel=1e-15) and jet[2] == 0.0
+        assert ex._NAMESPACE[f"_{name}"] is value
+
+    def test_namespace_holds_exactly_the_rows(self):
+        # eval adds __builtins__ to the namespace on the first compile
+        names = set(ex._NAMESPACE) - {"__builtins__"}
+        assert names == {"_powf", "inf", "nan"} | {f"_{n}" for n in _FUNCS}
+
+    @pytest.mark.parametrize("call", [lambda e: ex.evaluate(e, (0.5, 0.25)),
+                                      lambda e: ex.diff(e, 1), ex.compile_scalar, ex.compile_jet],
+                             ids=["evaluate", "diff", "compile_scalar", "compile_jet"])
+    def test_unknown_name_raises_before_a_callable_exists(self, call):
+        with pytest.raises(TypeError):
+            call(ex.Func("tan", x1))
 
 
 def shared_and_plain(trees):
