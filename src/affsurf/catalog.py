@@ -517,7 +517,7 @@ def instantiate(family: str, **params) -> ModelRecord:
 def instantiate_ref(mref: ModelRef) -> ModelRecord:
     fam = family_named(mref.family)
     coeffs, q_basis, maps, killing = fam.build(mref.p)
-    spec = ChristoffelSpec(tuple(float(v) for v in coeffs), _KINDS[fam.mtype])
+    spec = ChristoffelSpec(coeffs, _KINDS[fam.mtype])
     if killing is None:
         target = instantiate_ref(maps[0].target)
         killing = tuple(pullback_field(maps[0].plane_map, y) for y in target.killing_basis)

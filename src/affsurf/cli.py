@@ -23,7 +23,6 @@ from . import output as out
 from . import projective as proj
 from . import qe
 from .catalog import GuardError
-from .expr import DomainError
 
 _PARAM_FLAGS = ("c", "a1", "a2", "b1", "b2", "kappa", "theta", "sign")
 
@@ -305,7 +304,7 @@ def main(argv=None) -> int:
         # non-finite values fail checks or reach the handlers below anyway
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command](args)
-    except (GuardError, DomainError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, ArithmeticError, MemoryError) as err:  # max_steps, overflow, memory

@@ -576,9 +576,6 @@ class VectorFieldExpr:
     c1: ScalarExpr
     c2: ScalarExpr
 
-    def __call__(self, p: Point) -> tuple[float, float]:
-        return evaluate(self.c1, p), evaluate(self.c2, p)
-
 
 @dataclass(frozen=True)
 class PlaneMap:
@@ -588,9 +585,6 @@ class PlaneMap:
 
     f1: ScalarExpr
     f2: ScalarExpr
-
-    def __call__(self, p: Point) -> Point:
-        return evaluate(self.f1, p), evaluate(self.f2, p)
 
 
 def pullback_field(phi: PlaneMap, target_field: VectorFieldExpr) -> VectorFieldExpr:

@@ -59,13 +59,9 @@ def _edge(spec: ChristoffelSpec) -> float | None:
     return B_DOMAIN_EDGE if spec.kind == "inverse-x1" else None
 
 
-def _state(x0, v0) -> tuple[float, float, float, float]:
-    return (float(x0[0]), float(x0[1]), float(v0[0]), float(v0[1]))
-
-
 def geodesic_integrate(spec: ChristoffelSpec, x0, v0, t_end: float) -> Trajectory:
     """Integrate the geodesic from x0 with velocity v0 to signed time t_end."""
-    return integrate(_make_rhs(spec), _state(x0, v0), t_end, edge=_edge(spec))
+    return integrate(_make_rhs(spec), (*x0, *v0), t_end, edge=_edge(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +91,6 @@ def geodesic_completeness_probe(record: ModelRecord,
         bases, vels = default_geodesic_inits(record)
         init_set = [(b, v) for b in bases for v in vels]
     rhs = _make_rhs(record.spec)
-    runs = [(f"geodesic a={v0[0]:g} b={v0[1]:g}", tuple(v0), tuple(x0), rhs, _state(x0, v0))
+    runs = [(f"geodesic a={v0[0]:g} b={v0[1]:g}", tuple(v0), tuple(x0), rhs, (*x0, *v0))
             for x0, v0 in init_set]
     return run_probe(record, "geodesic", runs, T, CONFIRM_FACTOR, _edge(record.spec))

@@ -31,9 +31,11 @@ State dimensions here are 2 (flows) and 4 (geodesics), so the stepper core
 works on plain floats; numpy enters only for storage and dense output.
 The loop over accepted and rejected steps is a kernel generated from the
 tableau with every stage and component written out, the state held in
-local floats.  It hands control back to integrate() only for the events
-that need it: the horizon cutting a step short, a stall (the step under
-H_MIN), an accepted step that reaches the edge or the next ladder rung,
+local floats, and it alone commits accepted steps.  It hands control back
+to integrate() only for the events that need it: the horizon cutting a
+step short, a stall (the step under H_MIN), an accepted step that reaches
+the edge (before it is committed, since the crossing replaces it), an
+accepted step that crossed the next ladder rung (after it is committed),
 and the step limit.  A right-hand side given as a Field (its source text)
 is inlined at every stage of a loop of its own, compiled on first use and
 cached on the source.  Any other callable runs as a Field that calls it,
@@ -258,7 +260,7 @@ def integrate(rhs: Callable,
 
     while True:
         rung = LADDER[ladder_idx] if ladder_idx < len(LADDER) else STATE_CAP
-        event, used, t, y, f, h, y_new, f_new, enorm = loop(
+        event, used, t, y, f, h, y_new, f_new = loop(
             sgn, span, floor, rung, MAX_STEPS, used, t, y, f, h, ts, ys, fs)
         if event == "horizon":  # the horizon cuts this step short, or was reached
             if cut is None:
@@ -281,11 +283,10 @@ def integrate(rhs: Callable,
             return finish(StepCollapse(sgn * t, _rhs_grew([_norm_inf(fs[i:i + dim])
                                                             for i in range(0, len(fs), dim)])))
 
-        # an accepted step that reached the edge or the next ladder rung
-        t_new = t + h
-        if edge is not None and y_new[0] <= edge:
+        if event == "edge":  # an accepted step (not committed) that reached the edge
             if y[0] <= UNDERFLOW_X1:
                 return finish(Unbounded(sgn * t))
+            t_new = t + h
             seg = _segment(t, y, f, t_new, y_new, f_new, sgn)
             t_cross = _bisect_crossing(lambda tt: seg(tt)[0] - edge, t, t_new)
             y_cross = tuple(float(v) for v in seg(t_cross))
@@ -294,25 +295,17 @@ def integrate(rhs: Callable,
             fs.extend(_safe_rhs(rhs, y_cross, f_new))
             return finish(LeftDomain(sgn * t_cross))
 
-        # threshold ladder crossings (for blowup/unbounded classification)
-        n_new = _norm_inf(y_new)
+        # "rung": the step committed from the previous row crossed ladder thresholds
+        t_prev = abs(ts[-2])  # exact: internal time is >= 0
+        seg = _segment(t_prev, ys[-2 * dim:-dim], fs[-2 * dim:-dim], t, y, f, sgn)
+        n_new = _norm_inf(y)
         while ladder_idx < len(LADDER) and n_new >= LADDER[ladder_idx]:
             rung = LADDER[ladder_idx]
-            seg = _segment(t, y, f, t_new, y_new, f_new, sgn)
-            t_cross = _bisect_crossing(lambda tt: _norm_inf(seg(tt)) - rung, t, t_new)
-            ladder_times.append(t_cross)
+            ladder_times.append(_bisect_crossing(lambda tt: _norm_inf(seg(tt)) - rung, t_prev, t))
             ladder_idx += 1
-
-        t, y, f = t_new, y_new, f_new
-        ts.append(sgn * t)
-        ys.extend(y)
-        fs.extend(f)
-
         if n_new >= STATE_CAP:
             blow = _classify_ladder(ladder_times, t, sgn)
             return finish(blow if blow is not None else Unbounded(sgn * t))
-
-        h *= min(5.0, max(0.2, 0.9 * (enorm + 1e-300) ** -0.2))
         used += 1
 
 
@@ -383,19 +376,19 @@ def _loop_lines(names, prelude, comps) -> list[str]:
     a stage failed, else by max(0.2, 0.9 enorm^-0.2); an accepted step
     appends (sgn t, y, f) to the flat histories ts, ys, fs and scales h by
     min(5, max(0.2, 0.9 (enorm + 1e-300)^-0.2)).  The loop returns
-    `(event, used, t, y, f, h, y_new, f_new, enorm)` at the pass where
-    integrate() has work to do: 'horizon' before a step when h > span - t,
-    'stall' when a rejection takes h under H_MIN, 'accepted' (with the
-    step's y_new, f_new and enorm, nothing appended) when an accepted step
-    has y_new[0] <= edge or a component of |y_new| >= rung, and 'limit'
-    after the last pass; y_new, f_new and enorm are None but for
-    'accepted'."""
+    `(event, used, t, y, f, h, y_new, f_new)` at the pass where integrate()
+    has work to do: 'horizon' before a step when h > span - t, 'stall'
+    when a rejection takes h under H_MIN, 'edge' (with the step's y_new
+    and f_new, nothing appended) when an accepted step has y_new[0] <=
+    edge, 'rung' after an accepted step with a component of |y_new| >=
+    rung has been appended and h scaled, and 'limit' after the last pass;
+    y_new and f_new are None but for 'edge'."""
     cs = range(len(names))
     y, f = _tup(f"_y{c}" for c in cs), _tup(f"_k0_{c}" for c in cs)
     y_new, f_new = _tup(f"_n{c}" for c in cs), _tup(f"_k{len(_A)}_{c}" for c in cs)
     state = f"_used, _t, {y}, {f}, _h"
-    stall = [f"if _h < {H_MIN!r}:", f"    return 'stall', {state}, None, None, None", "continue"]
-    reached = " or ".join(["_n0 <= _edge"] + [f"_b{c} >= _rung" for c in cs])
+    stall = [f"if _h < {H_MIN!r}:", f"    return 'stall', {state}, None, None", "continue"]
+    reached = " or ".join(f"_b{c} >= _rung" for c in cs)
     step = [*_step_lines(names, prelude, comps, ["_h *= 0.25", *stall]),
             "if _enorm > 1.0:",
             "    if _isfinite(_enorm):",
@@ -404,8 +397,8 @@ def _loop_lines(names, prelude, comps) -> list[str]:
             "    else:",
             "        _h *= 0.25",
             *_indent(stall),
-            f"if {reached}:",
-            f"    return 'accepted', {state}, {y_new}, {f_new}, _enorm",
+            "if _n0 <= _edge:",
+            f"    return 'edge', {state}, {y_new}, {f_new}",
             "_t = _t + _h",
             f"{y} = {y_new}",
             f"{f} = {f_new}",
@@ -414,17 +407,19 @@ def _loop_lines(names, prelude, comps) -> list[str]:
             f"_fsx({f})",
             "_x = 0.9 * (_enorm + 1e-300) ** -0.2",
             "_x = _x if _x > 0.2 else 0.2",
-            "_h *= _x if _x < 5.0 else 5.0"]
+            "_h *= _x if _x < 5.0 else 5.0",
+            f"if {reached}:",
+            f"    return 'rung', {state}, None, None"]
     return ["def _loop(_sgn, _span, _edge, _rung, _max_steps, _used, _t, _y, _f, _h, _ts, _ys, _fs):",
             f"    {y} = _y",
             f"    {f} = _f",
             "    _tsa, _ysx, _fsx = _ts.append, _ys.extend, _fs.extend",
             "    for _used in range(_used, _max_steps):",
             "        if _h > _span - _t:",
-            f"            return 'horizon', {state}, None, None, None",
+            f"            return 'horizon', {state}, None, None",
             "        _sh = _sgn * _h",
             *_indent(step, 2),
-            f"    return 'limit', {state}, None, None, None"]
+            f"    return 'limit', {state}, None, None"]
 
 
 def _indent(lines, depth: int = 1) -> list[str]:

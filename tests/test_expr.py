@@ -689,15 +689,20 @@ class TestSubstitute:
         assert abs(ex.evaluate(sub, (3.0, 0.5)) - (math.exp(1.0) + 3.0)) < 1e-12
 
 
+def field_at(vf: ex.VectorFieldExpr, p) -> tuple[float, float]:
+    """The components (c1, c2) of vf at the point p."""
+    return ex.evaluate(vf.c1, p), ex.evaluate(vf.c2, p)
+
+
 class TestPullback:
     def test_identity(self):
         pm = ex.PlaneMap(ex.x1, ex.x2)
         vf = ex.VectorFieldExpr(parse_expr("x1^2"), ex.x2)
-        assert ex.pullback_field(pm, vf)((2.0, 3.0)) == (4.0, 3.0)
+        assert field_at(ex.pullback_field(pm, vf), (2.0, 3.0)) == (4.0, 3.0)
 
     def test_exponential_chart(self):
         pm = ex.PlaneMap(parse_expr("exp(x1)"), parse_expr("x2*exp(x1)"))
         pb = ex.pullback_field(pm, ex.VectorFieldExpr(ex.const(1), ex.const(0)))
-        got = pb((0.5, 2.0))
+        got = field_at(pb, (0.5, 2.0))
         want = (math.exp(-0.5), -2.0 * math.exp(-0.5))
         assert abs(got[0] - want[0]) < 1e-12 and abs(got[1] - want[1]) < 1e-12

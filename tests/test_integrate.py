@@ -4,10 +4,12 @@ The escape detectors are calibrated on textbook ODEs with known behavior
 before any geometry touches them.
 """
 
+import ast
 import builtins
 import dis
 import functools
 import hashlib
+import inspect
 import math
 import types
 from array import array
@@ -746,7 +748,7 @@ class TestExtendedRun:
             rhs = geodesic._make_rhs(rec.spec)
             for k in range(4):
                 v0 = (math.cos(math.pi * k / 4), math.sin(math.pi * k / 4))
-                assert_extends(rhs, geodesic._state(rec.base_point, v0), sgn * 0.5, 4.0)
+                assert_extends(rhs, (*rec.base_point, *v0), sgn * 0.5, 4.0)
 
     @pytest.mark.parametrize("plain", [False, True], ids=["field", "callable"])
     def test_leaving_the_half_plane_after_the_horizon(self, plain):
@@ -1021,3 +1023,28 @@ class TestGeneratedCode:
         read = set().union(*(global_reads(fn.__code__) for fn in self.kernels()))
         assert set(integrate_module._KERNEL_NAMESPACE) <= read
         assert "_s0" in killing._field_rhs(m46_benchmark_combination()).comps[0]
+
+
+class TestOneCommitPath:
+    """The generated step loop is the only code that commits an accepted
+    step: integrate() appends to the history only the edge crossing, and
+    never rescales h after a step."""
+
+    def tree(self):
+        return ast.parse(inspect.getsource(integrate_module.integrate))
+
+    def test_history_appended_once(self):
+        calls = [f"{node.func.value.id}.{node.func.attr}" for node in ast.walk(self.tree())
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and isinstance(node.func.value, ast.Name)]
+        for name in ("ts.append", "ys.extend", "fs.extend"):
+            assert calls.count(name) == 1, name
+
+    def test_step_size_not_rescaled(self):
+        def rescales_h(node):
+            if isinstance(node, ast.AugAssign):
+                return isinstance(node.target, ast.Name) and node.target.id == "h"
+            return (isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp)
+                    and isinstance(node.value.op, ast.Mult)
+                    and any(isinstance(t, ast.Name) and t.id == "h" for t in node.targets))
+        assert not [ast.unparse(node) for node in ast.walk(self.tree()) if rescales_h(node)]
