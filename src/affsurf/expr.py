@@ -420,13 +420,13 @@ def _emit(e: ScalarExpr, sub: Callable[[ScalarExpr], str] | None = None) -> str:
             if n > 0:
                 return f"({b})**{n}"
             return f"(1.0 / ({b})**{-n})"  # ZeroDivisionError on a zero base
-        return f"_powf({b}, {float(p)!r})"
+        return f"_powf({b}, {sub(Const(p))})"
     if isinstance(e, Func) and e.name in _FUNCS:
         return f"_{e.name}({sub(e.arg)})"
     raise TypeError(f"not a ScalarExpr: {e!r}")
 
 
-def _emit_shared(trees) -> list[str]:
+def _emit_shared(trees, consts: dict[str, str] | None = None) -> list[str]:
     """The sources `_emit` gives trees, except that a compound subexpression
     (sum, product, power or function) whose source occurs more than once
     across them is evaluated once: its first occurrence binds the value
@@ -435,10 +435,16 @@ def _emit_shared(trees) -> list[str]:
     skips an operand, so the first occurrence in the text is the first one
     evaluated: values, NaNs, signed zeros and the first exception raised
     are those of the plain sources evaluated in order.  The names must be
-    free wherever the sources are evaluated."""
+    free wherever the sources are evaluated.
+    Given a dict consts, every finite constant (powers' exponents too) is
+    written as a name `c0`, `c1`, ..., one per distinct literal (so 0.0
+    and -0.0 get two), and consts maps each literal to its name; inf and
+    nan stay literal.  Repeats are still found on the literal sources."""
     plain: dict[int, str] = {}  # source by node identity; the trees keep every node alive
 
     def source(e):
+        if isinstance(e, Const):  # not kept: an exponent's Const is made by _emit and freed
+            return _emit(e)
         key = id(e)
         if key not in plain:
             plain[key] = _emit(e, source)
@@ -458,6 +464,10 @@ def _emit_shared(trees) -> list[str]:
 
     def shared(e):
         text = source(e)
+        if isinstance(e, Const):
+            if consts is None or not math.isfinite(e.value):
+                return text
+            return consts.setdefault(text, f"c{len(consts)}")
         if seen.get(text, 0) < 2:
             return _emit(e, shared)
         if text in names:

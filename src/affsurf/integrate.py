@@ -28,7 +28,8 @@ The half-plane is one number: a run given an `edge` keeps x1 = y[0] above
 it, and a run without one is on the plane.
 
 State dimensions here are 2 (flows) and 4 (geodesics), so the stepper core
-works on plain floats; numpy enters only for storage and dense output.
+and the dense output that locates a crossing work on plain floats; numpy
+enters only for storage and the ladder's classification.
 The loop over accepted and rejected steps is a kernel generated from the
 tableau with every stage and component written out, the state held in
 local floats, and it alone commits accepted steps.  It hands control back
@@ -38,10 +39,11 @@ the edge (before it is committed, since the crossing replaces it), an
 accepted step that crossed the next ladder rung (after it is committed),
 and the step limit.  A right-hand side given as a Field (its source text)
 is inlined at every stage of a loop of its own, compiled on first use and
-cached on the source.  Any other callable runs as a Field that calls it,
-so one loop serves every plain callable of a state dimension.  The
-arithmetic is that of the generic tableau loop, operation for operation,
-so trajectories are bit-identical to it.
+cached on its shape, not on its constants' values (see Field).  Any other
+callable runs as a Field that calls it, so one loop serves every plain
+callable of a state dimension.  The arithmetic is that of the generic
+tableau loop, operation for operation, so trajectories are bit-identical
+to it.
 
 A run can be extended to a longer horizon.  Its Trajectory carries a
 Checkpoint: the loop's state (t, y, f, h, ladder, history, steps used) at
@@ -169,19 +171,6 @@ class Checkpoint:
         self.direction, self.span, self.edge, self.dim = direction, span, edge, dim
         self.ts, self.ys, self.fs, self.n = ts, ys, fs, n
         self.loop, self.status = loop, status
-
-
-def _hermite(t0, y0, f0, t1, y1, f1, t):
-    dt = t1 - t0
-    if dt == 0:
-        return np.array(y0)
-    s = (t - t0) / dt
-    s2, s3 = s * s, s * s * s
-    h00 = 2 * s3 - 3 * s2 + 1
-    h10 = s3 - 2 * s2 + s
-    h01 = -2 * s3 + 3 * s2
-    h11 = s3 - s2
-    return h00 * y0 + h10 * dt * f0 + h01 * y1 + h11 * dt * f1
 
 
 # Dormand-Prince 5(4) tableau (propagates the 5th order solution).
@@ -450,10 +439,12 @@ class Field:
 
     integrate() runs a Field through its own step loop, the source inlined
     at every stage; calling the Field runs the same text as a plain
-    right-hand side.  Both are compiled on first use, cached on the source,
-    and take the constants as closure values, so Fields that differ only in
-    their constants share one kernel.  A Field hashes by identity (a plain
-    class, because a dataclass costs about 1 ms at import)."""
+    right-hand side.  Both are compiled on first use, cached on the field's
+    shape (its names, prelude, components and constant names), and take the
+    constants' values as closure values, so Fields that differ only in
+    those values share one kernel: the Killing fields name their finite
+    constants for this (killing._field_rhs).  A Field hashes by identity (a
+    plain class, because a dataclass costs about 1 ms at import)."""
 
     def __init__(self, names: tuple[str, ...], prelude: tuple[str, ...],
                  comps: tuple[str, ...], consts: tuple[tuple[str, float], ...] = ()):
@@ -487,7 +478,7 @@ def _prelude_locals(prelude: tuple[str, ...]) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def _field_code(names, prelude, comps, const_names) -> Callable:
-    """`make(*constants) -> (loop, rhs)` for one field source."""
+    """`make(*constants) -> (loop, rhs)` for one field shape."""
     call = (["def _call(_p):"]
             + [f"    {n} = _float(_p[{c}])" for c, n in enumerate(names)]
             + _indent(prelude)
@@ -507,12 +498,20 @@ def _calling_field(rhs: Callable, dim: int) -> Field:
 
 
 def _segment(t0, y0, f0, t1, y1, f1, sgn):
-    """Cubic Hermite interpolant over one internal step."""
-    a0, a1 = np.array(y0), np.array(y1)
-    d0, d1 = sgn * np.array(f0), sgn * np.array(f1)
+    """Cubic Hermite interpolant over one internal step, in plain floats:
+    component by component, ((h00 y0 + (h10 dt) d0) + h01 y1) + (h11 dt) d1
+    with d = sgn f, the operations of that expression on numpy arrays."""
+    dt = t1 - t0
+    rows = tuple(zip(y0, (sgn * v for v in f0), y1, (sgn * v for v in f1)))
 
     def at(tt):
-        return _hermite(t0, a0, d0, t1, a1, d1, tt)
+        if dt == 0:
+            return tuple(y0)
+        s = (tt - t0) / dt
+        s2, s3 = s * s, s * s * s
+        h00, h10 = 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * dt
+        h01, h11 = -2 * s3 + 3 * s2, (s3 - s2) * dt
+        return tuple(h00 * a + h10 * b + h01 * c + h11 * d for a, b, c, d in rows)
     return at
 
 

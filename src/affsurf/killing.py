@@ -88,8 +88,12 @@ def _defect_kernel():
 
 def _field_rhs(X: VectorFieldExpr) -> Field:
     """The right-hand side y -> X(y): X's two components over x1, x2,
-    emitted together so that a subexpression they repeat is evaluated once."""
-    return Field(("x1", "x2"), (), tuple(_emit_shared((X.c1, X.c2))))
+    emitted together so that a subexpression they repeat is evaluated once,
+    with their finite constants as the Field's constants, so that fields
+    of one shape (parameter samples, combinations) share one kernel."""
+    consts: dict[str, str] = {}
+    comps = tuple(_emit_shared((X.c1, X.c2), consts))
+    return Field(("x1", "x2"), (), comps, tuple((name, float(text)) for text, name in consts.items()))
 
 
 def flow_integrate(X: VectorFieldExpr, p0: Point, t_end: float,

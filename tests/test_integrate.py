@@ -21,11 +21,12 @@ import pytest
 from affsurf import catalog, cli, geodesic, killing
 from affsurf import integrate as integrate_module
 from affsurf.connection import ChristoffelSpec
-from affsurf.expr import DomainError, VectorFieldExpr, const, log, power, x1, x2
+from affsurf.expr import (Const, DomainError, VectorFieldExpr, _emit_shared, const, log, power,
+                          x1, x2)
 from affsurf.integrate import (_A, _B, _E, _RHS_ERRORS, ATOL, RTOL, Blowup, Field,
-                               LeftDomain, _hermite, ReachedHorizon, StepCollapse,
-                               Unbounded, integrate)
-from test_expr import parse_expr
+                               LeftDomain, ReachedHorizon, StepCollapse, Unbounded, _segment,
+                               integrate)
+from test_expr import OUTSIDE, outcome, parse_expr
 
 
 def lsum(terms):
@@ -265,6 +266,21 @@ def failing_at(call, exc=None, value=None, base=coupled_rhs):
     return make
 
 
+def hermite(t0, y0, f0, t1, y1, f1, t):
+    """Cubic Hermite interpolation on numpy arrays between the nodes (t0,
+    y0, f0) and (t1, y1, f1)."""
+    dt = t1 - t0
+    if dt == 0:
+        return np.array(y0)
+    s = (t - t0) / dt
+    s2, s3 = s * s, s * s * s
+    h00 = 2 * s3 - 3 * s2 + 1
+    h10 = s3 - 2 * s2 + s
+    h01 = -2 * s3 + 3 * s2
+    h11 = s3 - s2
+    return h00 * y0 + h10 * dt * f0 + h01 * y1 + h11 * dt * f1
+
+
 def dense_eval(tr, t: float) -> np.ndarray:
     """A trajectory's dense output at t, by cubic Hermite interpolation
     between its nodes."""
@@ -277,8 +293,38 @@ def dense_eval(tr, t: float) -> np.ndarray:
     else:
         i = int(np.searchsorted(-ts, -t, side="right")) - 1
     i = max(0, min(i, len(ts) - 2))
-    return _hermite(ts[i], tr.states[i], tr.derivs[i],
-                    ts[i + 1], tr.states[i + 1], tr.derivs[i + 1], t)
+    return hermite(ts[i], tr.states[i], tr.derivs[i],
+                   ts[i + 1], tr.states[i + 1], tr.derivs[i + 1], t)
+
+
+def random_entries(rng, n):
+    """n floats spread over many magnitudes, with signed zeros, infinities
+    and NaN among them."""
+    special = (0.0, -0.0, math.inf, -math.inf, math.nan)
+    return tuple(special[int(rng.integers(len(special)))] if rng.random() < 0.15
+                 else float(rng.normal() * 10.0 ** rng.uniform(-3, 3)) for _ in range(n))
+
+
+class TestSegment:
+    """integrate's plain-float _segment against hermite on numpy arrays,
+    bit for bit: the crossing times it locates are those of the arrays."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    @pytest.mark.parametrize("sgn", [1.0, -1.0])
+    def test_random_segments(self, dim, sgn):
+        rng = np.random.default_rng([11, dim, int(sgn > 0)])
+        for k in range(300):
+            t0 = float(rng.uniform(0, 10))
+            t1 = t0 if k % 10 == 0 else t0 + float(10.0 ** rng.uniform(-8, 0))
+            y0, f0, y1, f1 = (random_entries(rng, dim) for _ in range(4))
+            seg = _segment(t0, y0, f0, t1, y1, f1, sgn)
+            d0, d1 = sgn * np.array(f0), sgn * np.array(f1)
+            for t in (t0, t1, float(rng.uniform(t0, t1)), t1 + 1e-3, -0.0):
+                with np.errstate(all="ignore"):
+                    want = hermite(t0, np.array(y0), d0, t1, np.array(y1), d1, t)
+                got = seg(t)
+                assert isinstance(got, tuple) and all(type(v) is float for v in got)
+                assert [v.hex() for v in got] == [float(v).hex() for v in want], (t0, t1, t)
 
 
 class TestAccuracy:
@@ -634,7 +680,8 @@ class TestFusedKernel:
         prelude, and the trajectory equals a plain callable's."""
         points = []
         field = killing._field_rhs(VectorFieldExpr(x2, -x1))
-        spy = Field(field.names, ("trace(x1)",), field.comps, (("trace", points.append),))
+        spy = Field(field.names, ("trace(x1)",), field.comps,
+                    field.consts + (("trace", points.append),))
         fused = integrate(spy, (1.0, 0.0), 5.0)
         called = integrate(lambda y: field(y), (1.0, 0.0), 5.0)
         assert len(points) >= 6 * (len(fused.times) - 1)
@@ -987,6 +1034,91 @@ class TestStepLoop:
         for run in runs:
             with pytest.raises(RuntimeError, match=f"max_steps \\({needed - 1}\\)"):
                 run()
+
+
+def literal_field(X) -> Field:
+    """X as a Field of its shared source with every constant a literal: the
+    reference for killing._field_rhs, which names them."""
+    return Field(("x1", "x2"), (), tuple(_emit_shared((X.c1, X.c2))))
+
+
+def outcome_kind(field, p):
+    """field(p) as float.hex of each value, or the type of the exception."""
+    got = outcome(lambda *q: field(q), p)
+    return got[0] if isinstance(got, tuple) else got
+
+
+class TestKernelSharing:
+    """killing._field_rhs writes a field's finite constants as names bound
+    to the Field's constants, so parameter samples and combinations of one
+    shape share one compiled step loop and run as the literal source does,
+    bit for bit."""
+
+    def test_named_constants_evaluate_as_literals(self):
+        rng = np.random.default_rng(19)
+        named_fields = 0
+        for rec in catalog.all_records():
+            basis = rec.killing_basis
+            fields = list(basis) + [killing.combination(basis, rng.normal(size=len(basis)))
+                                    for _ in range(3)]
+            for X in fields:
+                named, literal = killing._field_rhs(X), literal_field(X)
+                named_fields += bool(named.consts)
+                for p in catalog.sample_grid(rec) + OUTSIDE:
+                    assert outcome_kind(named, p) == outcome_kind(literal, p), (rec.ref.label(), X, p)
+        assert named_fields > 400
+
+    @pytest.mark.parametrize("family", ["B.N14", "B.N26"])
+    def test_probe_runs_equal_the_literal_source(self, family):
+        for params in catalog.standard_samples(family):
+            rec = catalog.instantiate(family, **params)
+            for X in rec.killing_basis:
+                for t_end in (killing.PROBE_HORIZON, -killing.PROBE_HORIZON):
+                    p0 = killing.default_flow_inits(rec)[t_end > 0]
+                    assert_same_arrays(integrate(killing._field_rhs(X), p0, t_end, edge=0.0),
+                                       integrate(literal_field(X), p0, t_end, edge=0.0))
+
+    def test_m46_benchmark_run_equals_the_literal_source(self):
+        # backward, the run crosses every ladder rung and grows unbounded
+        X = m46_benchmark_combination()
+        for t_end in (killing.PROBE_HORIZON, -killing.CONFIRM_FACTOR * killing.PROBE_HORIZON):
+            assert_same_arrays(integrate(killing._field_rhs(X), (0.3, -0.7), t_end),
+                               integrate(literal_field(X), (0.3, -0.7), t_end))
+
+    def test_signed_zeros_get_two_names(self):
+        consts = {}
+        assert _emit_shared((Const(0.0), Const(-0.0), Const(0.0)), consts) == ["c0", "c1", "c0"]
+        assert consts == {"0.0": "c0", "-0.0": "c1"}
+        field = killing._field_rhs(VectorFieldExpr(Const(-0.0), Const(0.0)))
+        assert [(n, v.hex()) for n, v in field.consts] == [("c0", "-0x0.0p+0"), ("c1", "0x0.0p+0")]
+
+    def test_exponents_named_and_non_finite_constants_literal(self):
+        consts = {}
+        trees = (power(x1, Fraction(1, 2)), Const(math.inf), Const(-math.inf), Const(math.nan))
+        assert _emit_shared(trees, consts) == ["_powf(x1, c0)", "inf", "-inf", "nan"]
+        assert consts == {"0.5": "c0"}
+
+    def test_parameter_samples_share_one_kernel_per_basis_index(self):
+        integrate_module._field_code.cache_clear()
+        codes = [[killing._field_rhs(X).kernel.__code__
+                  for X in catalog.instantiate("B.N14", **params).killing_basis]
+                 for params in catalog.standard_samples("B.N14")]
+        assert len(codes) == 4 and all(row == codes[0] for row in codes)
+        assert integrate_module._field_code.cache_info().misses == len(codes[0])
+
+    def test_half_plane_bases_compile_few_kernels(self):
+        integrate_module._field_code.cache_clear()
+        fields = [X for rec in catalog.all_records("B") for X in rec.killing_basis]
+        for X in fields:
+            killing._field_rhs(X).kernel
+        assert integrate_module._field_code.cache_info().misses <= 85 < len(fields)
+
+
+def assert_same_arrays(a, b):
+    """Equal statuses and equal bytes of times, states and derivs."""
+    assert a.status == b.status
+    for u, v in ((a.times, b.times), (a.states, b.states), (a.derivs, b.derivs)):
+        assert u.tobytes() == v.tobytes()
 
 
 def global_reads(code) -> set:
