@@ -34,7 +34,7 @@ B_DOMAIN_EDGE = 1e-12
 #: (prelude, components) of the first-order system on (x, v) = (u, w, v1, v2),
 #: (v, -G(x)(v, v)), per symbol kind; the six symbols are the constants
 #: a..f, so all specs of one kind share one kernel
-_QUADRATIC = ("q11 = v1 * v1", "q12 = 2 * v1 * v2", "q22 = v2 * v2")
+_QUADRATIC = ("q11 = v1 * v1", "q12 = 2.0 * v1 * v2", "q22 = v2 * v2")
 _GEODESIC_SOURCES = {
     "constant": (_QUADRATIC, ("v1", "v2",
                               "-(a * q11 + c * q12 + e * q22)",

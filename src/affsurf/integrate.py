@@ -39,8 +39,9 @@ the edge (before it is committed, since the crossing replaces it), an
 accepted step that crossed the next ladder rung (after it is committed),
 and the step limit.  A right-hand side given as a Field (its source text)
 is inlined at every stage of a loop of its own, compiled on first use and
-cached on its shape, not on its constants' values (see Field).  Any other
-callable runs as a Field that calls it, so one loop serves every plain
+cached on its shape, not on its constants' values (see Field); a stage
+binds only the state names the field reads.  Any other callable runs as
+a Field that calls it, so one loop serves every plain
 callable of a state dimension.  The arithmetic is that of the generic
 tableau loop, operation for operation, so trajectories are bit-identical
 to it.
@@ -317,10 +318,13 @@ def _step_lines(names, prelude, comps, failed: list[str]) -> list[str]:
     stages in a try block whose `except _RHS_ERRORS` clause runs the lines
     `failed` (the right-hand side is undefined at a stage point), then
     y_new `_n{c}`, f_new `_k6_{c}`, |y_new| `_b{c}` and the error norm
-    `_enorm`.  Stage s binds the stage point to the names, runs the prelude
-    and sets `_k{s}_{c}` to comps[c].  Every stage and component is a local
-    float and every tableau coefficient a literal, in the order of the generic
-    tableau loop: each sum runs left to right from 0.0 (the same addition
+    `_enorm`.  Stage s binds the stage point to the names that the prelude
+    or the components read (the other stage points feed nothing, and a
+    float + or * never raises, so leaving them out changes no value and no
+    exception), runs the prelude and sets `_k{s}_{c}` to comps[c].  Every
+    stage and component is a local float and every tableau coefficient a
+    literal, in the order of the generic tableau loop: each sum runs left
+    to right from 0.0 (the same addition
     as sum()'s int start 0, so -0.0 still becomes 0.0), zero coefficients
     included (0.0 * inf stays NaN), and the error, scaled by h, is normed
     component by component as RMS over ATOL + RTOL * max(|y|, |y_new|),
@@ -333,8 +337,10 @@ def _step_lines(names, prelude, comps, failed: list[str]) -> list[str]:
     def combo(coeffs, c):
         return " + ".join(["0.0"] + [f"{a!r} * _k{s}_{c}" for s, a in enumerate(coeffs)])
 
+    read = _read_names(prelude + comps)
+
     def stage(s, point):
-        return ([f"{n} = {p}" for n, p in zip(names, point)] + list(prelude)
+        return ([f"{n} = {p}" for n, p in zip(names, point) if n in read] + list(prelude)
                 + [f"_k{s}_{c} = {src}" for c, src in enumerate(comps)])
 
     body = []
@@ -345,7 +351,7 @@ def _step_lines(names, prelude, comps, failed: list[str]) -> list[str]:
     body += [f"_e{c} = _h * ({combo(_E, c)})" for c in range(dim)]
     norm = [f"_enorm = {' + '.join(['0.0'] + [f'_q{c}' for c in range(dim)])}",
             "if _isfinite(_enorm):",
-            f"    _enorm = _sqrt(_enorm / {dim})"]
+            f"    _enorm = _sqrt(_enorm / {float(dim)!r})"]
     for c in reversed(range(dim)):
         norm = [f"if _isfinite(_n{c}):",
                 f"    _a = _y{c} if _y{c} >= 0.0 else -_y{c}",
@@ -474,6 +480,15 @@ def _prelude_locals(prelude: tuple[str, ...]) -> tuple[str, ...]:
     """The names the prelude statements bind."""
     return tuple(node.id for node in ast.walk(ast.parse("\n".join(prelude)))
                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+
+
+def _read_names(lines: tuple[str, ...]) -> frozenset[str]:
+    """The names the statements or expressions `lines` read: loaded, or
+    updated by an augmented assignment."""
+    tree = ast.parse("\n".join(lines))
+    updated = {id(node.target) for node in ast.walk(tree) if isinstance(node, ast.AugAssign)}
+    return frozenset(node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+                     and (not isinstance(node.ctx, ast.Store) or id(node) in updated))
 
 
 @lru_cache(maxsize=None)

@@ -612,6 +612,64 @@ class TestFuncTable:
             call(ex.Func("tan", x1))
 
 
+# The Pow branch of `_emit` as it stood before the forms for the exponents
+# +-1 and for a named positive base, copied verbatim: the oracle for the
+# emitted powers.
+
+def _emit_pow(e, sub):
+    p = e.exponent
+    b = sub(e.base)
+    if isinstance(p, Fraction) and p.denominator == 1:
+        n = int(p)
+        if n > 0:
+            return f"({b})**{n}"
+        return f"(1.0 / ({b})**{-n})"  # ZeroDivisionError on a zero base
+    return f"_powf({b}, {sub(ex.Const(p))})"
+
+
+def oracle_emit(e) -> str:
+    return _emit_pow(e, oracle_emit) if isinstance(e, ex.Pow) else ex._emit(e, oracle_emit)
+
+
+POW_BASES = (2.5, 5e-324, 0.0, -0.0, -1.5, math.inf, -math.inf, math.nan)
+#: a sum base x1 + x2 at x2 = -0.0 takes x1's value, its sign included
+SUM = add(x1, x2)
+EMITTED_POWERS = [ex.Pow(x1, Fraction(1)), power(x1, -1), power(SUM, -1), power(SUM, 3),
+                  power(x1, -2), power(x1, Fraction(1, 2)), power(x1, Fraction(-3, 2)),
+                  power(x1, 2.5), power(x1, -0.5), power(SUM, Fraction(1, 3)),
+                  mul(power(x1, Fraction(5, 3)), power(SUM, -1))]
+
+
+class TestEmittedPowers:
+    """Powers under the exponents +-1 emit no pow call, and fractional
+    powers of a name no _powf call for a positive base: the compiled values
+    and exceptions are the oracle's, bit for bit."""
+
+    @pytest.mark.parametrize("e", EMITTED_POWERS, ids=repr)
+    def test_scalar_as_the_oracle(self, e):
+        want = eval(f"lambda x1, x2: ({oracle_emit(e)},)", ex._NAMESPACE)  # noqa: S307
+        got = ex.compile_scalar(e)
+        for b in POW_BASES:
+            assert outcome(lambda *p: (got(*p),), (b, -0.0)) == outcome(want, (b, -0.0)), b
+
+    @pytest.mark.parametrize("e", EMITTED_POWERS, ids=repr)
+    def test_jet_as_the_oracle(self, e):
+        srcs = ", ".join(oracle_emit(t) for t in jet_trees(e))
+        want = eval(f"lambda x1, x2: ({srcs},)", ex._NAMESPACE)  # noqa: S307
+        for b in POW_BASES:
+            assert outcome(ex.compile_jet(e), (b, -0.0)) == outcome(want, (b, -0.0)), b
+
+    def test_forms(self):
+        assert ex._emit(ex.Pow(x1, Fraction(1))) == "(x1)"
+        assert ex._emit(power(SUM, -1)) == "(1.0 / ((x1 + x2)))"
+        assert ex._emit(power(x1, -2)) == "(1.0 / (x1)**2)"
+        assert ex._emit(power(x1, 2.5)) == "(x1 ** 2.5 if x1 > 0.0 else _powf(x1, 2.5))"
+        assert ex._emit(power(SUM, 2.5)) == "_powf((x1 + x2), 2.5)"
+        # a repeated base is named after its first occurrence
+        assert ex._emit_shared((power(SUM, 2.5), power(SUM, 0.5))) == [
+            "_powf((_s0 := (x1 + x2)), 2.5)", "(_s0 ** 0.5 if _s0 > 0.0 else _powf(_s0, 0.5))"]
+
+
 def shared_and_plain(trees):
     """trees compiled to one tuple-valued function of (x1, x2) through
     _emit_shared and through plain _emit; the shared sources."""

@@ -750,6 +750,19 @@ class TestGoldenTrajectories:
         tr = geodesic.geodesic_integrate(rec.spec, rec.base_point, v0, t_end)
         assert trajectory_digest(tr) == digest
 
+    @pytest.mark.parametrize("family,params,t_end,status,digest", [
+        # inverse-x1: the field reads u, v1 and v2
+        ("B.N43", {}, 50.0, LeftDomain(20.897489013360072),
+         "b89a091e027531b289b539d0b78ac1509f20b0d6d9b7238179970bad16b8a3eb"),
+        # linear-x1: the field reads u, v1 and v2, u only in one component
+        ("A.M54t", {"c": 1.5}, -50.0, Blowup(-0.33353333332894736, -0.3331333333288459),
+         "04ee299d1e64d0ae38affd887389debf56e6d866638707b8b5f71872334529ac"),
+    ], ids=["inverse-x1", "linear-x1"])
+    def test_geodesics_of_the_scaled_kinds(self, family, params, t_end, status, digest):
+        rec = catalog.instantiate(family, **params)
+        tr = geodesic.geodesic_integrate(rec.spec, rec.base_point, (1.0, 1.0), t_end)
+        assert tr.status == status and trajectory_digest(tr) == digest
+
 
 def same_run(a, b) -> bool:
     """Equal statuses and, byte for byte, equal times, states and derivs."""
@@ -1095,7 +1108,8 @@ class TestKernelSharing:
     def test_exponents_named_and_non_finite_constants_literal(self):
         consts = {}
         trees = (power(x1, Fraction(1, 2)), Const(math.inf), Const(-math.inf), Const(math.nan))
-        assert _emit_shared(trees, consts) == ["_powf(x1, c0)", "inf", "-inf", "nan"]
+        assert _emit_shared(trees, consts) == ["(x1 ** c0 if x1 > 0.0 else _powf(x1, c0))",
+                                               "inf", "-inf", "nan"]
         assert consts == {"0.5": "c0"}
 
     def test_parameter_samples_share_one_kernel_per_basis_index(self):
@@ -1112,6 +1126,60 @@ class TestKernelSharing:
         for X in fields:
             killing._field_rhs(X).kernel
         assert integrate_module._field_code.cache_info().misses <= 85 < len(fields)
+
+
+def seeing_twin(field) -> Field:
+    """field with a first prelude statement that reads every state name, so
+    that its step loop binds every stage point."""
+    seen = f"seen = ({', '.join(field.names)},)"
+    return Field(field.names, (seen,) + field.prelude, field.comps, field.consts)
+
+
+def stored_names(field) -> set:
+    """The names that field's step loop assigns."""
+    tree = ast.parse("\n".join(integrate_module._loop_lines(field.names, field.prelude,
+                                                            field.comps)))
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
+class TestReadNames:
+    """A step loop binds a state name at a stage only where the field reads
+    it, and runs as the loop that binds every stage point, bit for bit."""
+
+    @pytest.mark.parametrize("sgn", [1.0, -1.0])
+    @pytest.mark.parametrize("spec", GEODESIC_SPECS, ids=lambda spec: spec.kind)
+    def test_geodesics_run_as_their_twin(self, spec, sgn):
+        field, edge = geodesic._make_rhs(spec), geodesic._edge(spec)
+        for y0 in ((1.0, 0.5, -1.0, 0.3), (0.5, 0.0, -0.3, 1.0), (0.8, -0.4, 0.7, 0.7)):
+            assert same_run(integrate(field, y0, sgn * 5.0, edge=edge),
+                            integrate(seeing_twin(field), y0, sgn * 5.0, edge=edge))
+
+    @pytest.mark.parametrize("sgn", [1.0, -1.0])
+    def test_killing_basis_fields_run_as_their_twin(self, sgn):
+        partial = 0
+        for rec in catalog.all_records():
+            edge = 0.0 if rec.mtype == "B" else None
+            p0 = killing.default_flow_inits(rec)[0]
+            for X in rec.killing_basis:
+                field = killing._field_rhs(X)
+                partial += not {"x1", "x2"} <= stored_names(field)
+                assert same_run(integrate(field, p0, sgn * 2.0, edge=edge),
+                                integrate(seeing_twin(field), p0, sgn * 2.0, edge=edge)), \
+                    (rec.ref.label(), X)
+        assert partial > 0  # some basis fields read one coordinate or none
+
+    def test_constant_geodesic_loop_binds_no_position(self):
+        field = geodesic._make_rhs(GEODESIC_SPECS[0])
+        assert field.prelude == geodesic._QUADRATIC  # so the field reads no position
+        assert {"v1", "v2"} <= stored_names(field) and not {"u", "w"} & stored_names(field)
+        assert {"u", "w"} <= stored_names(seeing_twin(field))
+
+    def test_augmented_assignment_reads_its_target(self):
+        # x2 is read only by `x2 += 1.0`; the loop must bind it first
+        field = field_of("x1", "q", prelude=("q = 1.0", "x2 += q"))
+        assert "x2" in integrate_module._read_names(field.prelude + field.comps)
+        assert_matches_reference(field, (1.0, 0.0), 3.0)
 
 
 def assert_same_arrays(a, b):
