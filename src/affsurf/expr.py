@@ -404,10 +404,7 @@ def _emit(e: ScalarExpr, sub: Callable[[ScalarExpr], str] | None = None) -> str:
     """Python source of e over x1, x2; its operands are emitted by sub
     (by _emit itself when None).  A power under the integer exponent 1 or
     -1 is `(b)` or `(1.0 / (b))`, without a pow call: b**1 is b for every
-    float, signed zeros, inf and NaN included.  A fractional
-    power whose base source is a name b is `(b ** q if b > 0.0 else
-    _powf(b, q))`, which is _guarded_powf's own last line for a positive
-    base: the same values and exceptions, without the call."""
+    float, signed zeros, inf and NaN included."""
     sub = sub or _emit
     if isinstance(e, Const):
         return repr(float(e.value))
@@ -424,10 +421,7 @@ def _emit(e: ScalarExpr, sub: Callable[[ScalarExpr], str] | None = None) -> str:
             n = int(p)
             raised = f"({b})" if abs(n) == 1 else f"({b})**{abs(n)}"
             return raised if n > 0 else f"(1.0 / {raised})"  # ZeroDivisionError on a zero base
-        q = sub(Const(p))
-        if b.isidentifier():  # _guarded_powf's own last line, inline for a positive base
-            return f"({b} ** {q} if {b} > 0.0 else _powf({b}, {q}))"
-        return f"_powf({b}, {q})"
+        return f"_powf({b}, {sub(Const(p))})"
     if isinstance(e, Func) and e.name in _FUNCS:
         return f"_{e.name}({sub(e.arg)})"
     raise TypeError(f"not a ScalarExpr: {e!r}")
