@@ -55,8 +55,8 @@ to the longer horizon returns, bit for bit; a run whose status was settled
 before any cut is returned as it is.  The extension must keep the run's
 direction and its edge, compared by value.  The probes confirm a complete verdict
 this way, extending each horizon-T run instead of integrating again from
-t = 0.  The history is kept in flat buffers of doubles (8 bytes per
-component), from which the Trajectory's arrays are read without a copy.
+t = 0.  The history is one flat buffer of doubles, a row (sgn t, y, f) per
+step (8 bytes per value), which the Trajectory's arrays read in place.
 
 The tolerances, the minimum step, the state cap and the limit of 400,000
 steps (counted from t = 0, over every extension of a run) are fixed module
@@ -70,6 +70,7 @@ import ast
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from struct import Struct
 from typing import Callable, Union
 
 import numpy as np
@@ -161,17 +162,16 @@ class Checkpoint:
     """Where integrate() extends a run, made in `direction` to the horizon
     `span` with the x1 `edge` (a float, or None for no edge): the loop's
     state (steps used, t, y, f, h, ladder index, ladder times) at the first
-    step the horizon cut short, and the first n rows (of dim components) of
-    the run's flat history buffers ts, ys and fs.  loop is None when the run
-    ended before any cut; its status then stands at every longer horizon.
-    An extension must pass an edge equal in value to this one."""
+    step the horizon cut short, and the first n rows (sgn t, y, f) of the
+    run's flat history buffer rows.  loop is None when the run ended
+    before any cut; its status then stands at every longer horizon.  An
+    extension must pass an edge equal in value to this one."""
 
-    __slots__ = ("direction", "span", "edge", "dim", "ts", "ys", "fs", "n", "loop", "status")
+    __slots__ = ("direction", "span", "edge", "dim", "rows", "n", "loop", "status")
 
-    def __init__(self, direction, span, edge, dim, ts, ys, fs, n, loop, status):
+    def __init__(self, direction, span, edge, dim, rows, n, loop, status):
         self.direction, self.span, self.edge, self.dim = direction, span, edge, dim
-        self.ts, self.ys, self.fs, self.n = ts, ys, fs, n
-        self.loop, self.status = loop, status
+        self.rows, self.n, self.loop, self.status = rows, n, loop, status
 
 
 # Dormand-Prince 5(4) tableau (propagates the 5th order solution).
@@ -215,8 +215,8 @@ def integrate(rhs: Callable,
                              f"another edge, a shorter horizon or the other direction")
         dim, n = cp.dim, cp.n
         if cp.loop is None:
-            return _trajectory(cp.ts, cp.ys, cp.fs, dim, cp.status, cp)
-        ts, ys, fs = cp.ts[:n], cp.ys[:n * dim], cp.fs[:n * dim]
+            return _trajectory(cp.rows, dim, cp.status, cp)
+        rows = cp.rows[:n * (1 + 2 * dim)]
         used, t, y, f, h, ladder_idx, ladder_times = cp.loop
         ladder_times = list(ladder_times)
     else:
@@ -230,7 +230,7 @@ def integrate(rhs: Callable,
             raise DomainError(f"right-hand side undefined at the initial point: {err}") from err
         if len(f) != dim:
             raise TypeError(f"right-hand side has {len(f)} components for a state of dimension {dim}")
-        ts, ys, fs = array("d", (0.0,)), array("d", y), array("d", f)
+        rows = array("d", (0.0, *y, *f))
         ladder_times = []
         ladder_idx = 0
         while ladder_idx < len(LADDER) and _norm_inf(y) >= LADDER[ladder_idx]:
@@ -239,22 +239,23 @@ def integrate(rhs: Callable,
         h = _initial_step(y, f)
         t = 0.0
         used = 0
+    w = 1 + 2 * dim  # doubles per history row
     loop = (rhs if isinstance(rhs, Field) else _calling_field(rhs, dim)).kernel
     floor = -math.inf if edge is None else edge  # accepted steps are finite, so never <= -inf
     cut = None
 
     def finish(status: Status) -> Trajectory:
-        n, state = (len(ts), None) if cut is None else cut
-        cp = Checkpoint(direction, span, edge, dim, ts, ys, fs, n, state, status)
-        return _trajectory(ts, ys, fs, dim, status, cp)
+        n, state = (len(rows) // w, None) if cut is None else cut
+        cp = Checkpoint(direction, span, edge, dim, rows, n, state, status)
+        return _trajectory(rows, dim, status, cp)
 
     while True:
         rung = LADDER[ladder_idx] if ladder_idx < len(LADDER) else STATE_CAP
         event, used, t, y, f, h, y_new, f_new = loop(
-            sgn, span, floor, rung, MAX_STEPS, used, t, y, f, h, ts, ys, fs)
+            sgn, span, floor, rung, MAX_STEPS, used, t, y, f, h, rows)
         if event == "horizon":  # the horizon cuts this step short, or was reached
             if cut is None:
-                cut = (len(ts), (used, t, y, f, h, ladder_idx, tuple(ladder_times)))
+                cut = (len(rows) // w, (used, t, y, f, h, ladder_idx, tuple(ladder_times)))
             if t >= span:
                 return finish(ReachedHorizon(sgn * span))
             h = span - t
@@ -270,8 +271,8 @@ def integrate(rhs: Callable,
                     return finish(Unbounded(sgn * t))
                 if y[0] <= max(1e-8, edge * 4):
                     return finish(LeftDomain(sgn * t))
-            return finish(StepCollapse(sgn * t, _rhs_grew([_norm_inf(fs[i:i + dim])
-                                                            for i in range(0, len(fs), dim)])))
+            return finish(StepCollapse(sgn * t, _rhs_grew([_norm_inf(rows[i + 1 + dim:i + w])
+                                                            for i in range(0, len(rows), w)])))
 
         if event == "edge":  # an accepted step (not committed) that reached the edge
             if y[0] <= UNDERFLOW_X1:
@@ -280,14 +281,13 @@ def integrate(rhs: Callable,
             seg = _segment(t, y, f, t_new, y_new, f_new, sgn)
             t_cross = _bisect_crossing(lambda tt: seg(tt)[0] - edge, t, t_new)
             y_cross = tuple(float(v) for v in seg(t_cross))
-            ts.append(sgn * t_cross)
-            ys.extend(y_cross)
-            fs.extend(_safe_rhs(rhs, y_cross, f_new))
+            rows.extend((sgn * t_cross, *y_cross, *_safe_rhs(rhs, y_cross, f_new)))
             return finish(LeftDomain(sgn * t_cross))
 
         # "rung": the step committed from the previous row crossed ladder thresholds
-        t_prev = abs(ts[-2])  # exact: internal time is >= 0
-        seg = _segment(t_prev, ys[-2 * dim:-dim], fs[-2 * dim:-dim], t, y, f, sgn)
+        prev = rows[-2 * w:-w]
+        t_prev = abs(prev[0])  # exact: internal time is >= 0
+        seg = _segment(t_prev, prev[1:1 + dim], prev[1 + dim:], t, y, f, sgn)
         n_new = _norm_inf(y)
         while ladder_idx < len(LADDER) and n_new >= LADDER[ladder_idx]:
             rung = LADDER[ladder_idx]
@@ -299,11 +299,10 @@ def integrate(rhs: Callable,
         used += 1
 
 
-def _trajectory(ts, ys, fs, dim, status, checkpoint) -> Trajectory:
-    """A Trajectory whose arrays read the history buffers in place."""
-    n = len(ts)
-    return Trajectory(np.frombuffer(ts), np.frombuffer(ys).reshape(n, dim),
-                      np.frombuffer(fs).reshape(n, dim), status, checkpoint)
+def _trajectory(rows, dim, status, checkpoint) -> Trajectory:
+    """A Trajectory whose arrays read the history rows (sgn t, y, f) in place."""
+    a = np.frombuffer(rows).reshape(-1, 1 + 2 * dim)
+    return Trajectory(a[:, 0], a[:, 1:1 + dim], a[:, 1 + dim:], status, checkpoint)
 
 
 _KERNEL_NAMESPACE = {**_NAMESPACE, "DomainError": DomainError, "_RHS_ERRORS": _RHS_ERRORS,
@@ -363,13 +362,13 @@ def _step_lines(names, prelude, comps, failed: list[str]) -> list[str]:
 
 def _loop_lines(names, prelude, comps) -> list[str]:
     """Source of the step loop `_loop(_sgn, _span, _edge, _rung,
-    _max_steps, _used, _t, _y, _f, _h, _ts, _ys, _fs)` of the field source
+    _max_steps, _used, _t, _y, _f, _h, _rows)` of the field source
     (names, prelude, comps), which runs integrate()'s passes `_used`,
     `_used` + 1, ... (below `_max_steps`) from the state (t, y, f, h), each
     step as _step_lines writes it.
     A rejected step scales h by 0.25 when the error norm is not finite or
     a stage failed, else by max(0.2, 0.9 enorm^-0.2); an accepted step
-    appends (sgn t, y, f) to the flat histories ts, ys, fs and scales h by
+    packs the row (sgn t, y, f) onto the flat history rows and scales h by
     min(5, max(0.2, 0.9 (enorm + 1e-300)^-0.2)).  The loop returns
     `(event, used, t, y, f, h, y_new, f_new)` at the pass where integrate()
     has work to do: 'horizon' before a step when h > span - t, 'stall'
@@ -397,18 +396,17 @@ def _loop_lines(names, prelude, comps) -> list[str]:
             "_t = _t + _h",
             f"{y} = {y_new}",
             f"{f} = {f_new}",
-            "_tsa(_sgn * _t)",
-            f"_ysx({y})",
-            f"_fsx({f})",
+            f"_put(_pack(_sgn * _t, {', '.join(f'_y{c}' for c in cs)}, "
+            f"{', '.join(f'_k0_{c}' for c in cs)}))",
             "_x = 0.9 * (_enorm + 1e-300) ** -0.2",
             "_x = _x if _x > 0.2 else 0.2",
             "_h *= _x if _x < 5.0 else 5.0",
             f"if {reached}:",
             f"    return 'rung', {state}, None, None"]
-    return ["def _loop(_sgn, _span, _edge, _rung, _max_steps, _used, _t, _y, _f, _h, _ts, _ys, _fs):",
+    return ["def _loop(_sgn, _span, _edge, _rung, _max_steps, _used, _t, _y, _f, _h, _rows):",
             f"    {y} = _y",
             f"    {f} = _f",
-            "    _tsa, _ysx, _fsx = _ts.append, _ys.extend, _fs.extend",
+            "    _put, _pack = _rows.frombytes, _pack_row",
             "    for _used in range(_used, _max_steps):",
             "        if _h > _span - _t:",
             f"            return 'horizon', {state}, None, None",
@@ -425,8 +423,8 @@ def _tup(names) -> str:
     return f"({', '.join(names)},)"
 
 
-def _exec(lines: list[str], name: str):
-    namespace = dict(_KERNEL_NAMESPACE)
+def _exec(lines: list[str], name: str, **bound):
+    namespace = {**_KERNEL_NAMESPACE, **bound}
     exec("\n".join(lines), namespace)  # noqa: S102 - generated from the tableau and our own sources
     return namespace[name]
 
@@ -499,7 +497,8 @@ def _field_code(names, prelude, comps, const_names) -> Callable:
             + _indent(prelude)
             + [f"    return {_tup(comps)}"])
     body = _loop_lines(names, prelude, comps) + call + ["return _loop, _call"]
-    return _exec([f"def _make({', '.join(const_names)}):", *_indent(body)], "_make")
+    return _exec([f"def _make({', '.join(const_names)}):", *_indent(body)], "_make",
+                 _pack_row=Struct(f"{1 + 2 * len(names)}d").pack)
 
 
 def _calling_field(rhs: Callable, dim: int) -> Field:
@@ -571,12 +570,13 @@ def _bisect_crossing(g, t_lo, t_hi) -> float:
 
 
 def _classify_ladder(ladder_times, t_last, sgn):
-    """Blowup when at least three ladder rungs were crossed with gaps that
-    shrink geometrically.  The bracket is reported in real time, ordered
-    ascending, padded by an allowance for the integration drift that
-    accumulates while resolving the singularity (observed around 1e-11 at
-    these tolerances; 2e-4 is generous and keeps the bracket far inside
-    the 1e-3 contract)."""
+    """Blowup when at least three ladder rungs were crossed and every ratio
+    of successive gaps is under CONVERGENCE_RATIO (a spiral's alternating
+    gaps are no blowup).  The median ratio sizes the bracket, reported in
+    real time, ordered ascending, padded by an allowance for the integration
+    drift that accumulates while resolving the singularity (observed around
+    1e-11 at these tolerances; 2e-4 is generous and keeps the bracket far
+    inside the 1e-3 contract)."""
     if len(ladder_times) < 3:
         return None
     gaps = np.diff(ladder_times)
@@ -584,9 +584,9 @@ def _classify_ladder(ladder_times, t_last, sgn):
     if len(gaps) < 2:
         return None
     ratios = gaps[1:] / gaps[:-1]
-    r = float(np.median(ratios))
-    if r >= CONVERGENCE_RATIO:
+    if float(np.max(ratios)) >= CONVERGENCE_RATIO:
         return None
+    r = float(np.median(ratios))
     tail = float(gaps[-1]) * r / (1.0 - r)
     drift = 2e-4
     lo = t_last - drift

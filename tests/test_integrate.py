@@ -11,6 +11,7 @@ import functools
 import hashlib
 import inspect
 import math
+import sys
 import types
 from array import array
 from fractions import Fraction
@@ -83,8 +84,8 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
             raise ValueError("cannot extend")
         dim, n = cp.dim, cp.n
         if cp.loop is None:
-            return im._trajectory(cp.ts, cp.ys, cp.fs, dim, cp.status, cp)
-        ts, ys, fs = cp.ts[:n], cp.ys[:n * dim], cp.fs[:n * dim]
+            return im._trajectory(cp.rows, dim, cp.status, cp)
+        rows = cp.rows[:n * (1 + 2 * dim)]
         used, t, y, f, h, ladder_idx, ladder_times = cp.loop
         ladder_times = list(ladder_times)
     else:
@@ -93,7 +94,7 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
         if edge is not None and y[0] <= edge:
             raise DomainError("initial point outside the domain")
         f = tuple(float(v) for v in rhs(y))
-        ts, ys, fs = array("d", (0.0,)), array("d", y), array("d", f)
+        rows = array("d", (0.0, *y, *f))
         ladder_times = []
         ladder_idx = 0
         while ladder_idx < len(im.LADDER) and im._norm_inf(y) >= im.LADDER[ladder_idx]:
@@ -102,13 +103,14 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
         h = im._initial_step(y, f)
         t = 0.0
         used = 0
+    w = 1 + 2 * dim  # a history row is (sgn t, y, f)
     cut = None
     log = passes if passes is not None else []
 
     def finish(status):
-        n, loop = (len(ts), None) if cut is None else cut
-        cp = im.Checkpoint(direction, span, edge, dim, ts, ys, fs, n, loop, status)
-        return im._trajectory(ts, ys, fs, dim, status, cp)
+        n, loop = (len(rows) // w, None) if cut is None else cut
+        cp = im.Checkpoint(direction, span, edge, dim, rows, n, loop, status)
+        return im._trajectory(rows, dim, status, cp)
 
     def stalled_status():
         blow = im._classify_ladder(ladder_times, t, sgn)
@@ -119,13 +121,13 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
                 return Unbounded(sgn * t)
             if y[0] <= max(1e-8, edge * 4):
                 return LeftDomain(sgn * t)
-        return StepCollapse(sgn * t, im._rhs_grew([im._norm_inf(fs[i:i + dim])
-                                                   for i in range(0, len(fs), dim)]))
+        return StepCollapse(sgn * t, im._rhs_grew([im._norm_inf(rows[i + 1 + dim:i + w])
+                                                   for i in range(0, len(rows), w)]))
 
     for used in range(used, im.MAX_STEPS):
         if h > span - t:
             if cut is None:
-                cut = (len(ts), (used, t, y, f, h, ladder_idx, tuple(ladder_times)))
+                cut = (len(rows) // w, (used, t, y, f, h, ladder_idx, tuple(ladder_times)))
             if t >= span:
                 return finish(ReachedHorizon(sgn * span))
             h = span - t
@@ -155,9 +157,7 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
             seg = im._segment(t, y, f, t_new, y_new, f_new, sgn)
             t_cross = im._bisect_crossing(lambda tt: seg(tt)[0] - edge, t, t_new)
             y_cross = tuple(float(v) for v in seg(t_cross))
-            ts.append(sgn * t_cross)
-            ys.extend(y_cross)
-            fs.extend(im._safe_rhs(rhs, y_cross, f_new))
+            rows.extend((sgn * t_cross, *y_cross, *im._safe_rhs(rhs, y_cross, f_new)))
             return finish(LeftDomain(sgn * t_cross))
 
         n_new = im._norm_inf(y_new)
@@ -169,9 +169,7 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
             ladder_idx += 1
 
         t, y, f = t_new, y_new, f_new
-        ts.append(sgn * t)
-        ys.extend(y)
-        fs.extend(f)
+        rows.extend((sgn * t, *y, *f))
 
         if n_new >= im.STATE_CAP:
             blow = im._classify_ladder(ladder_times, t, sgn)
@@ -391,6 +389,39 @@ class TestGrowthIsNotEscape:
     def test_linear_growth_reaches_horizon(self):
         tr = integrate(lambda y: (1.0, 0.0), (0.0, 2.0), 10.0)
         assert isinstance(tr.status, ReachedHorizon)
+
+    def test_spiral_is_not_blowup(self):
+        # A.M46 is flat and a Killing flow is affine in its flat chart, so
+        # entire; the seed-4 combo[0] spirals out and crosses the ladder's
+        # rungs at gaps of 10.58, 2.91, 10.16 and 3.45, whose median ratio
+        # (0.34) once read as a blowup
+        basis = catalog.instantiate("A.M46").killing_basis
+        v = np.random.default_rng(4).normal(size=len(basis))
+        X = killing.combination(basis, tuple(float(x) for x in v / np.linalg.norm(v)))
+        assert isinstance(killing.flow_integrate(X, (0.3, -0.7), 60.0).status, Unbounded)
+
+
+class TestClassifyLadder:
+    """A Blowup needs every ratio of successive rung gaps under
+    CONVERGENCE_RATIO; the median ratio sizes its bracket."""
+
+    def test_alternating_gaps(self):
+        # the rung times of A.M46's seed-4 spiral (gaps 10.58, 2.91, 10.16, 3.45)
+        times = [26.32, 36.90, 39.81, 49.97, 53.42]
+        assert integrate_module._classify_ladder(times, times[-1], 1.0) is None
+
+    def test_geometric_gaps(self):
+        # gaps 1, 1/4, 1/16, 1/64 converge to t* = 4/3
+        times = [0.0, 1.0, 1.25, 1.3125, 1.328125]
+        st = integrate_module._classify_ladder(times, times[-1], 1.0)
+        assert isinstance(st, Blowup) and st.t_lo <= 4 / 3 <= st.t_hi
+
+    def test_median_ratio_sizes_the_bracket(self):
+        # ratios 0.1, 0.2 and 0.4: the tail is that of the median 0.2
+        times = [0.0, 1.0, 1.1, 1.12, 1.128]
+        st = integrate_module._classify_ladder(times, times[-1], -1.0)
+        assert st.t_hi == -(1.128 - 2e-4)
+        assert st.t_lo == pytest.approx(-(1.128 + 3.0 * 0.008 * 0.2 / 0.8 + 2e-4), abs=1e-12)
 
 
 class TestDomainMonitor:
@@ -1016,6 +1047,19 @@ class TestStepLoop:
         tr, passes = assert_matches_reference(field_of("-1e-285", "x1"), (1e-284, 1.0), 60.0, 0.0)
         assert isinstance(tr.status, Unbounded) and passes[-1] == "accepted"
 
+    @pytest.mark.parametrize("t_end", [5.0, -5.0])
+    def test_rows_keep_signed_zeros_and_subnormals(self, t_end):
+        # f = (-0.0, 1e-310) on every row, and x2 is subnormal after t = 0
+        field = field_of("-0.0", "x1 * 1e-310")
+        want, _ = assert_matches_reference(field, (1.0, 0.0), t_end)
+        hexes = [[v.hex() for v in a.ravel().tolist()] for a in (want.times, want.states, want.derivs)]
+        for rhs in source_and_call_forms(field):
+            got = integrate(rhs, (1.0, 0.0), t_end)
+            assert [[v.hex() for v in a.ravel().tolist()]
+                    for a in (got.times, got.states, got.derivs)] == hexes
+        assert all(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in want.derivs[:, 0])
+        assert all(0.0 < abs(v) < sys.float_info.min for v in want.states[1:, 1])
+
     @pytest.mark.parametrize("rung", range(len(integrate_module.LADDER)))
     def test_each_ladder_rung(self, rung):
         # e^t crosses rung k at log(LADDER[k]); the last rung is STATE_CAP
@@ -1226,8 +1270,8 @@ class TestGeneratedCode:
 
 class TestOneCommitPath:
     """The generated step loop is the only code that commits an accepted
-    step: integrate() appends to the history only the edge crossing, and
-    never rescales h after a step."""
+    step: integrate() writes to the history only the edge crossing's row,
+    and never rescales h after a step."""
 
     def tree(self):
         return ast.parse(inspect.getsource(integrate_module.integrate))
@@ -1236,8 +1280,7 @@ class TestOneCommitPath:
         calls = [f"{node.func.value.id}.{node.func.attr}" for node in ast.walk(self.tree())
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                  and isinstance(node.func.value, ast.Name)]
-        for name in ("ts.append", "ys.extend", "fs.extend"):
-            assert calls.count(name) == 1, name
+        assert [name for name in calls if name.startswith("rows.")] == ["rows.extend"]
 
     def test_step_size_not_rescaled(self):
         def rescales_h(node):
