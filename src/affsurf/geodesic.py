@@ -75,8 +75,8 @@ def default_geodesic_inits(record: ModelRecord):
     for k in range(8):
         th = math.pi * k / 4.0
         dirs.append((math.cos(th), math.sin(th)))
-    extra = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 2.0)]
-    return [record.base_point] , dirs + extra
+    extra = [(0.0, 1.0), (1.0, 1.0), (-1.0, 2.0)]
+    return [record.base_point], dirs + extra
 
 
 def geodesic_completeness_probe(record: ModelRecord,

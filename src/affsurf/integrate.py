@@ -35,28 +35,29 @@ tableau with every stage and component written out, the state held in
 local floats, and it alone commits accepted steps.  It hands control back
 to integrate() only for the events that need it: the horizon cutting a
 step short, a stall (the step under H_MIN), an accepted step that reaches
-the edge (before it is committed, since the crossing replaces it), an
-accepted step that crossed the next ladder rung (after it is committed),
-and the step limit.  A right-hand side given as a Field (its source text)
-is inlined at every stage of a loop of its own, compiled on first use and
-cached on its shape, not on its constants' values (see Field); a stage
-binds only the state names the field reads.  Any other callable runs as
-a Field that calls it, so one loop serves every plain
-callable of a state dimension.  The arithmetic is that of the generic
-tableau loop, operation for operation, so trajectories are bit-identical
-to it.
+the edge or crosses the next ladder rung (after it is committed, like
+every accepted step; integrate() then takes the edge step's row back and
+writes the crossing's row in its place), and the step limit.  A
+right-hand side given as a Field (its source text) is inlined at every
+stage of a loop of its own, compiled on first use and cached on its
+shape, not on its constants' values (see Field); a stage binds only the
+state names the field reads.  Any other callable runs as a Field that
+calls it, so one loop serves every plain callable of a state dimension.
+The arithmetic is that of the generic tableau loop, operation for
+operation, so trajectories are bit-identical to it.
 
-A run can be extended to a longer horizon.  Its Trajectory carries a
-Checkpoint: the loop's state (t, y, f, h, ladder, history, steps used) at
-the first step the horizon cut short, where the step size would have been
-clamped to land on it.  Every step before that one is the same at any
-longer horizon, so integrate() resumes there and returns what a fresh run
-to the longer horizon returns, bit for bit; a run whose status was settled
-before any cut is returned as it is.  The extension must keep the run's
-direction and its edge, compared by value.  The probes confirm a complete verdict
-this way, extending each horizon-T run instead of integrating again from
-t = 0.  The history is one flat buffer of doubles, a row (sgn t, y, f) per
-step (8 bytes per value), which the Trajectory's arrays read in place.
+A run is its own checkpoint: its Trajectory keeps the loop's state (t,
+y, f, h, ladder, steps used) at the first step the horizon cut short,
+where the step size would have been clamped to land on it, and the
+number of history rows then.  Every step before that one is the same at
+any longer horizon, so integrate() resumes there and returns what a fresh
+run to the longer horizon returns, bit for bit; a run whose status was
+settled before any cut is returned as it is, the same object.  The
+extension must keep the run's direction and its edge, compared by value.
+The probes confirm a complete verdict this way, extending each horizon-T
+run instead of integrating again from t = 0.  The history is one flat
+buffer of doubles, a row (sgn t, y, f) per step (8 bytes per value),
+which the Trajectory's arrays read in place.
 
 The tolerances, the minimum step, the state cap and the limit of 400,000
 steps (counted from t = 0, over every extension of a run) are fixed module
@@ -138,40 +139,34 @@ Status = Union[ReachedHorizon, Blowup, LeftDomain, StepCollapse, Unbounded]
 ESCAPE_STATUSES = (Blowup, LeftDomain, StepCollapse)
 
 
-@dataclass
 class Trajectory:
-    """Time-stamped samples of a flow or geodesic plus a termination status.
+    """A run: time-stamped samples of a flow or geodesic, a termination
+    status, and where integrate() extends the run.
 
     times are strictly monotone in the integration direction; states hold
     the sampled points (dimension 2 for flows, 4 for geodesics).  The nodal
     derivatives are kept so samples can be interpolated by cubic Hermite.
-    """
+    The three arrays read the run's flat history buffer rows, a row (sgn t,
+    y, f) per step, in place.  The run was made in `direction` to the
+    horizon `span` with the x1 `edge` (a float, or None for no edge); loop
+    is the loop's state (steps used, t, y, f, h, ladder times) at the first
+    step the horizon cut short, and n the number of rows then.  loop is
+    None when the run ended before any cut; its status then stands at every
+    longer horizon.  An extension must pass an edge equal in value to this
+    one."""
 
-    times: np.ndarray
-    states: np.ndarray
-    derivs: np.ndarray
-    status: Status
-    checkpoint: Checkpoint  # where integrate() resumes to extend the run
+    __slots__ = ("times", "states", "derivs", "status", "direction", "span", "edge", "rows",
+                 "n", "loop")
+
+    def __init__(self, rows, dim, status, direction, span, edge, n, loop):
+        a = np.frombuffer(rows).reshape(-1, 1 + 2 * dim)
+        self.times, self.states, self.derivs = a[:, 0], a[:, 1:1 + dim], a[:, 1 + dim:]
+        self.status, self.direction, self.span, self.edge = status, direction, span, edge
+        self.rows, self.n, self.loop = rows, n, loop
 
     @property
     def escaped(self) -> bool:
         return isinstance(self.status, ESCAPE_STATUSES)
-
-
-class Checkpoint:
-    """Where integrate() extends a run, made in `direction` to the horizon
-    `span` with the x1 `edge` (a float, or None for no edge): the loop's
-    state (steps used, t, y, f, h, ladder index, ladder times) at the first
-    step the horizon cut short, and the first n rows (sgn t, y, f) of the
-    run's flat history buffer rows.  loop is None when the run ended
-    before any cut; its status then stands at every longer horizon.  An
-    extension must pass an edge equal in value to this one."""
-
-    __slots__ = ("direction", "span", "edge", "dim", "rows", "n", "loop", "status")
-
-    def __init__(self, direction, span, edge, dim, rows, n, loop, status):
-        self.direction, self.span, self.edge, self.dim = direction, span, edge, dim
-        self.rows, self.n, self.loop, self.status = rows, n, loop, status
 
 
 # Dormand-Prince 5(4) tableau (propagates the 5th order solution).
@@ -199,25 +194,25 @@ def integrate(rhs: Callable,
     of the same length (TypeError otherwise).
     edge, when given, is a value that y[0] must stay above along the
     trajectory: the half-plane runs pass 0.0 or a margin above it.
-    y0 may instead be the Checkpoint of an earlier run of the same rhs in
-    the same direction with an equal edge, to a horizon no longer than
-    |t_end| (ValueError otherwise): the run is extended from there, and the
-    result is that of a fresh run to t_end."""
+    y0 may instead be an earlier run (a Trajectory) of the same rhs in the
+    same direction with an equal edge, to a horizon no longer than |t_end|
+    (ValueError otherwise): the run is extended from where the horizon
+    first cut it short, and the result is that of a fresh run to t_end."""
     from array import array  # on the first integration, not at import
 
     direction = "forward" if t_end >= 0 else "backward"
     sgn = 1.0 if t_end >= 0 else -1.0
     span = abs(t_end)
-    if isinstance(y0, Checkpoint):
-        cp = y0
-        if cp.direction != direction or not span >= cp.span or cp.edge != edge:
-            raise ValueError(f"cannot extend a {cp.direction} run to {cp.span} with "
+    if isinstance(y0, Trajectory):
+        run = y0
+        if run.direction != direction or not span >= run.span or run.edge != edge:
+            raise ValueError(f"cannot extend a {run.direction} run to {run.span} with "
                              f"another edge, a shorter horizon or the other direction")
-        dim, n = cp.dim, cp.n
-        if cp.loop is None:
-            return _trajectory(cp.rows, dim, cp.status, cp)
-        rows = cp.rows[:n * (1 + 2 * dim)]
-        used, t, y, f, h, ladder_idx, ladder_times = cp.loop
+        if run.loop is None:
+            return run
+        dim = run.states.shape[1]
+        rows = run.rows[:run.n * (1 + 2 * dim)]
+        used, t, y, f, h, ladder_times = run.loop
         ladder_times = list(ladder_times)
     else:
         y = tuple(float(v) for v in y0)
@@ -232,10 +227,8 @@ def integrate(rhs: Callable,
             raise TypeError(f"right-hand side has {len(f)} components for a state of dimension {dim}")
         rows = array("d", (0.0, *y, *f))
         ladder_times = []
-        ladder_idx = 0
-        while ladder_idx < len(LADDER) and _norm_inf(y) >= LADDER[ladder_idx]:
+        while len(ladder_times) < len(LADDER) and _norm_inf(y) >= LADDER[len(ladder_times)]:
             ladder_times.append(0.0)
-            ladder_idx += 1
         h = _initial_step(y, f)
         t = 0.0
         used = 0
@@ -246,16 +239,14 @@ def integrate(rhs: Callable,
 
     def finish(status: Status) -> Trajectory:
         n, state = (len(rows) // w, None) if cut is None else cut
-        cp = Checkpoint(direction, span, edge, dim, rows, n, state, status)
-        return _trajectory(rows, dim, status, cp)
+        return Trajectory(rows, dim, status, direction, span, edge, n, state)
 
     while True:
-        rung = LADDER[ladder_idx] if ladder_idx < len(LADDER) else STATE_CAP
-        event, used, t, y, f, h, y_new, f_new = loop(
-            sgn, span, floor, rung, MAX_STEPS, used, t, y, f, h, rows)
+        rung = LADDER[len(ladder_times)] if len(ladder_times) < len(LADDER) else STATE_CAP
+        event, used, t, y, f, h = loop(sgn, span, floor, rung, MAX_STEPS, used, t, y, f, h, rows)
         if event == "horizon":  # the horizon cuts this step short, or was reached
             if cut is None:
-                cut = (len(rows) // w, (used, t, y, f, h, ladder_idx, tuple(ladder_times)))
+                cut = (len(rows) // w, (used, t, y, f, h, tuple(ladder_times)))
             if t >= span:
                 return finish(ReachedHorizon(sgn * span))
             h = span - t
@@ -274,35 +265,27 @@ def integrate(rhs: Callable,
             return finish(StepCollapse(sgn * t, _rhs_grew([_norm_inf(rows[i + 1 + dim:i + w])
                                                             for i in range(0, len(rows), w)])))
 
-        if event == "edge":  # an accepted step (not committed) that reached the edge
-            if y[0] <= UNDERFLOW_X1:
-                return finish(Unbounded(sgn * t))
-            t_new = t + h
-            seg = _segment(t, y, f, t_new, y_new, f_new, sgn)
-            t_cross = _bisect_crossing(lambda tt: seg(tt)[0] - edge, t, t_new)
-            y_cross = tuple(float(v) for v in seg(t_cross))
-            rows.extend((sgn * t_cross, *y_cross, *_safe_rhs(rhs, y_cross, f_new)))
-            return finish(LeftDomain(sgn * t_cross))
-
-        # "rung": the step committed from the previous row crossed ladder thresholds
+        # "edge" or "rung": the step committed from the previous row reached the
+        # edge or crossed ladder thresholds
         prev = rows[-2 * w:-w]
         t_prev = abs(prev[0])  # exact: internal time is >= 0
         seg = _segment(t_prev, prev[1:1 + dim], prev[1 + dim:], t, y, f, sgn)
+        if event == "edge":  # the step's row goes; the crossing's row replaces it
+            del rows[-w:]
+            if prev[1] <= UNDERFLOW_X1:
+                return finish(Unbounded(sgn * t_prev))  # not prev[0]: row 0 holds t = +0.0
+            t_cross = _bisect_crossing(lambda tt: seg(tt)[0] - edge, t_prev, t)
+            y_cross = tuple(float(v) for v in seg(t_cross))
+            rows.extend((sgn * t_cross, *y_cross, *_safe_rhs(rhs, y_cross, f)))
+            return finish(LeftDomain(sgn * t_cross))
         n_new = _norm_inf(y)
-        while ladder_idx < len(LADDER) and n_new >= LADDER[ladder_idx]:
-            rung = LADDER[ladder_idx]
+        while len(ladder_times) < len(LADDER) and n_new >= LADDER[len(ladder_times)]:
+            rung = LADDER[len(ladder_times)]
             ladder_times.append(_bisect_crossing(lambda tt: _norm_inf(seg(tt)) - rung, t_prev, t))
-            ladder_idx += 1
         if n_new >= STATE_CAP:
             blow = _classify_ladder(ladder_times, t, sgn)
             return finish(blow if blow is not None else Unbounded(sgn * t))
         used += 1
-
-
-def _trajectory(rows, dim, status, checkpoint) -> Trajectory:
-    """A Trajectory whose arrays read the history rows (sgn t, y, f) in place."""
-    a = np.frombuffer(rows).reshape(-1, 1 + 2 * dim)
-    return Trajectory(a[:, 0], a[:, 1:1 + dim], a[:, 1 + dim:], status, checkpoint)
 
 
 _KERNEL_NAMESPACE = {**_NAMESPACE, "DomainError": DomainError, "_RHS_ERRORS": _RHS_ERRORS,
@@ -370,18 +353,15 @@ def _loop_lines(names, prelude, comps) -> list[str]:
     a stage failed, else by max(0.2, 0.9 enorm^-0.2); an accepted step
     packs the row (sgn t, y, f) onto the flat history rows and scales h by
     min(5, max(0.2, 0.9 (enorm + 1e-300)^-0.2)).  The loop returns
-    `(event, used, t, y, f, h, y_new, f_new)` at the pass where integrate()
-    has work to do: 'horizon' before a step when h > span - t, 'stall'
-    when a rejection takes h under H_MIN, 'edge' (with the step's y_new
-    and f_new, nothing appended) when an accepted step has y_new[0] <=
-    edge, 'rung' after an accepted step with a component of |y_new| >=
-    rung has been appended and h scaled, and 'limit' after the last pass;
-    y_new and f_new are None but for 'edge'."""
+    `(event, used, t, y, f, h)` at the pass where integrate() has work to
+    do: 'horizon' before a step when h > span - t, 'stall' when a
+    rejection takes h under H_MIN, 'edge' after an accepted step with
+    y[0] <= edge has been committed, else 'rung' after one with a component
+    of |y| >= rung has been, and 'limit' after the last pass."""
     cs = range(len(names))
     y, f = _tup(f"_y{c}" for c in cs), _tup(f"_k0_{c}" for c in cs)
-    y_new, f_new = _tup(f"_n{c}" for c in cs), _tup(f"_k{len(_A)}_{c}" for c in cs)
     state = f"_used, _t, {y}, {f}, _h"
-    stall = [f"if _h < {H_MIN!r}:", f"    return 'stall', {state}, None, None", "continue"]
+    stall = [f"if _h < {H_MIN!r}:", f"    return 'stall', {state}", "continue"]
     reached = " or ".join(f"_b{c} >= _rung" for c in cs)
     step = [*_step_lines(names, prelude, comps, ["_h *= 0.25", *stall]),
             "if _enorm > 1.0:",
@@ -391,28 +371,28 @@ def _loop_lines(names, prelude, comps) -> list[str]:
             "    else:",
             "        _h *= 0.25",
             *_indent(stall),
-            "if _n0 <= _edge:",
-            f"    return 'edge', {state}, {y_new}, {f_new}",
             "_t = _t + _h",
-            f"{y} = {y_new}",
-            f"{f} = {f_new}",
+            f"{y} = {_tup(f'_n{c}' for c in cs)}",
+            f"{f} = {_tup(f'_k{len(_A)}_{c}' for c in cs)}",
             f"_put(_pack(_sgn * _t, {', '.join(f'_y{c}' for c in cs)}, "
             f"{', '.join(f'_k0_{c}' for c in cs)}))",
             "_x = 0.9 * (_enorm + 1e-300) ** -0.2",
             "_x = _x if _x > 0.2 else 0.2",
             "_h *= _x if _x < 5.0 else 5.0",
+            "if _y0 <= _edge:",
+            f"    return 'edge', {state}",
             f"if {reached}:",
-            f"    return 'rung', {state}, None, None"]
+            f"    return 'rung', {state}"]
     return ["def _loop(_sgn, _span, _edge, _rung, _max_steps, _used, _t, _y, _f, _h, _rows):",
             f"    {y} = _y",
             f"    {f} = _f",
             "    _put, _pack = _rows.frombytes, _pack_row",
             "    for _used in range(_used, _max_steps):",
             "        if _h > _span - _t:",
-            f"            return 'horizon', {state}, None, None",
+            f"            return 'horizon', {state}",
             "        _sh = _sgn * _h",
             *_indent(step, 2),
-            f"    return 'limit', {state}, None, None"]
+            f"    return 'limit', {state}"]
 
 
 def _indent(lines, depth: int = 1) -> list[str]:

@@ -164,12 +164,12 @@ def run_probe(record: ModelRecord, kind: str, runs, T: float, confirm_factor: fl
     (label, coeffs, init, rhs, y0) and is integrated forward and backward
     to the horizon, every run with the same x1 edge.  Incomplete as soon
     as one run escapes; a complete verdict is confirmed at confirm_factor
-    times T when that exceeds T, each run extended from the checkpoint of
-    its horizon-T run."""
+    times T when that exceeds T, each run extended from its horizon-T
+    run."""
     expected = (record.expected.killing_complete if kind == "killing"
                 else record.expected.geodesically_complete)
     horizons = (T, confirm_factor * T)
-    kept: deque = deque()  # checkpoints of the horizon-T runs, in run order
+    kept: deque = deque()  # the horizon-T runs, in run order, to extend
     for confirming, horizon in enumerate(horizons):
         witnesses: list[FlowWitness] = []
         unbounded = 0
@@ -182,7 +182,7 @@ def run_probe(record: ModelRecord, kind: str, runs, T: float, confirm_factor: fl
                 if isinstance(tr.status, Unbounded):
                     unbounded += 1
                 if not (confirming or witnesses):
-                    kept.append(tr.checkpoint)
+                    kept.append(tr)
         if witnesses or not horizons[1] > T:
             break
     return ProbeReport(record.ref.label(), kind, complete=not witnesses, horizon=horizon,

@@ -555,6 +555,13 @@ class TestProbe:
         assert rep.complete and rep.horizon == 200.0
         assert rep.unbounded_runs == 1 and not rep.witnesses
 
+    def test_default_directions_are_distinct(self):
+        # a repeated direction would integrate the same runs twice
+        for rec in (C.instantiate("A.M46"), C.instantiate("B.N56")):
+            bases, vels = G.default_geodesic_inits(rec)
+            assert bases == [rec.base_point] and len(vels) == 11
+            assert len(set(vels)) == len(vels)
+
     def test_half_plane_probe_not_classified(self):
         rep = G.geodesic_completeness_probe(C.instantiate("B.N56"), T=10.0)
         assert rep.expected is None and rep.verdict == "not-classified"

@@ -78,16 +78,17 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
     direction = "forward" if t_end >= 0 else "backward"
     sgn = 1.0 if t_end >= 0 else -1.0
     span = abs(t_end)
-    if isinstance(y0, im.Checkpoint):
-        cp = y0
-        if cp.direction != direction or not span >= cp.span or cp.edge != edge:
+    if isinstance(y0, im.Trajectory):
+        run = y0
+        if run.direction != direction or not span >= run.span or run.edge != edge:
             raise ValueError("cannot extend")
-        dim, n = cp.dim, cp.n
-        if cp.loop is None:
-            return im._trajectory(cp.rows, dim, cp.status, cp)
-        rows = cp.rows[:n * (1 + 2 * dim)]
-        used, t, y, f, h, ladder_idx, ladder_times = cp.loop
+        if run.loop is None:
+            return run
+        dim = run.states.shape[1]
+        rows = run.rows[:run.n * (1 + 2 * dim)]
+        used, t, y, f, h, ladder_times = run.loop
         ladder_times = list(ladder_times)
+        ladder_idx = len(ladder_times)
     else:
         y = tuple(float(v) for v in y0)
         dim = len(y)
@@ -109,8 +110,7 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
 
     def finish(status):
         n, loop = (len(rows) // w, None) if cut is None else cut
-        cp = im.Checkpoint(direction, span, edge, dim, rows, n, loop, status)
-        return im._trajectory(rows, dim, status, cp)
+        return im.Trajectory(rows, dim, status, direction, span, edge, n, loop)
 
     def stalled_status():
         blow = im._classify_ladder(ladder_times, t, sgn)
@@ -127,7 +127,7 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
     for used in range(used, im.MAX_STEPS):
         if h > span - t:
             if cut is None:
-                cut = (len(rows) // w, (used, t, y, f, h, ladder_idx, tuple(ladder_times)))
+                cut = (len(rows) // w, (used, t, y, f, h, tuple(ladder_times)))
             if t >= span:
                 return finish(ReachedHorizon(sgn * span))
             h = span - t
@@ -814,14 +814,14 @@ def assert_extends(rhs, y0, T, factor, **opts):
     """The horizon-T run extended to factor*T equals a fresh run there;
     return the short run."""
     short = integrate(rhs, y0, T, **opts)
-    longer = integrate(rhs, short.checkpoint, factor * T, **opts)
+    longer = integrate(rhs, short, factor * T, **opts)
     assert same_run(longer, integrate(rhs, y0, factor * T, **opts))
     return short
 
 
 class TestExtendedRun:
-    """A run extended from the checkpoint of a shorter run is the fresh run
-    to the longer horizon, bit for bit."""
+    """A shorter run extended to a longer horizon is the fresh run there,
+    bit for bit."""
 
     @pytest.mark.parametrize("sgn", [1.0, -1.0])
     def test_killing_basis_fields_of_every_record(self, sgn):
@@ -848,7 +848,7 @@ class TestExtendedRun:
         rhs = (lambda y: field(y)) if plain else field
         short = assert_extends(rhs, (1.0, 0.5), -0.5, 3.0, edge=0.0)
         assert isinstance(short.status, ReachedHorizon)
-        longer = integrate(rhs, short.checkpoint, -1.5, edge=0.0)
+        longer = integrate(rhs, short, -1.5, edge=0.0)
         assert isinstance(longer.status, LeftDomain) and abs(longer.status.t + 1.0) < 1e-9
 
     def test_helper_runs_extend_with_the_edge_passed_again(self):
@@ -864,14 +864,14 @@ class TestExtendedRun:
                 v0 = (math.cos(math.pi * k / 4), math.sin(math.pi * k / 4))
                 short = geodesic.geodesic_integrate(rec.spec, rec.base_point, v0, sgn * 0.5)
                 assert isinstance(short.status, ReachedHorizon)
-                longer = integrate(rhs, short.checkpoint, sgn * 2.0, edge=edge)
+                longer = integrate(rhs, short, sgn * 2.0, edge=edge)
                 fresh = geodesic.geodesic_integrate(rec.spec, rec.base_point, v0, sgn * 2.0)
                 assert same_run(longer, fresh)
         # B.N06's field d/dx1 reaches the edge x1 = 0 at t = -1 from x1 = 1
         X = catalog.instantiate("B.N06").killing_basis[0]
         short = killing.flow_integrate(X, (1.0, 0.5), -0.5, edge=0.0)
         assert isinstance(short.status, ReachedHorizon)
-        longer = integrate(killing._field_rhs(X), short.checkpoint, -1.5, edge=-0.0)
+        longer = integrate(killing._field_rhs(X), short, -1.5, edge=-0.0)
         assert same_run(longer, killing.flow_integrate(X, (1.0, 0.5), -1.5, edge=0.0))
         assert isinstance(longer.status, LeftDomain)
 
@@ -879,8 +879,18 @@ class TestExtendedRun:
         rhs = lambda y: (y[0],)  # noqa: E731
         short = assert_extends(rhs, (1.0,), 50.0, 3.0)
         assert isinstance(short.status, Unbounded) and short.status.t < 50.0
-        again = integrate(rhs, short.checkpoint, 500.0)
+        again = integrate(rhs, short, 500.0)
         assert same_run(again, short)
+
+    def test_settled_run_is_returned_as_it_is(self):
+        # e^|t| runs past the state cap, and x1 = 1 - |t| reaches the edge,
+        # before the horizon
+        for T in (50.0, -50.0):
+            for rhs, y0, edge in ((lambda y, s=T / 50.0: (s * y[0],), (1.0,), None),
+                                  (lambda y, s=T / 50.0: (-s, y[0]), (1.0, 0.0), 0.0)):
+                run = integrate(rhs, y0, T, edge=edge)
+                assert run.loop is None and not isinstance(run.status, ReachedHorizon)
+                assert integrate(rhs, run, 2 * T, edge=edge) is run
 
     def test_horizon_on_a_node_time(self):
         """Horizons at node times of a longer run: where the step lands on
@@ -890,7 +900,7 @@ class TestExtendedRun:
         landed = 0
         for T in nodes[5:45]:
             short = assert_extends(rhs, (1.0, 0.0), float(T), 3.0)
-            landed += short.checkpoint.loop[1] == T
+            landed += short.loop[1] == T
         assert landed > 0
 
     @pytest.mark.parametrize("plain", [False, True], ids=["field", "callable"])
@@ -898,10 +908,10 @@ class TestExtendedRun:
         field = killing._field_rhs(m46_benchmark_combination())
         rhs = (lambda y: field(y)) if plain else field
         first = integrate(rhs, (0.3, -0.7), -2.0)
-        second = integrate(rhs, first.checkpoint, -4.0)
-        third = integrate(rhs, second.checkpoint, -6.0)
+        second = integrate(rhs, first, -4.0)
+        third = integrate(rhs, second, -6.0)
         assert same_run(third, integrate(rhs, (0.3, -0.7), -6.0))
-        assert same_run(integrate(rhs, first.checkpoint, -6.0), third)
+        assert same_run(integrate(rhs, first, -6.0), third)
 
     def test_step_limit_counts_from_zero(self, monkeypatch):
         """With MAX_STEPS set to the exact number of loop passes a fresh run
@@ -920,18 +930,18 @@ class TestExtendedRun:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if fails((1.0, 0.0), mid) else (lo, mid)
-        assert short.checkpoint.loop[0] < lo
-        assert fails(short.checkpoint, lo) and not fails(short.checkpoint, hi)
+        assert short.loop[0] < lo
+        assert fails(short, lo) and not fails(short, hi)
 
     def test_shorter_horizon_other_direction_or_domain_raises(self):
         rhs = lambda y: (y[1], -y[0])  # noqa: E731
-        cp = integrate(rhs, (1.0, 0.0), 3.0).checkpoint
+        run = integrate(rhs, (1.0, 0.0), 3.0)
         for t_end, opts in ((2.0, {}), (-6.0, {}), (6.0, {"edge": 0.0}),
                             (float("nan"), {})):
             with pytest.raises(ValueError):
-                integrate(rhs, cp, t_end, **opts)
-        assert same_run(integrate(rhs, cp, 3.0), integrate(rhs, (1.0, 0.0), 3.0))
-        edged = integrate(rhs, (1.0, 0.0), 3.0, edge=-2.0).checkpoint
+                integrate(rhs, run, t_end, **opts)
+        assert same_run(integrate(rhs, run, 3.0), integrate(rhs, (1.0, 0.0), 3.0))
+        edged = integrate(rhs, (1.0, 0.0), 3.0, edge=-2.0)
         for opts in ({"edge": -1.0}, {}):
             with pytest.raises(ValueError):
                 integrate(rhs, edged, 6.0, **opts)
@@ -945,28 +955,28 @@ class TestExtendedRun:
         fresh = integrate(fresh_rhs, (0.3, -0.7), 60.0)
         short = integrate(field, (0.3, -0.7), 20.0)
         extended_rhs, extended_calls = counting(field)
-        extended = integrate(extended_rhs, short.checkpoint, 60.0)
+        extended = integrate(extended_rhs, short, 60.0)
         assert same_run(extended, fresh)
-        prefix_steps = short.checkpoint.n - 1
+        prefix_steps = short.n - 1
         assert prefix_steps > 0
         assert fresh_calls[0] - extended_calls[0] >= 6 * prefix_steps
 
 
 def hexed_loop(loop):
-    """A checkpoint's loop tuple with every float as float.hex."""
+    """A run's loop tuple with every float as float.hex."""
     if loop is None:
         return None
-    used, t, y, f, h, ladder_idx, ladder_times = loop
+    used, t, y, f, h, ladder_times = loop
     return (used, t.hex(), [v.hex() for v in y], [v.hex() for v in f], h.hex(),
-            ladder_idx, [v.hex() for v in ladder_times])
+            [v.hex() for v in ladder_times])
 
 
 def assert_same_run(got, want):
-    """Bit for bit: times, states, derivs, status, and the checkpoint's
-    history length and loop tuple."""
+    """Bit for bit: times, states, derivs, status, and the run's history
+    length and loop tuple."""
     assert same_run(got, want)
-    assert got.checkpoint.n == want.checkpoint.n
-    assert hexed_loop(got.checkpoint.loop) == hexed_loop(want.checkpoint.loop)
+    assert got.n == want.n
+    assert hexed_loop(got.loop) == hexed_loop(want.loop)
 
 
 def source_and_call_forms(field):
@@ -997,9 +1007,9 @@ class TestStepLoop:
         field = field_of("x2", "-x1")
         short, passes = assert_matches_reference(field, (1.0, 0.0), 5.0)
         assert isinstance(short.status, ReachedHorizon) and "cut" in passes
-        want = reference_integrate(field, short.checkpoint, 15.0)
+        want = reference_integrate(field, short, 15.0)
         for rhs in source_and_call_forms(field):
-            got = integrate(rhs, integrate(rhs, (1.0, 0.0), 5.0).checkpoint, 15.0)
+            got = integrate(rhs, integrate(rhs, (1.0, 0.0), 5.0), 15.0)
             assert_same_run(got, want)
 
     def test_rejected_steps(self):
@@ -1047,6 +1057,16 @@ class TestStepLoop:
         tr, passes = assert_matches_reference(field_of("-1e-285", "x1"), (1e-284, 1.0), 60.0, 0.0)
         assert isinstance(tr.status, Unbounded) and passes[-1] == "accepted"
 
+    def test_x1_underflow_on_the_first_backward_step(self):
+        # the first step crosses the edge from x1 = 1e-292: the status time
+        # is sgn * 0.0 = -0.0, though row 0 stores t = +0.0
+        field = field_of("1e-285", "x1")
+        want, passes = assert_matches_reference(field, (1e-292, 1.0), -60.0, 0.0)
+        assert passes == ["accepted"] and len(want.times) == 1
+        for rhs in source_and_call_forms(field):
+            status = integrate(rhs, (1e-292, 1.0), -60.0, edge=0.0).status
+            assert status == Unbounded(0.0) and math.copysign(1.0, status.t) < 0.0
+
     @pytest.mark.parametrize("t_end", [5.0, -5.0])
     def test_rows_keep_signed_zeros_and_subnormals(self, t_end):
         # f = (-0.0, 1e-310) on every row, and x2 is subnormal after t = 0
@@ -1066,13 +1086,13 @@ class TestStepLoop:
         t_end = math.log(integrate_module.LADDER[rung]) + 0.5
         tr, _ = assert_matches_reference(field_of("x1"), (1.0,), t_end)
         if rung < len(integrate_module.LADDER) - 1:
-            assert isinstance(tr.status, ReachedHorizon) and tr.checkpoint.loop[5] == rung + 1
+            assert isinstance(tr.status, ReachedHorizon) and len(tr.loop[5]) == rung + 1
         else:
             assert isinstance(tr.status, Unbounded)
 
     def test_starting_above_rungs(self):
         tr, _ = assert_matches_reference(field_of("x1"), (1e10,), 3.0)
-        assert tr.checkpoint.loop[5] == 3
+        assert len(tr.loop[5]) == 3
 
     @pytest.mark.parametrize("comp,status", [("x1 * x1", Blowup), ("x1", Unbounded)])
     def test_state_cap(self, comp, status):
@@ -1270,8 +1290,9 @@ class TestGeneratedCode:
 
 class TestOneCommitPath:
     """The generated step loop is the only code that commits an accepted
-    step: integrate() writes to the history only the edge crossing's row,
-    and never rescales h after a step."""
+    step, the one that reaches the edge too: integrate() deletes that
+    step's row and writes the edge crossing's row in its place, the only
+    row it writes, and never rescales h after a step."""
 
     def tree(self):
         return ast.parse(inspect.getsource(integrate_module.integrate))
@@ -1290,3 +1311,15 @@ class TestOneCommitPath:
                     and isinstance(node.value.op, ast.Mult)
                     and any(isinstance(t, ast.Name) and t.id == "h" for t in node.targets))
         assert not [ast.unparse(node) for node in ast.walk(self.tree()) if rescales_h(node)]
+
+    def test_every_loop_return_is_six_values(self):
+        # (event, used, t, y, f, h), y and f each one tuple
+        for field in (field_of("x2", "-x1"), geodesic._make_rhs(GEODESIC_SPECS[1]),
+                      integrate_module._calling_field(coupled_rhs, 1)):
+            tree = ast.parse("\n".join(integrate_module._loop_lines(
+                field.names, field.prelude, field.comps)))
+            returns = [node for node in ast.walk(tree) if isinstance(node, ast.Return)]
+            assert len(returns) == 6  # horizon, two stalls, edge, rung, limit
+            for node in returns:
+                assert isinstance(node.value, ast.Tuple) and len(node.value.elts) == 6, \
+                    ast.unparse(node)
