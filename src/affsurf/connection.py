@@ -14,22 +14,25 @@ together with a scaling kind:
                   (the auxiliary surface that completes the A.M54 family).
 
 Torsion freeness is built into the storage (the two mixed symbols share one
-slot).  Curvature and Ricci are evaluated exactly: derivatives of the
-symbols are analytic in the kind, never finite differences.  They are plain
-float arithmetic in the order a summed loop adds them,
+slot).  `symbols_at` writes out, per kind, the symbols G of a point and
+their exact derivatives dG (a / u, -a / (u * u), e * u with u = x1, and
+literal 0.0 zeros), never finite differences.  `curvature`, `ricci` and
+`ricci_sym` read those (G, dG), so a check that needs several of them at a
+point evaluates the symbols there once.  They are emitted at import as
+straight-line float arithmetic from the one formula
 
     R_ijk^l = ((d_i G_jk^l - d_j G_ik^l) + (G_i0^l G_jk^0 - G_j0^l G_ik^0))
               + (G_i1^l G_jk^1 - G_j1^l G_ik^1),
 
-rho_jk = 0.0 + R_0jk^0 + R_1jk^1 and rho_s_jk = 0.5 * (rho_jk + rho_kj).
-`curvature`, `ricci` and `ricci_sym` read the symbols (G, dG) of one point
-as `symbols_at` gives them, so a check that needs several of them at a point
-evaluates the symbols there once.
+rho_jk = 0.0 + R_0jk^0 + R_1jk^1 and rho_s_jk = 0.5 * (rho_jk + rho_kj),
+each sum in the order a summed loop adds it.
 
 A constant spec has the same symbols, curvature and Ricci tensor at every
 point.  `over_grid` is the one place that uses this: a check that needs
 per-point connection data over a grid evaluates it there, once for a
-constant spec and once per point for the other kinds.
+constant spec and once per point for the other kinds.  `_max_abs_kernel`
+writes the grid kernels of the quasi-Einstein and Killing checks, which
+keep the worst value by `max_abs`'s rule.
 """
 
 from __future__ import annotations
@@ -40,10 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import DomainError, Point
+from .integrate import _exec, _indent
 
 Coeffs = tuple[float, float, float, float, float, float]
 
 KINDS = ("constant", "inverse-x1", "linear-x1")
+
+#: the symbols in index form at a point where all of them vanish
+_ZERO = (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -71,23 +78,22 @@ class ChristoffelSpec:
             return a / u, b / u, c / u, d / u, e / u, f / u
         return a, b, c, d, e * p[0], f
 
-    def dchristoffel_at(self, p: Point) -> tuple[Coeffs, Coeffs]:
-        """Exact (d/dx1, d/dx2) of the six symbols at a point."""
-        self.check_point(p)
-        zero = (0.0,) * 6
-        if self.kind == "constant":
-            return zero, zero
-        if self.kind == "inverse-x1":
-            u2 = p[0] * p[0]
-            return tuple(-v / u2 for v in self.coeffs), zero
-        d1 = (0.0, 0.0, 0.0, 0.0, self.coeffs[4], 0.0)
-        return d1, zero
-
     def symbols_at(self, p: Point):
         """(G, dG) in index form, as nested tuples of floats:
-        G[i][j][k] = Gamma_ij^k and dG[m][i][j][k] = d_m Gamma_ij^k."""
-        return (_index_form(self.christoffel_at(p)),
-                tuple(_index_form(d) for d in self.dchristoffel_at(p)))
+        G[i][j][k] = Gamma_ij^k and dG[m][i][j][k] = d_m Gamma_ij^k, the
+        values of christoffel_at and their exact derivatives."""
+        a, b, c, d, e, f = self.coeffs
+        if self.kind == "constant":
+            return (((a, b), (c, d)), ((c, d), (e, f))), (_ZERO, _ZERO)
+        u = p[0]
+        if self.kind == "linear-x1":
+            return ((((a, b), (c, d)), ((c, d), (e * u, f))),
+                    ((((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (e, 0.0))), _ZERO))
+        self.check_point(p)
+        w = u * u
+        c0, d0, c1, d1 = c / u, d / u, -c / w, -d / w
+        return ((((a / u, b / u), (c0, d0)), ((c0, d0), (e / u, f / u))),
+                ((((-a / w, -b / w), (c1, d1)), ((c1, d1), (-e / w, -f / w))), _ZERO))
 
     def to_json(self) -> dict:
         return {"coeffs": list(self.coeffs), "kind": self.kind}
@@ -122,38 +128,57 @@ def max_abs(values) -> float:
     return float(worst)
 
 
-def _component(G, dG, i: int, j: int, k: int, l: int) -> float:
-    """R_ijk^l from G[i][j][k] = Gamma_ij^k and dG[m][i][j][k] = d_m Gamma_ij^k."""
-    return (((dG[i][j][k][l] - dG[j][i][k][l])
-             + (G[i][0][l] * G[j][k][0] - G[j][0][l] * G[i][k][0]))
-            + (G[i][1][l] * G[j][k][1] - G[j][1][l] * G[i][k][1]))
+def _max_abs_kernel(params: str, row: str, body: list[str], values: list[str]):
+    """`(params, rows) -> max_abs(values over rows)`, written out: each row
+    is unpacked to `row`, `body` runs, and each value in turn is folded in
+    by max_abs's rule (|v| by comparison, NaN returned at the first NaN)."""
+    keep = ["if _v > _worst: _worst = _v", "elif -_v > _worst: _worst = -_v",
+            "elif _v != _v: return nan"]
+    lines = [f"def _kernel({params}, _rows):", "    _worst = 0.0", f"    for {row} in _rows:",
+             *_indent(body, 2)]
+    for v in values:
+        lines += _indent([f"_v = {v}", *keep], 2)
+    return _exec(lines + ["    return _float(_worst)"], "_kernel")
 
 
-def _ricci(G, dG, j: int, k: int) -> float:
-    return 0.0 + _component(G, dG, 0, j, k, 0) + _component(G, dG, 1, j, k, 1)
+def _nest(name: str, depth: int) -> str:
+    """Unpacking target of nested pairs: _nest("g", 2) is "((g00, g01), (g10, g11))"."""
+    if depth == 0:
+        return name
+    return f"({_nest(name + '0', depth - 1)}, {_nest(name + '1', depth - 1)})"
 
 
-def curvature(symbols) -> tuple[float, ...]:
-    """The 16 components R_ijk^l, R(d_i, d_j) d_k = R_ijk^l d_l, (i, j, k, l)-major,
-    of the symbols (G, dG) that `symbols_at` gives at a point."""
-    G, dG = symbols
-    return tuple(_component(G, dG, i, j, k, l)
-                 for i in (0, 1) for j in (0, 1) for k in (0, 1) for l in (0, 1))
+#: unpacking target of a point's (G, dG): g{i}{j}{k} = Gamma_ij^k and
+#: dg{m}{i}{j}{k} = d_m Gamma_ij^k
+_SYMBOLS = f"({_nest('g', 3)}, {_nest('dg', 4)})"
+
+
+def _curvature_family():
+    """(curvature, ricci, ricci_sym) of a point's symbols (G, dG), emitted
+    from the one R_ijk^l of the module docstring, each sum in its order.
+    Each is compiled on its own, which halves the compiler's peak memory."""
+    def R(i, j, k, l):
+        return (f"((dg{i}{j}{k}{l} - dg{j}{i}{k}{l}) + (g{i}0{l} * g{j}{k}0 - g{j}0{l} * g{i}{k}0))"
+                f" + (g{i}1{l} * g{j}{k}1 - g{j}1{l} * g{i}{k}1)")
+
+    def rho(j, k):
+        return f"0.0 + ({R(0, j, k, 0)}) + ({R(1, j, k, 1)})"
+
+    def emit(name, doc, body):
+        return _exec([f"def {name}(symbols):", f'    """{doc} of the symbols (G, dG) of a point."""',
+                      f"    {_SYMBOLS} = symbols", *_indent(body)], name, __name__=__name__)
+    ij = ((0, 0), (0, 1), (1, 0), (1, 1))
+    return (emit("curvature", "R_ijk^l, R(d_i, d_j) d_k = R_ijk^l d_l, (i, j, k, l)-major,",
+                 [f"return ({', '.join(R(i, j, k, l) for i, j in ij for k, l in ij)},)"]),
+            emit("ricci", "(rho_11, rho_12, rho_21, rho_22), rho(d_j, d_k) = trace of"
+                          " z -> R(z, d_j) d_k,", [f"return {', '.join(rho(j, k) for j, k in ij)}"]),
+            emit("ricci_sym", "(rho_s11, rho_s12, rho_s22) of the symmetrized Ricci tensor,",
+                 [*(f"r{j}{k} = {rho(j, k)}" for j, k in ij),
+                  "return 0.5 * (r00 + r00), 0.5 * (r01 + r10), 0.5 * (r11 + r11)"]))
+
+
+curvature, ricci, ricci_sym = _curvature_family()
 
 
 def curvature_at(spec: ChristoffelSpec, p: Point) -> np.ndarray:
     return np.reshape(curvature(spec.symbols_at(p)), (2, 2, 2, 2))
-
-
-def ricci(symbols) -> tuple[float, float, float, float]:
-    """(rho_11, rho_12, rho_21, rho_22), rho(d_j, d_k) = trace of z -> R(z, d_j) d_k,
-    of the symbols (G, dG) that `symbols_at` gives at a point."""
-    G, dG = symbols
-    return _ricci(G, dG, 0, 0), _ricci(G, dG, 0, 1), _ricci(G, dG, 1, 0), _ricci(G, dG, 1, 1)
-
-
-def ricci_sym(symbols) -> tuple[float, float, float]:
-    """(rho_s11, rho_s12, rho_s22) of the symmetrized Ricci tensor of the
-    symbols (G, dG) that `symbols_at` gives at a point."""
-    r11, r12, r21, r22 = ricci(symbols)
-    return 0.5 * (r11 + r11), 0.5 * (r12 + r21), 0.5 * (r22 + r22)

@@ -349,10 +349,11 @@ def _loop_lines(names, prelude, comps) -> list[str]:
     (names, prelude, comps), which runs integrate()'s passes `_used`,
     `_used` + 1, ... (below `_max_steps`) from the state (t, y, f, h), each
     step as _step_lines writes it.
-    A rejected step scales h by 0.25 when the error norm is not finite or
-    a stage failed, else by max(0.2, 0.9 enorm^-0.2); an accepted step
-    packs the row (sgn t, y, f) onto the flat history rows and scales h by
-    min(5, max(0.2, 0.9 (enorm + 1e-300)^-0.2)).  The loop returns
+    A step is rejected unless its error norm is <= 1 (NaN included) and
+    scales h by 0.25 when the error norm is not finite or a stage failed,
+    else by max(0.2, 0.9 enorm^-0.2); an accepted step packs the row
+    (sgn t, y, f) onto the flat history rows and scales h by min(5,
+    max(0.2, 0.9 (enorm + 1e-300)^-0.2)).  The loop returns
     `(event, used, t, y, f, h)` at the pass where integrate() has work to
     do: 'horizon' before a step when h > span - t, 'stall' when a
     rejection takes h under H_MIN, 'edge' after an accepted step with
@@ -364,7 +365,7 @@ def _loop_lines(names, prelude, comps) -> list[str]:
     stall = [f"if _h < {H_MIN!r}:", f"    return 'stall', {state}", "continue"]
     reached = " or ".join(f"_b{c} >= _rung" for c in cs)
     step = [*_step_lines(names, prelude, comps, ["_h *= 0.25", *stall]),
-            "if _enorm > 1.0:",
+            "if not _enorm <= 1.0:",
             "    if _isfinite(_enorm):",
             "        _x = 0.9 * _enorm ** -0.2",
             "        _h *= _x if _x > 0.2 else 0.2",

@@ -37,9 +37,9 @@ from functools import lru_cache
 import numpy as np
 
 from .catalog import ModelRecord
-from .connection import ChristoffelSpec, max_abs, over_grid
+from .connection import _SYMBOLS, ChristoffelSpec, _max_abs_kernel, over_grid
 from .expr import Point, VectorFieldExpr, _emit_shared, add, compile_jet, const, mul
-from .integrate import ESCAPE_STATUSES, Field, Status, Trajectory, Unbounded, _exec, integrate
+from .integrate import ESCAPE_STATUSES, Field, Status, Trajectory, Unbounded, integrate
 
 PROBE_HORIZON = 20.0
 #: a complete verdict is re-confirmed at this multiple of the horizon
@@ -57,33 +57,28 @@ def max_killing_residual(spec: ChristoffelSpec, fields: tuple[VectorFieldExpr, .
     its two components; NaN when any component is NaN.  The symbols of a
     grid point are evaluated once for every field (once for the whole grid
     when the spec is constant, see `over_grid`)."""
-    defects = _defect_kernel()
+    kernel = _defect_kernel()
     rows = list(zip(grid, over_grid(spec, grid, spec.symbols_at)))
+    return tuple(kernel(compile_jet(X.c1), compile_jet(X.c2), rows) for X in fields)
 
-    def residual(jet1, jet2):
-        return max_abs(v for p, (G, dG) in rows for v in defects(jet1(*p), jet2(*p), G, dG))
-    return tuple(residual(compile_jet(X.c1), compile_jet(X.c2)) for X in fields)
+
+#: names of the 2-jets Jk = (X^k, d_1 X^k, d_2 X^k, d_11 X^k, d_12 X^k, d_22 X^k)
+#: of the components, and over them and the symbols' (connection._SYMBOLS) the 8
+#: defect components in (i, j, k) order, each the summed loop written out:
+#: d_i d_j X^k, then for m = 0, 1 the terms X^m d_m G_ij^k, G_ij^m d_m X^k,
+#: d_j X^m G_im^k, d_i X^m G_mj^k, zero symbols included (0.0 * inf stays NaN)
+_JETS = tuple(f"(x{k}, d{k}0, d{k}1, dd{k}00, dd{k}01, dd{k}11)" for k in (0, 1))
+_DEFECTS = tuple(f"dd{k}{min(i, j)}{max(i, j)}" + "".join(
+    f" + x{m} * dg{m}{i}{j}{k} - g{i}{j}{m} * d{k}{m} + d{m}{j} * g{i}{m}{k} + d{m}{i} * g{m}{j}{k}"
+    for m in (0, 1)) for i in (0, 1) for j in (0, 1) for k in (0, 1))
 
 
 @lru_cache(maxsize=None)
 def _defect_kernel():
-    """`_defects(J0, J1, G, dG)`: the 8 defect components at a point, in
-    (i, j, k) order, from the 2-jets Jk = (X^k, d_1 X^k, d_2 X^k, d_11 X^k,
-    d_12 X^k, d_22 X^k) of the components and the symbols in index form.
-    Component (i, j, k) is the summed loop written out: d_i d_j X^k, then
-    for m = 0, 1 the terms X^m d_m G_ij^k, G_ij^m d_m X^k, d_j X^m G_im^k,
-    d_i X^m G_mj^k in that order, zero symbols included (0.0 * inf stays
-    NaN)."""
-    def nest(name, depth):
-        return name if depth == 0 else f"({nest(name + '0', depth - 1)}, {nest(name + '1', depth - 1)})"
-    defects = [f"dd{k}{min(i, j)}{max(i, j)}" + "".join(
-        f" + x{m} * dg{m}{i}{j}{k} - g{i}{j}{m} * d{k}{m} + d{m}{j} * g{i}{m}{k} + d{m}{i} * g{m}{j}{k}"
-        for m in (0, 1)) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
-    lines = (["def _defects(J0, J1, G, dG):"]
-             + [f"    x{k}, d{k}0, d{k}1, dd{k}00, dd{k}01, dd{k}11 = J{k}" for k in (0, 1)]
-             + [f"    {nest('g', 3)} = G", f"    {nest('dg', 4)} = dG",
-                f"    return ({', '.join(defects)},)"])
-    return _exec(lines, "_defects")
+    """`(jet1, jet2, rows) -> residual`: the largest defect component of the
+    field with component 2-jets jet1, jet2 over rows (p, (G, dG))."""
+    return _max_abs_kernel("_jet1, _jet2", f"_p, {_SYMBOLS}",
+                           [f"{_JETS[0]} = _jet1(*_p)", f"{_JETS[1]} = _jet2(*_p)"], _DEFECTS)
 
 
 def _field_rhs(X: VectorFieldExpr) -> Field:

@@ -18,11 +18,12 @@ constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .catalog import ModelRecord
-from .connection import ChristoffelSpec, max_abs, over_grid, ricci_sym
+from .connection import ChristoffelSpec, _max_abs_kernel, over_grid, ricci_sym
 from .expr import Point, ScalarExpr, compile_jet
 
 RESIDUAL_TOL = 1e-8
@@ -32,22 +33,26 @@ def max_residual(spec: ChristoffelSpec, phis: tuple[ScalarExpr, ...], grid) -> t
     """Max-norm quasi-Einstein residual over a grid of each scalar in phis;
     NaN when any entry is NaN.  The entries are H_ij + phi * rho_s_ij with
     the Hessian (H phi)_ij = d_i d_j phi - G_ij^k d_k phi read from the
-    2-jet of phi.  The six symbols and rho_s of a grid point come from one
+    2-jet of phi.  The symbols and rho_s of a grid point come from one
     `symbols_at` and serve every scalar (one evaluation for the whole grid
     when the spec is constant, see `over_grid`)."""
     def data(p):
         sym = spec.symbols_at(p)
-        (((a, b), (c, d)), (_, (e, f))), _ = sym
-        return (a, b, c, d, e, f), ricci_sym(sym)
+        return sym[0], ricci_sym(sym)
     rows = list(zip(grid, over_grid(spec, grid, data)))
+    kernel = _residual_kernel()
+    return tuple(kernel(compile_jet(phi), rows) for phi in phis)
 
-    def entries(jet):
-        for p, ((a, b, c, d, e, f), (r11, r12, r22)) in rows:
-            val, g1, g2, f11, f12, f22 = jet(*p)
-            yield (f11 - (a * g1 + b * g2)) + val * r11
-            yield (f12 - (c * g1 + d * g2)) + val * r12
-            yield (f22 - (e * g1 + f * g2)) + val * r22
-    return tuple(max_abs(entries(compile_jet(phi))) for phi in phis)
+
+@lru_cache(maxsize=None)
+def _residual_kernel():
+    """`(jet, rows) -> residual`: the largest entry of H phi + phi * rho_s of
+    the scalar with compiled 2-jet jet over rows (p, (G, rho_s))."""
+    return _max_abs_kernel(
+        "_jet", "_p, ((((a, b), (c, d)), (_, (e, f))), (r11, r12, r22))",
+        ["val, g1, g2, f11, f12, f22 = _jet(*_p)"],
+        ["(f11 - (a * g1 + b * g2)) + val * r11", "(f12 - (c * g1 + d * g2)) + val * r12",
+         "(f22 - (e * g1 + f * g2)) + val * r22"])
 
 
 @dataclass(frozen=True)

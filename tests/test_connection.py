@@ -10,13 +10,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affsurf import catalog as C
 from affsurf import killing as K
 from affsurf import projective as P
 from affsurf import qe
-from affsurf.connection import (ChristoffelSpec, curvature, curvature_at, over_grid, ricci,
-                                ricci_sym)
+from affsurf.connection import (KINDS, ChristoffelSpec, curvature, curvature_at, over_grid,
+                                ricci, ricci_sym)
 from affsurf.expr import DomainError
 
 
@@ -49,6 +51,30 @@ def gamma_matrices(spec, p):
     return np.array([[[a, b], [c, d]], [[c, d], [e, f]]])
 
 
+def dchristoffel_at(spec, p):
+    """Exact (d/dx1, d/dx2) of the six symbols at a point, in (a, b, c, d,
+    e, f) order, by kind."""
+    spec.check_point(p)
+    zero = (0.0,) * 6
+    if spec.kind == "constant":
+        return zero, zero
+    if spec.kind == "inverse-x1":
+        u2 = p[0] * p[0]
+        return tuple(-v / u2 for v in spec.coeffs), zero
+    return (0.0, 0.0, 0.0, 0.0, spec.coeffs[4], 0.0), zero
+
+
+def index_form(six):
+    a, b, c, d, e, f = six
+    return (((a, b), (c, d)), ((c, d), (e, f)))
+
+
+def oracle_symbols(spec, p):
+    """(G, dG) as symbols_at gives them, assembled from christoffel_at and
+    dchristoffel_at."""
+    return index_form(spec.christoffel_at(p)), tuple(index_form(d) for d in dchristoffel_at(spec, p))
+
+
 def ricci_rank(spec, p, tol=1e-9):
     """Number of singular values of the symmetrized Ricci tensor exceeding
     tol * max(1, largest singular value)."""
@@ -57,10 +83,11 @@ def ricci_rank(spec, p, tol=1e-9):
     return int(np.sum(s > cutoff))
 
 
-def einsum_curvature(spec, p):
+def einsum_curvature(spec, p, symbols=None):
     """R[i, j, k, l] by the array formula: d_i G_jk^l - d_j G_ik^l, then one
-    outer-product term G_iq^l G_jk^q - G_jq^l G_ik^q per q."""
-    G, dG = spec.symbols_at(p)
+    outer-product term G_iq^l G_jk^q - G_jq^l G_ik^q per q, of the symbols
+    (G, dG) given, else of spec's at p."""
+    G, dG = spec.symbols_at(p) if symbols is None else symbols
     g, dg = np.array(G), np.array(dG)
     with np.errstate(over="ignore", invalid="ignore"):
         r = dg - dg.transpose(1, 0, 2, 3)
@@ -70,12 +97,12 @@ def einsum_curvature(spec, p):
     return r
 
 
-def einsum_ricci(spec, p):
-    return np.einsum("ijki->jk", einsum_curvature(spec, p))
+def einsum_ricci(spec, p, symbols=None):
+    return np.einsum("ijki->jk", einsum_curvature(spec, p, symbols))
 
 
-def einsum_ricci_sym(spec, p):
-    rho = einsum_ricci(spec, p)
+def einsum_ricci_sym(spec, p, symbols=None):
+    rho = einsum_ricci(spec, p, symbols)
     with np.errstate(over="ignore"):
         return 0.5 * (rho + rho.T)
 
@@ -154,7 +181,7 @@ class TestSymbolsAt:
         for p in [(0.7, -0.4), (1.3, 0.9), (2.0, 0.0)]:
             G, dG = spec.symbols_at(p)
             assert np.array_equal(np.array(G), gamma_matrices(spec, p))
-            for m, six in enumerate(spec.dchristoffel_at(p)):
+            for m, six in enumerate(dchristoffel_at(spec, p)):
                 a, b, c, d, e, f = six
                 assert dG[m] == (((a, b), (c, d)), ((c, d), (e, f)))
             leaves = list(_leaves((G, dG)))
@@ -220,7 +247,7 @@ class TestCurvature:
         specs += [(r, P.flatten(r.spec)[1]) for r in records if r.spec.kind == "constant"]
         for rec, spec in specs:
             for p in C.sample_grid(rec):
-                a, b, c, d, e, f = spec.dchristoffel_at(p)[0]
+                a, b, c, d, e, f = dchristoffel_at(spec, p)[0]
                 dg = np.zeros((2, 2, 2, 2))
                 dg[0] = [[[a, b], [c, d]], [[c, d], [e, f]]]
                 want = loop_curvature(gamma_matrices(spec, p), dg)
@@ -282,6 +309,53 @@ class TestMatchesArrayFormulas:
         assert np.isnan(ricci_sym(rec.spec.symbols_at(grid[0]))).any()
         residuals = qe.max_residual(rec.spec, rec.q_basis, grid)
         assert len(residuals) == len(rec.q_basis) and all(math.isnan(r) for r in residuals)
+
+
+@st.composite
+def drawn_specs_and_points(draw):
+    """A spec of any kind with moderate or arbitrary finite coefficients,
+    and a point whose x1 is moderate, arbitrary or NaN."""
+    moderate = st.floats(-4.0, 4.0)
+    anything = st.floats(allow_nan=False, allow_infinity=False)
+    coeffs = tuple(draw(st.one_of(moderate, anything)) for _ in range(6))
+    x1 = draw(st.one_of(moderate, anything, st.just(math.nan)))
+    return ChristoffelSpec(coeffs, draw(st.sampled_from(KINDS))), (x1, draw(moderate))
+
+
+class TestDrawnPoints:
+    """On drawn specs and points of all three kinds, symbols_at equals the
+    symbols assembled from christoffel_at and dchristoffel_at, and
+    curvature, ricci and ricci_sym equal the einsum and the summed-loop
+    formulas on those symbols, bit for bit, NaN positions included; where
+    oracle raises (DomainError off the half-plane, ZeroDivisionError where
+    x1 * x1 underflows to 0.0), symbols_at raises the same exception with
+    the same message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(drawn_specs_and_points())
+    def test_against_oracles(self, case):
+        spec, p = case
+        try:
+            want = oracle_symbols(spec, p)
+        except (DomainError, ZeroDivisionError) as err:
+            with pytest.raises(type(err)) as raised:
+                spec.symbols_at(p)
+            assert str(raised.value) == str(err)
+            return
+        got = spec.symbols_at(p)
+        leaves = list(_leaves(got))
+        assert len(leaves) == 24 and all(type(v) is float for v in leaves)
+        assert same_bits(leaves, list(_leaves(want)))
+        with np.errstate(all="ignore"):
+            R = loop_curvature(np.array(want[0]), np.array(want[1]))
+            rho = np.array([[0.0 + R[0, j, k, 0] + R[1, j, k, 1] for k in (0, 1)] for j in (0, 1)])
+            rho_s = 0.5 * (rho + rho.T)
+            einsum = (einsum_curvature(spec, p, want), einsum_ricci(spec, p, want),
+                      einsum_ricci_sym(spec, p, want))
+        for oracle in ((R, rho, rho_s), einsum):
+            assert same_bits(curvature(got), oracle[0].ravel())
+            assert same_bits(ricci(got), oracle[1].ravel())
+            assert same_bits(ricci_sym(got), [oracle[2][0, 0], oracle[2][0, 1], oracle[2][1, 1]])
 
 
 class TestRicci:

@@ -10,6 +10,7 @@ import dis
 import functools
 import hashlib
 import inspect
+import itertools
 import math
 import sys
 import types
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from affsurf import catalog, cli, geodesic, killing
+from affsurf import catalog, cli, geodesic, killing, qe
 from affsurf import integrate as integrate_module
 from affsurf.connection import ChristoffelSpec
 from affsurf.expr import (Const, DomainError, VectorFieldExpr, _emit_shared, const, log, power,
@@ -141,7 +142,7 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
                 return finish(stalled_status())
             continue
         y_new, f_new, enorm = stepped
-        if enorm > 1.0:
+        if not enorm <= 1.0:
             log.append("rejected")
             factor = 0.25 if not math.isfinite(enorm) else max(0.2, 0.9 * enorm ** -0.2)
             h *= factor
@@ -1029,6 +1030,20 @@ class TestStepLoop:
             statuses.add(type(tr.status))
         assert statuses == ({Blowup} if sgn > 0 else {ReachedHorizon})
 
+    def test_nan_error_norm_rejects_the_step(self):
+        # the 7th call is the first step's last stage: it alone returns NaN,
+        # so y_new is finite and the error norm is NaN; the step is rejected
+        # (h * 0.25) like an infinite norm, not committed with a NaN row
+        def nan_on_7th_call():
+            calls = itertools.count(1)
+            return lambda y: (math.nan,) if next(calls) == 7 else (1.0,)
+        passes = []
+        want = reference_integrate(nan_on_7th_call(), (0.0,), 1.0, passes=passes)
+        got = integrate(nan_on_7th_call(), (0.0,), 1.0)
+        assert_same_run(got, want)
+        assert passes[0] == "rejected" and got.status == ReachedHorizon(1.0)
+        assert not np.isnan(got.derivs).any()
+
     def test_domain_error_at_a_stage(self):
         tr, passes = assert_matches_reference(field_of("-1.0", "_log(x1)"), (1.0, 0.0), 5.0, 0.0)
         assert isinstance(tr.status, LeftDomain) and "failed" in passes
@@ -1274,7 +1289,7 @@ class TestGeneratedCode:
             parse_expr("c*c*x1 + x2", {"c": 1e200}) + const(math.nan))))
         fields += [integrate_module._calling_field(coupled_rhs, dim) for dim in (1, 2, 4)]
         return ([fn for field in fields for fn in field._code]
-                + [killing._defect_kernel()])
+                + [killing._defect_kernel(), qe._residual_kernel()])
 
     def test_every_global_read_is_bound(self):
         for fn in self.kernels():

@@ -1,18 +1,24 @@
 """Killing fields: residuals, flows, group laws, completeness probes."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from affsurf import catalog as C
+from affsurf import connection
 from affsurf import expr as ex
 from affsurf import killing as K
+from affsurf import qe
 from affsurf.connection import ChristoffelSpec, max_abs
 from affsurf.integrate import Blowup, ReachedHorizon
 from test_connection import same_bits
+from test_expr import outcome
 from test_integrate import dense_eval
-from test_qe import oracle_records
+from test_qe import loop_max_residual, oracle_records
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +31,11 @@ def killing_residual(spec, X, p):
     return K.max_killing_residual(spec, (X,), [p])[0]
 
 
-def loop_defects(spec, X, p):
+def loop_defects(spec, X, p, jets=None):
     """The 8 Killing defect components at p, in (i, j, k) order, by the
-    summed index loop."""
-    J = [ex.compile_jet(c)(*p) for c in (X.c1, X.c2)]  # J[k] = 2-jet of X^{k+1}
+    summed index loop (jets: X's compiled component 2-jets, when given)."""
+    jets = jets or (ex.compile_jet(X.c1), ex.compile_jet(X.c2))
+    J = [jet(*p) for jet in jets]  # J[k] = 2-jet of X^{k+1}
     vals = (J[0][0], J[1][0])
     d = [(Jk[1], Jk[2]) for Jk in J]  # d[k][m] = d_{m+1} X^{k+1}
     dd = [((Jk[3], Jk[4]), (Jk[4], Jk[5])) for Jk in J]  # dd[k][i][j]
@@ -49,25 +56,36 @@ def loop_defects(spec, X, p):
 
 def loop_max_killing_residual(spec, X, grid):
     """The Killing residual of one field by a loop that evaluates the
-    symbols afresh at every point: the bit-identity oracle for the shared
-    per-point symbols that `verify_killing_basis` hands every field."""
+    symbols afresh at every point and sums the defect by the index loop:
+    the bit-identity oracle for the grid kernel that `verify_killing_basis`
+    hands every field's jets and the shared per-point symbols."""
     jets = (ex.compile_jet(X.c1), ex.compile_jet(X.c2))
-    defects = K._defect_kernel()
-    return max_abs(v for p in grid
-                   for v in defects(jets[0](*p), jets[1](*p), *spec.symbols_at(p)))
+    return max_abs(v for p in grid for v in loop_defects(spec, X, p, jets))
+
+
+@functools.lru_cache(maxsize=None)
+def emitted_defects():
+    """`(J0, J1, G, dG) -> the 8 defect components at a point`, from the
+    defect expressions K._DEFECTS that the grid kernel folds."""
+    lines = ["def defects(J0, J1, G, dG):", f"    {K._JETS[0]} = J0", f"    {K._JETS[1]} = J1",
+             f"    {connection._SYMBOLS} = G, dG", f"    return ({', '.join(K._DEFECTS)},)"]
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["defects"]
 
 
 class TestDefectKernel:
-    """The generated straight-line defect equals the summed loop component
-    for component, NaN positions included."""
+    """The defect expressions of the grid kernel equal the summed loop
+    component for component, NaN positions included, and the kernel's
+    residual is their max_abs."""
 
     @staticmethod
     def check(spec, X, grid):
-        kernel = K._defect_kernel()
+        defects = emitted_defects()
         jets = (ex.compile_jet(X.c1), ex.compile_jet(X.c2))
-        want = [loop_defects(spec, X, p) for p in grid]
+        want = [loop_defects(spec, X, p, jets) for p in grid]
         for p, w in zip(grid, want):
-            got = kernel(jets[0](*p), jets[1](*p), *spec.symbols_at(p))
+            got = defects(jets[0](*p), jets[1](*p), *spec.symbols_at(p))
             assert same_bits(got, w), p
         worst = np.abs(want)
         worst = math.nan if np.isnan(worst).any() else float(worst.max())
@@ -162,6 +180,72 @@ class TestSharedSymbols:
             K.verify_killing_basis(rec, grid)
             assert rec.spec.kind == kind and len(rec.killing_basis) == dim, label
             assert calls == (grid[:1] if kind == "constant" else grid), label
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_records():
+    return tuple(oracle_records())
+
+
+@st.composite
+def drawn_grids(draw):
+    """(record index into kernel_records(), grid): up to six points drawn
+    inside the record's sample_grid box."""
+    idx = draw(st.integers(0, len(kernel_records()) - 1))
+    half_plane = kernel_records()[idx].mtype == "B"
+    us = st.floats(0.25, 4.0) if half_plane else st.floats(-1.0, 1.0)
+    vs = st.floats(-2.0, 2.0) if half_plane else st.floats(-1.0, 1.0)
+    return idx, draw(st.lists(st.tuples(us, vs), max_size=6))
+
+
+class TestGridKernels:
+    """The Killing and quasi-Einstein grid kernels equal the per-point loops
+    (loop_max_killing_residual, loop_max_residual) bit for bit on drawn
+    grids of every oracle record, NaN and exceptions included, and return
+    NaN at the first NaN as max_abs does, before a later point could raise."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn_grids())
+    @example((-1, [(0.25, -2.0), (1.0, 0.5), (4.0, 2.0)]))  # B.N14(kappa=1e300): NaN
+    @example((-1, [(2.0, 0.0)]))  # B.N14(kappa=1e300): a jet overflows
+    def test_against_loops(self, case):
+        idx, grid = case
+        rec = kernel_records()[idx]
+        spec, fields, phis = rec.spec, rec.killing_basis, rec.q_basis
+        assert (outcome(lambda: K.max_killing_residual(spec, fields, grid), ())
+                == outcome(lambda: [loop_max_killing_residual(spec, X, grid) for X in fields], ()))
+        assert (outcome(lambda: qe.max_residual(spec, phis, grid), ())
+                == outcome(lambda: [loop_max_residual(spec, q, grid) for q in phis], ()))
+
+    def test_nan_example_is_nan(self):
+        rec = kernel_records()[-1]
+        assert rec.ref.label() == "B.N14(kappa=1e+300)"
+        grid = [(0.25, -2.0), (1.0, 0.5), (4.0, 2.0)]
+        assert math.isnan(K.max_killing_residual(rec.spec, rec.killing_basis, grid)[3])
+        assert all(math.isnan(r) for r in qe.max_residual(rec.spec, rec.q_basis, grid))
+
+    def test_nan_before_a_domain_error(self):
+        # log(x2) raises DomainError at the second point, which the kernels
+        # never reach: the first point's residual is already NaN
+        rec = C.instantiate("B.N14", kappa=1e300)
+        X = rec.killing_basis[3]
+        X = ex.VectorFieldExpr(ex.add(X.c1, ex.log(ex.x2)), X.c2)
+        phi = ex.log(ex.x2)
+        grid = [(1.0, 1.0), (1.0, -1.0)]
+        with pytest.raises(ex.DomainError):
+            K.max_killing_residual(rec.spec, (X,), grid[1:])
+        with pytest.raises(ex.DomainError):
+            qe.max_residual(rec.spec, (phi,), grid[1:])
+        r, = K.max_killing_residual(rec.spec, (X,), grid)
+        assert math.isnan(r) and math.isnan(loop_max_killing_residual(rec.spec, X, grid))
+        r, = qe.max_residual(rec.spec, (phi,), grid)
+        assert math.isnan(r) and math.isnan(loop_max_residual(rec.spec, phi, grid))
+
+    def test_empty_grid(self):
+        rec = C.instantiate("B.N16", sign=1.0)
+        assert K.max_killing_residual(rec.spec, rec.killing_basis, []) == (0.0,) * 6
+        assert K._defect_kernel()(None, None, []) == 0.0
+        assert qe._residual_kernel()(None, []) == 0.0
 
 
 class TestKillingJetRank:
