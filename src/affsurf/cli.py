@@ -240,10 +240,9 @@ def cmd_flow(args) -> int:
     if not 0 <= args.field < len(record.killing_basis):
         raise GuardError(f"--field must be in [0, {len(record.killing_basis) - 1}]")
     X = record.killing_basis[args.field]
-    edge = 0.0 if record.mtype == "B" else None
     return _trajectory_command(
         args, record, vals,
-        lambda t_end: kil.flow_integrate(X, tuple(vals), t_end, edge=edge),
+        lambda t_end: kil.flow_integrate(X, tuple(vals), t_end, edge=kil.flow_edge(record)),
         lambda fwd, back: {"field": args.field, "escape": fwd.escaped or back.escaped})
 
 

@@ -14,12 +14,15 @@ together with a scaling kind:
                   (the auxiliary surface that completes the A.M54 family).
 
 Torsion freeness is built into the storage (the two mixed symbols share one
-slot).  `symbols_at` writes out, per kind, the symbols G of a point and
-their exact derivatives dG (a / u, -a / (u * u), e * u with u = x1, and
-literal 0.0 zeros), never finite differences.  `curvature`, `ricci` and
-`ricci_sym` read those (G, dG), so a check that needs several of them at a
-point evaluates the symbols there once.  They are emitted at import as
-straight-line float arithmetic from the one formula
+slot).  `symbols_at` is the one evaluator of a connection at a point, and
+the quasi-Einstein, Killing, flattening and map checks all read it.  It
+writes out, per kind, the symbols G of a point and their exact derivatives
+dG (a / u, -a / (u * u), e * u with u = x1, and literal 0.0 zeros), never
+finite differences, and raises DomainError off the half-plane.
+`curvature`, `ricci` and `ricci_sym` read those (G, dG), so a check that
+needs several of them at a point evaluates the symbols there once.  They
+are emitted at import as straight-line float arithmetic from the one
+formula
 
     R_ijk^l = ((d_i G_jk^l - d_j G_ik^l) + (G_i0^l G_jk^0 - G_j0^l G_ik^0))
               + (G_i1^l G_jk^1 - G_j1^l G_ik^1),
@@ -28,9 +31,9 @@ rho_jk = 0.0 + R_0jk^0 + R_1jk^1 and rho_s_jk = 0.5 * (rho_jk + rho_kj),
 each sum in the order a summed loop adds it.
 
 A constant spec has the same symbols, curvature and Ricci tensor at every
-point.  `over_grid` is the one place that uses this: a check that needs
-per-point connection data over a grid evaluates it there, once for a
-constant spec and once per point for the other kinds.  `_max_abs_kernel`
+point.  `over_grid` is the one place that uses this: each of the four
+checks evaluates its per-point connection data over a grid there, once for
+a constant spec and once per point for the other kinds.  `_max_abs_kernel`
 writes the grid kernels of the quasi-Einstein and Killing checks, which
 keep the worst value by `max_abs`'s rule.
 """
@@ -63,25 +66,12 @@ class ChristoffelSpec:
             raise ValueError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "coeffs", tuple(float(v) for v in self.coeffs))
 
-    def check_point(self, p: Point):
-        if self.kind == "inverse-x1" and p[0] <= 0.0:
-            raise DomainError(f"x1 must be positive for an inverse-x1 connection, got {p[0]}")
-
-    def christoffel_at(self, p: Point) -> Coeffs:
-        """The six symbol values at a point, in (a, b, c, d, e, f) order."""
-        self.check_point(p)
-        a, b, c, d, e, f = self.coeffs
-        if self.kind == "constant":
-            return a, b, c, d, e, f
-        if self.kind == "inverse-x1":
-            u = p[0]
-            return a / u, b / u, c / u, d / u, e / u, f / u
-        return a, b, c, d, e * p[0], f
-
     def symbols_at(self, p: Point):
         """(G, dG) in index form, as nested tuples of floats:
         G[i][j][k] = Gamma_ij^k and dG[m][i][j][k] = d_m Gamma_ij^k, the
-        values of christoffel_at and their exact derivatives."""
+        symbol values at p and their exact derivatives.  An inverse-x1 spec
+        raises DomainError at x1 <= 0 and where x1 * x1 underflows to 0.0;
+        a NaN x1 gives NaN symbols."""
         a, b, c, d, e, f = self.coeffs
         if self.kind == "constant":
             return (((a, b), (c, d)), ((c, d), (e, f))), (_ZERO, _ZERO)
@@ -89,8 +79,11 @@ class ChristoffelSpec:
         if self.kind == "linear-x1":
             return ((((a, b), (c, d)), ((c, d), (e * u, f))),
                     ((((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (e, 0.0))), _ZERO))
-        self.check_point(p)
+        if u <= 0.0:
+            raise DomainError(f"x1 must be positive for an inverse-x1 connection, got {u}")
         w = u * u
+        if w == 0.0:
+            raise DomainError(f"x1 * x1 underflows to 0.0 for an inverse-x1 connection at x1 = {u}")
         c0, d0, c1, d1 = c / u, d / u, -c / w, -d / w
         return ((((a / u, b / u), (c0, d0)), ((c0, d0), (e / u, f / u))),
                 ((((-a / w, -b / w), (c1, d1)), ((c1, d1), (-e / w, -f / w))), _ZERO))
@@ -106,12 +99,6 @@ def over_grid(spec: ChristoffelSpec, grid, fn) -> list:
     if spec.kind == "constant" and len(grid):
         return [fn(grid[0])] * len(grid)
     return [fn(p) for p in grid]
-
-
-def _index_form(six: Coeffs):
-    """(a, b, c, d, e, f) as nested tuples T[i][j][k] for Gamma_ij^k."""
-    a, b, c, d, e, f = six
-    return (((a, b), (c, d)), ((c, d), (e, f)))
 
 
 def max_abs(values) -> float:

@@ -39,7 +39,7 @@ import numpy as np
 from .catalog import ModelRecord
 from .connection import _SYMBOLS, ChristoffelSpec, _max_abs_kernel, over_grid
 from .expr import Point, VectorFieldExpr, _emit_shared, add, compile_jet, const, mul
-from .integrate import ESCAPE_STATUSES, Field, Status, Trajectory, Unbounded, integrate
+from .integrate import Field, Status, Trajectory, Unbounded, integrate
 
 PROBE_HORIZON = 20.0
 #: a complete verdict is re-confirmed at this multiple of the horizon
@@ -89,6 +89,11 @@ def _field_rhs(X: VectorFieldExpr) -> Field:
     consts: dict[str, str] = {}
     comps = tuple(_emit_shared((X.c1, X.c2), consts))
     return Field(("x1", "x2"), (), comps, tuple((name, float(text)) for text, name in consts.items()))
+
+
+def flow_edge(record: ModelRecord) -> float | None:
+    """The x1 edge that the Killing flows of record stop at: the half-plane's."""
+    return 0.0 if record.mtype == "B" else None
 
 
 def flow_integrate(X: VectorFieldExpr, p0: Point, t_end: float,
@@ -171,7 +176,7 @@ def run_probe(record: ModelRecord, kind: str, runs, T: float, confirm_factor: fl
         for label, coeffs, init, rhs, y0 in runs:
             for t_end, dirname in ((horizon, "forward"), (-horizon, "backward")):
                 tr = integrate(rhs, kept.popleft() if confirming else y0, t_end, edge=edge)
-                if isinstance(tr.status, ESCAPE_STATUSES):
+                if tr.escaped:
                     witnesses.append(FlowWitness(label, coeffs, init, dirname, tr.status))
                     continue
                 if isinstance(tr.status, Unbounded):
@@ -209,8 +214,7 @@ def killing_completeness_probe(record: ModelRecord,
     for label, coeffs, X in jobs:
         rhs = _field_rhs(X)
         runs.extend((label, coeffs, p0, rhs, p0) for p0 in inits)
-    return run_probe(record, "killing", runs, T, CONFIRM_FACTOR,
-                     0.0 if record.mtype == "B" else None)
+    return run_probe(record, "killing", runs, T, CONFIRM_FACTOR, flow_edge(record))
 
 
 def verify_killing_basis(record: ModelRecord, grid):

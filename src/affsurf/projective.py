@@ -12,15 +12,17 @@ deformation has vanishing Ricci (hence vanishing curvature), and one of
 e^{+phi}, e^{-phi} solves the quasi-Einstein equation of the original
 model.  The construction works in a rescaled chart where G_11^2 = 1 and
 reduces to one quadratic substitution plus a real root of a monic cubic;
-the root of smallest magnitude is chosen (ties toward the negative) and
-the rescaling is inverted before phi is reported.  The flat connection is
-constant, so its Ricci and curvature are evaluated once per check, not
-once per grid point.
+the root of smallest magnitude is chosen (ties toward the negative), a
+triple root is read from the cubic's derivatives, and the rescaling is
+inverted before phi is reported.  The flat connection is constant, so its
+Ricci and curvature are evaluated once per check, not once per grid point.
 
 Affine maps between catalog models are verified by pulling the target
 connection back through the map and comparing against the source symbols
-on a grid; a map check compiles the 2-jets of the map's two components
-once and `pullback_connection` reads them at every point.
+on a grid.  A map check compiles the 2-jets of the map's two components
+once, and `pullback_connection` reads them and the target's `symbols_at`
+at every point.  The source's symbols come through `over_grid`, so a
+constant source is evaluated once per check.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import expr as ex
 from .catalog import AffineMapEntry, ModelRecord, instantiate_ref
-from .connection import ChristoffelSpec, _index_form, curvature, max_abs, over_grid, ricci
+from .connection import ChristoffelSpec, curvature, max_abs, over_grid, ricci
 from .expr import Point, ScalarExpr, compile_jet
 from .qe import RESIDUAL_TOL, max_residual
 
@@ -87,7 +89,11 @@ def _branch1(coeffs):
     # rho~_12(a1) = -e + (a1 - d) * (a1^2 - a*a1 + q0),  q0 = a*d - 2c - d^2 + f
     q0 = a * d - 2 * c - d * d + f
     cubic = np.array([1.0, -(d + a), q0 + a * d, -d * q0 - e])
-    roots = np.roots(cubic)
+    # np.roots is off by about eps^(1/3) at a triple root: take the root of
+    # c'' when c and c' evaluate to 0.0 there
+    triple = (d + a) / 3
+    zero = np.polyval(cubic, triple) == np.polyval(np.polyder(cubic), triple) == 0.0
+    roots = [triple] if zero else np.roots(cubic)
     real = sorted((r.real for r in roots if abs(r.imag) <= 1e-9 * max(1.0, abs(r))),
                   key=lambda v: (abs(v), v))
     if not real:  # a monic real cubic always has a real root
@@ -179,7 +185,7 @@ def pullback_connection(jets, target: ChristoffelSpec, p: Point):
     inv = ((j22 / det, -j12 / det), (-j21 / det, j11 / det))
     J = ((j11, j12), (j21, j22))  # J[c][i] = d_i Phi^c
     H = (((h111, h112), (h112, h122)), ((h211, h212), (h212, h222)))  # H[c][i][j]
-    G = _index_form(target.christoffel_at((v1, v2)))  # G[a][b][c] = G~_ab^c
+    G = target.symbols_at((v1, v2))[0]  # G[a][b][c] = G~_ab^c
     out = []
     for i, j in ((0, 0), (0, 1), (1, 1)):
         vec = [H[c][i][j] + (0.0 + (G[0][0][c] * J[0][i]) * J[0][j]
@@ -210,9 +216,10 @@ def verify_map_entry(record: ModelRecord, entry: AffineMapEntry, grid) -> MapRep
     target = instantiate_ref(entry.target)
     pm = entry.plane_map
     jets = (compile_jet(pm.f1), compile_jet(pm.f2))
-    worst = max_abs(u - v for p in grid
+    rows = zip(grid, over_grid(record.spec, grid, record.spec.symbols_at))
+    worst = max_abs(u - v for p, (G, _) in rows
                     for u, v in zip(pullback_connection(jets, target.spec, p),
-                                    record.spec.christoffel_at(p)))
+                                    (*G[0][0], *G[0][1], *G[1][1])))
     return MapReport(record.ref.label(), entry.name, entry.target.label(), worst)
 
 

@@ -4,8 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,14 @@ from affsurf import catalog as cat
 from affsurf import cli
 
 CMD = [sys.executable, "-m", "affsurf"]
+#: the subprocesses import the same affsurf as this module, installed or not
+SRC = str(Path(cli.__file__).resolve().parents[1])
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run(*args, timeout=240):
     return subprocess.run(CMD + list(args), capture_output=True, text=True,
-                          timeout=timeout)
+                          timeout=timeout, env=ENV)
 
 
 def run_json(*args, **kw):
@@ -133,6 +138,13 @@ class TestVerify:
     def test_half_plane_model(self):
         code, d = run_json("verify", "B.N43")
         assert code == 0 and d["pass"] is True
+
+    @pytest.mark.parametrize("c", ["1e-6", "-1e-6", "3e-6", "1e-12"])
+    def test_rank_one_family_flattens_near_zero(self, c):
+        # the flattening cubic's triple root, magnified by lam = 1/c, once
+        # made these exit 1
+        code, d = run_json("verify", "A.M44", f"--c={c}")
+        assert code == 0 and d["results"][0]["flatten"]["phi"][1] == 1.0
 
     def test_whole_atlas_passes(self):
         code, d = run_json("verify", "--all")

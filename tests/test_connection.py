@@ -1,12 +1,14 @@
 """Connections: symbol evaluation, curvature, Ricci, rank.
 
 The curvature path is cross-checked against an independent oracle that
-assembles R_ijk^l from finite differences of christoffel_at plus the
+assembles R_ijk^l from finite differences of the symbol values
+(`christoffel_at`, the test-side oracle for symbols_at's G) plus the
 quadratic terms written out longhand, and bit for bit against the numpy
 (einsum) formulas it replaced.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,16 +47,40 @@ def ricci_sym_at(spec, p):
     return np.array([[r11, r12], [r12, r22]])
 
 
+def check_half_plane(spec, p):
+    if spec.kind == "inverse-x1" and p[0] <= 0.0:
+        raise DomainError(f"x1 must be positive for an inverse-x1 connection, got {p[0]}")
+
+
+def christoffel_at(spec, p):
+    """The six symbol values at a point, in (a, b, c, d, e, f) order, by
+    kind."""
+    check_half_plane(spec, p)
+    a, b, c, d, e, f = spec.coeffs
+    if spec.kind == "constant":
+        return a, b, c, d, e, f
+    if spec.kind == "inverse-x1":
+        u = p[0]
+        return a / u, b / u, c / u, d / u, e / u, f / u
+    return a, b, c, d, e * p[0], f
+
+
+def abcdef(symbols):
+    """The symbols G of symbols_at's (G, dG) in (a, b, c, d, e, f) order."""
+    G = symbols[0]
+    return (*G[0][0], *G[0][1], *G[1][1])
+
+
 def gamma_matrices(spec, p):
     """Symbols as an array G[i, j, k] = Gamma_ij^k."""
-    a, b, c, d, e, f = spec.christoffel_at(p)
+    a, b, c, d, e, f = christoffel_at(spec, p)
     return np.array([[[a, b], [c, d]], [[c, d], [e, f]]])
 
 
 def dchristoffel_at(spec, p):
     """Exact (d/dx1, d/dx2) of the six symbols at a point, in (a, b, c, d,
     e, f) order, by kind."""
-    spec.check_point(p)
+    check_half_plane(spec, p)
     zero = (0.0,) * 6
     if spec.kind == "constant":
         return zero, zero
@@ -72,7 +98,7 @@ def index_form(six):
 def oracle_symbols(spec, p):
     """(G, dG) as symbols_at gives them, assembled from christoffel_at and
     dchristoffel_at."""
-    return index_form(spec.christoffel_at(p)), tuple(index_form(d) for d in dchristoffel_at(spec, p))
+    return index_form(christoffel_at(spec, p)), tuple(index_form(d) for d in dchristoffel_at(spec, p))
 
 
 def ricci_rank(spec, p, tol=1e-9):
@@ -111,7 +137,7 @@ def oracle_curvature(spec, p, h=1e-6):
     """R_ijk^l from central differences of the symbols; independent of the
     analytic-derivative path in the library."""
     def gamma(q):
-        a, b, c, d, e, f = spec.christoffel_at(q)
+        a, b, c, d, e, f = christoffel_at(spec, q)
         return np.array([[[a, b], [c, d]], [[c, d], [e, f]]])
 
     g = gamma(p)
@@ -141,27 +167,29 @@ def loop_curvature(g, dg):
 
 
 class TestChristoffelAt:
+    """The symbol values that symbols_at gives at a point."""
+
     def test_flat_plane(self):
         rec = C.instantiate("A.M06")
-        assert rec.spec.christoffel_at((3.0, -1.0)) == (0, 0, 0, 0, 0, 0)
+        assert abcdef(rec.spec.symbols_at((3.0, -1.0))) == (0, 0, 0, 0, 0, 0)
 
     def test_hyperbolic_plane_scaling(self):
         rec = C.instantiate("B.N43")
-        assert rec.spec.christoffel_at((2.0, 5.0)) == (-0.5, 0.0, 0.0, -0.5, 0.5, 0.0)
+        assert abcdef(rec.spec.symbols_at((2.0, 5.0))) == (-0.5, 0.0, 0.0, -0.5, 0.5, 0.0)
 
     def test_half_plane_boundary(self):
         rec = C.instantiate("B.N43")
         with pytest.raises(DomainError):
-            rec.spec.christoffel_at((0.0, 0.0))
+            rec.spec.symbols_at((0.0, 0.0))
 
     def test_torsion_symmetry_by_storage(self):
         spec = ChristoffelSpec((1, 2, 3, 4, 5, 6))
-        g = gamma_matrices(spec, (0.2, 0.4))
+        g = np.array(spec.symbols_at((0.2, 0.4))[0])
         assert np.array_equal(g[0, 1], g[1, 0])
 
     def test_linear_x1_kind(self):
         rec = C.instantiate("A.M54t", c=2.0)
-        a, b, c, d, e, f = rec.spec.christoffel_at((3.0, 7.0))
+        a, b, c, d, e, f = abcdef(rec.spec.symbols_at((3.0, 7.0)))
         assert (a, b, c, d) == (0, 0, 0, 0)
         assert e == 5.0 * 3.0 and f == 4.0
 
@@ -326,10 +354,11 @@ class TestDrawnPoints:
     """On drawn specs and points of all three kinds, symbols_at equals the
     symbols assembled from christoffel_at and dchristoffel_at, and
     curvature, ricci and ricci_sym equal the einsum and the summed-loop
-    formulas on those symbols, bit for bit, NaN positions included; where
-    oracle raises (DomainError off the half-plane, ZeroDivisionError where
-    x1 * x1 underflows to 0.0), symbols_at raises the same exception with
-    the same message."""
+    formulas on those symbols, bit for bit, NaN positions included.  Where
+    the oracle raises DomainError off the half-plane, symbols_at raises it
+    with the same message; where it raises ZeroDivisionError because
+    x1 * x1 underflows to 0.0, symbols_at raises DomainError naming the
+    underflow."""
 
     @settings(max_examples=400, deadline=None)
     @given(drawn_specs_and_points())
@@ -337,10 +366,14 @@ class TestDrawnPoints:
         spec, p = case
         try:
             want = oracle_symbols(spec, p)
-        except (DomainError, ZeroDivisionError) as err:
-            with pytest.raises(type(err)) as raised:
+        except DomainError as err:
+            with pytest.raises(DomainError) as raised:
                 spec.symbols_at(p)
             assert str(raised.value) == str(err)
+            return
+        except ZeroDivisionError:
+            with pytest.raises(DomainError, match="underflows to 0.0"):
+                spec.symbols_at(p)
             return
         got = spec.symbols_at(p)
         leaves = list(_leaves(got))
@@ -356,6 +389,32 @@ class TestDrawnPoints:
             assert same_bits(curvature(got), oracle[0].ravel())
             assert same_bits(ricci(got), oracle[1].ravel())
             assert same_bits(ricci_sym(got), [oracle[2][0, 0], oracle[2][0, 1], oracle[2][1, 1]])
+
+
+class TestUnderflowingX1:
+    """An inverse-x1 spec raises DomainError, not ZeroDivisionError, at
+    0 < x1 < LEAST, where x1 * x1 underflows to 0.0; from LEAST up, and at
+    a NaN x1, its symbols keep their bits."""
+
+    LEAST = 1.5717277847026288e-162  # the least x1 with x1 * x1 > 0.0
+    spec = ChristoffelSpec((1.5, -2.0, 0.25, 3.0, -0.75, 0.5), "inverse-x1")
+
+    def test_least_square(self):
+        assert self.LEAST * self.LEAST > 0.0
+        below = math.nextafter(self.LEAST, 0.0)
+        assert below * below == 0.0
+
+    @pytest.mark.parametrize("x1", [5e-324, 1e-200, math.nextafter(LEAST, 0.0)])
+    def test_underflow_is_a_domain_error(self, x1):
+        with pytest.raises(DomainError, match=f"underflows to 0.0 .* at x1 = {re.escape(str(x1))}$"):
+            self.spec.symbols_at((x1, 0.5))
+        with pytest.raises(ZeroDivisionError):
+            oracle_symbols(self.spec, (x1, 0.5))
+
+    @pytest.mark.parametrize("x1", [LEAST, 1e-100, math.nan])
+    def test_other_points_keep_their_bits(self, x1):
+        got = list(_leaves(self.spec.symbols_at((x1, 0.5))))
+        assert same_bits(got, list(_leaves(oracle_symbols(self.spec, (x1, 0.5)))))
 
 
 class TestRicci:

@@ -15,7 +15,7 @@ from affsurf.connection import KINDS, ChristoffelSpec
 from affsurf.expr import ScalarExpr, compile_scalar, const, exp, log, power, sin, x1
 from affsurf.geodesic import HORIZON, geodesic_integrate
 from affsurf.integrate import Blowup, LeftDomain, ReachedHorizon, StepCollapse, Status
-from test_connection import ricci_at
+from test_connection import christoffel_at, ricci_at
 from test_expr import arctan
 from test_integrate import dense_eval
 
@@ -303,7 +303,7 @@ def geodesic_rhs(spec, state):
     """(x, v) -> (v, -G(x)(v, v)) from the spec's symbol values, with the
     quadratic form written out: the oracle for the geodesic Fields."""
     u, w, v1, v2 = (float(s) for s in state)
-    a, b, c, d, e, f = spec.christoffel_at((u, w))
+    a, b, c, d, e, f = christoffel_at(spec, (u, w))
     return (v1, v2,
             -(a * v1 * v1 + 2 * c * v1 * v2 + e * v2 * v2),
             -(b * v1 * v1 + 2 * d * v1 * v2 + f * v2 * v2))
@@ -335,7 +335,7 @@ def closed_form_residual(spec, cf, nt=25):
         x = (ex.evaluate(c1, p), ex.evaluate(c2, p))
         v = (ex.evaluate(d1, p), ex.evaluate(d2, p))
         acc = (ex.evaluate(dd1, p), ex.evaluate(dd2, p))
-        a, b, c, d, e, f = spec.christoffel_at(x)
+        a, b, c, d, e, f = christoffel_at(spec, x)
         r1 = acc[0] + a * v[0] * v[0] + 2 * c * v[0] * v[1] + e * v[1] * v[1]
         r2 = acc[1] + b * v[0] * v[0] + 2 * d * v[0] * v[1] + f * v[1] * v[1]
         worst = max(worst, abs(r1), abs(r2))

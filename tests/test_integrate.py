@@ -827,7 +827,7 @@ class TestExtendedRun:
     @pytest.mark.parametrize("sgn", [1.0, -1.0])
     def test_killing_basis_fields_of_every_record(self, sgn):
         for rec in catalog.all_records():
-            edge = 0.0 if rec.mtype == "B" else None
+            edge = killing.flow_edge(rec)
             for X in rec.killing_basis:
                 assert_extends(killing._field_rhs(X), killing.default_flow_inits(rec)[0],
                                sgn * 2.0, 3.0, edge=edge)
@@ -1237,7 +1237,7 @@ class TestReadNames:
     def test_killing_basis_fields_run_as_their_twin(self, sgn):
         partial = 0
         for rec in catalog.all_records():
-            edge = 0.0 if rec.mtype == "B" else None
+            edge = killing.flow_edge(rec)
             p0 = killing.default_flow_inits(rec)[0]
             for X in rec.killing_basis:
                 field = killing._field_rhs(X)

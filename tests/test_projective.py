@@ -15,7 +15,7 @@ from affsurf.connection import ChristoffelSpec, curvature, max_abs, ricci, ricci
 from affsurf.expr import PlaneMap, Point
 from affsurf.projective import flatten_report
 from affsurf.qe import xi_matrix
-from test_connection import ricci_at, same_bits
+from test_connection import christoffel_at, ricci_at, same_bits
 from test_qe import loop_max_residual, oracle_records
 
 
@@ -103,7 +103,7 @@ def einsum_pullback(pm, target, p):
     det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
     if abs(det) < 1e-14:
         raise ValueError(f"map is not immersive at {p}")
-    a, b, c, d, e, f = target.christoffel_at((jets[0][0], jets[1][0]))
+    a, b, c, d, e, f = christoffel_at(target, (jets[0][0], jets[1][0]))
     gt = np.array([[[a, b], [c, d]], [[c, d], [e, f]]])
     out = np.zeros((2, 2, 2))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -135,7 +135,7 @@ def loop_map_deviation(record, entry, grid):
     target = C.instantiate_ref(entry.target).spec
     return max_abs(u - v for p in grid
                    for u, v in zip(pullback(entry.plane_map, target, p),
-                                   record.spec.christoffel_at(p)))
+                                   christoffel_at(record.spec, p)))
 
 
 class TestSharedTables:
@@ -200,6 +200,28 @@ class TestSharedTables:
         assert math.isnan(want) and same_bits(P.verify_map_entry(rec, entry, grid).max_deviation, want)
 
 
+    def test_source_symbols_once_per_grid(self, monkeypatch):
+        """A map check evaluates a constant source spec's symbols once for
+        the whole grid and an inverse-x1 source spec's once per point; the
+        target's are read once per point, at that point's image."""
+        seen = []
+        symbols_at = ChristoffelSpec.symbols_at
+
+        def spy(spec, p):
+            seen.append((spec, p))
+            return symbols_at(spec, p)
+        monkeypatch.setattr(ChristoffelSpec, "symbols_at", spy)
+        for label, kind in (("A.M46", "constant"), ("B.N56", "inverse-x1")):
+            rec = C.instantiate(label)
+            grid = C.sample_grid(rec)
+            seen.clear()
+            assert [rep.passed for rep in P.verify_affine_maps(rec, grid)] == [True]
+            source = [p for spec, p in seen if spec is rec.spec]
+            assert rec.spec.kind == kind and len(grid) == 25, label
+            assert source == (grid[:1] if kind == "constant" else grid), label
+            assert len(seen) - len(source) == len(grid), label
+
+
 class TestDeform:
     def test_formula_on_flat(self):
         rec = C.instantiate("A.M06")
@@ -246,6 +268,23 @@ class TestFlatten:
         rep = P.flatten_report(rec, C.sample_grid(rec))
         assert rep.passed
         assert abs(rep.phi.a1 + 1.0) < 1e-9 and abs(rep.phi.a2 - 2.0) < 1e-9
+
+    @pytest.mark.parametrize("c", [1e-12, -1e-6, 1e-6, 3e-6, 1.0])
+    def test_triple_root_taken_exactly(self, c):
+        # A.M44 takes the swap branch with lam = 1/c, and its rescaled cubic
+        # is (a1 - 1)^3 for every c: np.roots puts the root at
+        # 1.0000065704250627, and lam magnified that error past FLAT_TOL
+        rec = C.instantiate("A.M44", c=c)
+        rep = P.flatten_report(rec, C.sample_grid(rec))
+        assert (abs(rep.phi.a1), rep.phi.a2) == (0.0, 1.0)
+        assert (rep.rho_tilde_max, rep.curvature_tilde_max, rep.qe_residual) == (0.0, 0.0, 0.0)
+        assert rep.passed
+
+    def test_triple_root_of_the_cubic(self):
+        # a = 2, d = 1 give the cubic (a1 - 1)^3 = a1^3 - 3a1^2 + 3a1 - 1,
+        # and a = 3 the cubic a1^2 (a1 - 3), whose double root np.roots solves
+        assert P._branch1((2.0, 1.0, 0.0, 1.0, 0.0, 0.0)) == (1.0, 0.0)
+        assert P._branch1((3.0, 1.0, 0.0, 0.0, 0.0, 0.0)) == (0.0, 0.0)
 
     def test_postcondition_triple_across_catalog(self, constant_records):
         for rec in constant_records:
@@ -333,7 +372,7 @@ class TestPullback:
         target = C.instantiate_ref(entry.target)
         for p in [(0.5, 0.0), (2.0, -1.0)]:
             pulled = pullback(entry.plane_map, target.spec, p)
-            assert np.allclose(pulled, rec.spec.christoffel_at(p), atol=1e-12)
+            assert np.allclose(pulled, christoffel_at(rec.spec, p), atol=1e-12)
 
     def test_identity_map_gives_zeros(self):
         rec = C.instantiate("A.M06")

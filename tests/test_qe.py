@@ -10,7 +10,7 @@ from affsurf import expr as ex
 from affsurf import qe
 from affsurf.connection import ChristoffelSpec, max_abs, ricci_sym
 from affsurf.projective import LinearForm, deform
-from test_connection import ricci_sym_at, same_bits
+from test_connection import christoffel_at, ricci_sym_at, same_bits
 from test_expr import parse_expr
 
 
@@ -36,7 +36,7 @@ def hessian_kernel(spec, phi):
 
     def at(p):
         val, g1, g2, f11, f12, f22 = jet(*p)
-        a, b, c, d, e, f = spec.christoffel_at(p)
+        a, b, c, d, e, f = christoffel_at(spec, p)
         return (val, f11 - (a * g1 + b * g2),
                 f12 - (c * g1 + d * g2), f22 - (e * g1 + f * g2))
     return at
@@ -171,11 +171,9 @@ class TestSharedRows:
     def test_ricci_once_per_point(self, monkeypatch):
         """A constant spec's row is evaluated once for the whole grid; an
         inverse-x1 or linear-x1 spec's once per grid point, its symbols and
-        rho_s from one symbols_at, which evaluates the six symbols itself
-        (christoffel_at is never called)."""
-        calls, made, read, sixes = [], [], [], []
+        rho_s from one symbols_at."""
+        calls, made, read = [], [], []
         symbols_at = ChristoffelSpec.symbols_at
-        christoffel_at = ChristoffelSpec.christoffel_at
 
         def symbols_spy(spec, p):
             calls.append(p)
@@ -185,24 +183,19 @@ class TestSharedRows:
         def spy(symbols):
             read.append(symbols)
             return ricci_sym(symbols)
-
-        def six_spy(spec, p):
-            sixes.append(p)
-            return christoffel_at(spec, p)
         monkeypatch.setattr(qe, "ricci_sym", spy)
         monkeypatch.setattr(ChristoffelSpec, "symbols_at", symbols_spy)
-        monkeypatch.setattr(ChristoffelSpec, "christoffel_at", six_spy)
         for label, params, kind in (("A.M46", {}, "constant"),
                                     ("B.N16", {"sign": 1.0}, "inverse-x1"),
                                     ("A.M54t", {"c": 1.0}, "linear-x1")):
             rec = C.instantiate(label, **params)
             grid = C.sample_grid(rec)
-            for seen in (calls, made, read, sixes):
+            for seen in (calls, made, read):
                 seen.clear()
             qe.verify_q_basis(rec, grid)
             want = grid[:1] if kind == "constant" else grid
             assert rec.spec.kind == kind and len(rec.q_basis) == 3, label
-            assert calls == want and sixes == [], label
+            assert calls == want, label
             # rho_s of each row is computed from that row's symbols
             assert len(read) == len(made) and all(r is m for r, m in zip(read, made)), label
 
