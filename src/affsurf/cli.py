@@ -178,7 +178,7 @@ def _verify_one(record: cat.ModelRecord, n_grid: int) -> dict:
     if record.q_basis:
         rep = qe.verify_q_basis(record, grid)
         entry["qe"] = rep.to_json()
-        entry["pass"] &= rep.passed and abs(rep.xi_det) > 1e-12
+        entry["pass"] &= rep.passed
     kres, kok = kil.verify_killing_basis(record, grid)
     entry["killing_residuals"] = list(kres)
     entry["pass"] &= kok

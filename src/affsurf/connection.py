@@ -34,19 +34,18 @@ A constant spec has the same symbols, curvature and Ricci tensor at every
 point.  `over_grid` is the one place that uses this: each of the four
 checks evaluates its per-point connection data over a grid there, once for
 a constant spec and once per point for the other kinds.  `_max_abs_kernel`
-writes the grid kernels of the quasi-Einstein and Killing checks, which
-keep the worst value by `max_abs`'s rule.
+writes the one fail-closed fold (the largest |v|, NaN at the first NaN):
+the grid kernels of the quasi-Einstein and Killing checks, and `max_abs`
+for the flattening and map checks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import DomainError, Point
-from .integrate import _exec, _indent
+from .expr import DomainError, Point, _compile, _indent
 
 Coeffs = tuple[float, float, float, float, float, float]
 
@@ -101,31 +100,24 @@ def over_grid(spec: ChristoffelSpec, grid, fn) -> list:
     return [fn(p) for p in grid]
 
 
-def max_abs(values) -> float:
-    """Largest absolute value (0.0 for none), NaN as soon as one value is
-    NaN.  The builtin max drops NaN (max(0.0, nan) is 0.0), which would let a
-    NaN residual pass a tolerance check."""
-    worst = 0.0
-    for v in values:
-        a = abs(v)
-        if a > worst:
-            worst = a
-        elif a != a:
-            return math.nan
-    return float(worst)
-
-
-def _max_abs_kernel(params: str, row: str, body: list[str], values: list[str]):
-    """`(params, rows) -> max_abs(values over rows)`, written out: each row
-    is unpacked to `row`, `body` runs, and each value in turn is folded in
-    by max_abs's rule (|v| by comparison, NaN returned at the first NaN)."""
+def _max_abs_kernel(params: tuple[str, ...], row: str, body: list[str], values: list[str]):
+    """`(*params, rows) -> the largest |value| over rows` (0.0 for no rows),
+    written out: each row is unpacked to `row`, `body` runs, and each value
+    in turn is folded in by comparison, NaN returned at the first NaN value.
+    The builtin max drops NaN (max(0.0, nan) is 0.0), which would let a NaN
+    residual pass a tolerance check."""
     keep = ["if _v > _worst: _worst = _v", "elif -_v > _worst: _worst = -_v",
             "elif _v != _v: return nan"]
-    lines = [f"def _kernel({params}, _rows):", "    _worst = 0.0", f"    for {row} in _rows:",
-             *_indent(body, 2)]
+    lines = [f"def _kernel({', '.join((*params, '_rows'))}):", "    _worst = 0.0",
+             f"    for {row} in _rows:", *_indent(body, 2)]
     for v in values:
         lines += _indent([f"_v = {v}", *keep], 2)
-    return _exec(lines + ["    return _float(_worst)"], "_kernel")
+    return _compile(lines + ["    return _float(_worst)"], "_kernel")
+
+
+#: `max_abs(values) -> float`: the largest |v| of an iterable of numbers,
+#: 0.0 for none, NaN at the first NaN; the fold of the grid kernels
+max_abs = _max_abs_kernel((), "_v", [], ["_v"])
 
 
 def _nest(name: str, depth: int) -> str:
@@ -152,8 +144,8 @@ def _curvature_family():
         return f"0.0 + ({R(0, j, k, 0)}) + ({R(1, j, k, 1)})"
 
     def emit(name, doc, body):
-        return _exec([f"def {name}(symbols):", f'    """{doc} of the symbols (G, dG) of a point."""',
-                      f"    {_SYMBOLS} = symbols", *_indent(body)], name, __name__=__name__)
+        return _compile([f"def {name}(symbols):", f'    """{doc} of the symbols (G, dG) of a point."""',
+                         f"    {_SYMBOLS} = symbols", *_indent(body)], name, __name__=__name__)
     ij = ((0, 0), (0, 1), (1, 0), (1, 1))
     return (emit("curvature", "R_ijk^l, R(d_i, d_j) d_k = R_ijk^l d_l, (i, j, k, l)-major,",
                  [f"return ({', '.join(R(i, j, k, l) for i, j in ij for k, l in ij)},)"]),

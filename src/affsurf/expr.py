@@ -12,7 +12,8 @@ value, which constant folding, `evaluate` and compiled code all call, and
 its derivative, which `diff` multiplies by the argument's.
 Every pointwise check (quasi-Einstein, Killing, map pullback, the xi matrix,
 Jacobians) reads one compiled 2-jet, `compile_jet`, instead of
-differentiating at each point.
+differentiating at each point.  `_compile` is the one compiler of generated
+source, over one namespace: these jets, the step loops and the grid kernels.
 
 Expressions are immutable values and safe to share across workers.
 """
@@ -31,6 +32,9 @@ Point = tuple[float, float]
 class DomainError(ValueError):
     """Evaluation left the natural domain (log of a non-positive value,
     negative base under a fractional power, division by zero)."""
+
+
+_RHS_ERRORS = (DomainError, OverflowError, ZeroDivisionError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -384,7 +388,7 @@ def compile_scalar(e: ScalarExpr) -> Callable[[float, float], float]:
     including DomainError on domain violations, with one exception: a zero
     base under a negative integer power raises ZeroDivisionError, where
     `evaluate` raises DomainError."""
-    return eval(f"lambda x1, x2: {_emit(e)}", _NAMESPACE)  # noqa: S307 - generated from our own AST
+    return _compile([f"def _f(x1, x2): return {_emit(e)}"], "_f")
 
 
 @lru_cache(maxsize=None)
@@ -396,8 +400,7 @@ def compile_jet(e: ScalarExpr) -> Callable[[float, float], tuple[float, ...]]:
     bit-identical."""
     d1, d2 = diff(e, 1), diff(e, 2)
     trees = (e, d1, d2, diff(d1, 1), diff(d1, 2), diff(d2, 2))
-    return eval(f"lambda x1, x2: ({', '.join(_emit_shared(trees))})",  # noqa: S307
-                _NAMESPACE)
+    return _compile([f"def _f(x1, x2): return ({', '.join(_emit_shared(trees))})"], "_f")
 
 
 def _emit(e: ScalarExpr, sub: Callable[[ScalarExpr], str] | None = None) -> str:
@@ -493,8 +496,24 @@ def _guarded_powf(u: float, pf: float) -> float:
     return u ** pf
 
 
+# the globals of all generated code; inf and nan are the repr of those constants
 _NAMESPACE = {f"_{name}": value for name, (value, _) in _FUNCS.items()}
-_NAMESPACE.update(_powf=_guarded_powf, inf=math.inf, nan=math.nan)  # inf, nan: repr of constants
+_NAMESPACE.update(_powf=_guarded_powf, inf=math.inf, nan=math.nan, DomainError=DomainError,
+                  _RHS_ERRORS=_RHS_ERRORS, _isfinite=math.isfinite, _sqrt=math.sqrt,
+                  _inf=math.inf, _float=float)
+
+
+def _compile(lines: list[str], name: str, **bound):
+    """The object that the source lines bind to name, run in a fresh copy of
+    _NAMESPACE with the names bound added: the one place that compiles
+    generated code (compiled expressions, step loops, grid kernels)."""
+    namespace = {**_NAMESPACE, **bound}
+    exec("\n".join(lines), namespace)  # noqa: S102 - generated from our own trees and tables
+    return namespace[name]
+
+
+def _indent(lines, depth: int = 1) -> list[str]:
+    return ["    " * depth + line for line in lines]
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .expr import _NAMESPACE, DomainError
+from .expr import _RHS_ERRORS, DomainError, _compile, _indent
 
 RTOL = 1e-10
 ATOL = 1e-12
@@ -180,8 +180,6 @@ _A = (
 )
 _B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
-_RHS_ERRORS = (DomainError, OverflowError, ZeroDivisionError, ValueError)
 
 
 def integrate(rhs: Callable,
@@ -288,11 +286,6 @@ def integrate(rhs: Callable,
         used += 1
 
 
-_KERNEL_NAMESPACE = {**_NAMESPACE, "DomainError": DomainError, "_RHS_ERRORS": _RHS_ERRORS,
-                     "_isfinite": math.isfinite, "_sqrt": math.sqrt, "_inf": math.inf,
-                     "_float": float}
-
-
 def _step_lines(names, prelude, comps, failed: list[str]) -> list[str]:
     """Source, unindented, of one Dormand-Prince step of the field source
     (names, prelude, comps) (see Field) from the state `_y{c}`, its
@@ -396,18 +389,8 @@ def _loop_lines(names, prelude, comps) -> list[str]:
             f"    return 'limit', {state}"]
 
 
-def _indent(lines, depth: int = 1) -> list[str]:
-    return ["    " * depth + line for line in lines]
-
-
 def _tup(names) -> str:
     return f"({', '.join(names)},)"
-
-
-def _exec(lines: list[str], name: str, **bound):
-    namespace = {**_KERNEL_NAMESPACE, **bound}
-    exec("\n".join(lines), namespace)  # noqa: S102 - generated from the tableau and our own sources
-    return namespace[name]
 
 
 class Field:
@@ -415,8 +398,8 @@ class Field:
     bound to `names`, the `prelude` statements run (they may raise
     DomainError), and component c of the value is the expression
     `comps[c]`, which may read the names, the prelude's locals, the
-    constants `consts` ((name, value) pairs) and the compiled-expression
-    namespace (`_exp`, `_log`, `_powf`, ..., `inf`, `nan`).  Names that
+    constants `consts` ((name, value) pairs) and the namespace of generated
+    code (`_exp`, `_log`, `_powf`, ..., `inf`, `nan`).  Names that
     begin with an underscore belong to the kernel and to the shared names
     `_s0`, `_s1`, ... that `expr._emit_shared` binds in the components, so
     the names, the constants and the prelude's locals may not begin with
@@ -478,8 +461,8 @@ def _field_code(names, prelude, comps, const_names) -> Callable:
             + _indent(prelude)
             + [f"    return {_tup(comps)}"])
     body = _loop_lines(names, prelude, comps) + call + ["return _loop, _call"]
-    return _exec([f"def _make({', '.join(const_names)}):", *_indent(body)], "_make",
-                 _pack_row=Struct(f"{1 + 2 * len(names)}d").pack)
+    return _compile([f"def _make({', '.join(const_names)}):", *_indent(body)], "_make",
+                    _pack_row=Struct(f"{1 + 2 * len(names)}d").pack)
 
 
 def _calling_field(rhs: Callable, dim: int) -> Field:

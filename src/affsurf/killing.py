@@ -40,14 +40,13 @@ from .catalog import ModelRecord
 from .connection import _SYMBOLS, ChristoffelSpec, _max_abs_kernel, over_grid
 from .expr import Point, VectorFieldExpr, _emit_shared, add, compile_jet, const, mul
 from .integrate import Field, Status, Trajectory, Unbounded, integrate
+from .qe import RESIDUAL_TOL
 
 PROBE_HORIZON = 20.0
 #: a complete verdict is re-confirmed at this multiple of the horizon
 CONFIRM_FACTOR = 3.0
 N_RANDOM_COMBOS = 8
 COMBO_SEED = 20240815
-
-RESIDUAL_TOL = 1e-8
 
 
 def max_killing_residual(spec: ChristoffelSpec, fields: tuple[VectorFieldExpr, ...],
@@ -77,7 +76,7 @@ _DEFECTS = tuple(f"dd{k}{min(i, j)}{max(i, j)}" + "".join(
 def _defect_kernel():
     """`(jet1, jet2, rows) -> residual`: the largest defect component of the
     field with component 2-jets jet1, jet2 over rows (p, (G, dG))."""
-    return _max_abs_kernel("_jet1, _jet2", f"_p, {_SYMBOLS}",
+    return _max_abs_kernel(("_jet1", "_jet2"), f"_p, {_SYMBOLS}",
                            [f"{_JETS[0]} = _jet1(*_p)", f"{_JETS[1]} = _jet2(*_p)"], _DEFECTS)
 
 

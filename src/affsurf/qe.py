@@ -27,6 +27,8 @@ from .connection import ChristoffelSpec, _max_abs_kernel, over_grid, ricci_sym
 from .expr import Point, ScalarExpr, compile_jet
 
 RESIDUAL_TOL = 1e-8
+#: a basis is independent when its |xi_det| is above this
+XI_DET_FLOOR = 1e-12
 
 
 def max_residual(spec: ChristoffelSpec, phis: tuple[ScalarExpr, ...], grid) -> tuple[float, ...]:
@@ -49,7 +51,7 @@ def _residual_kernel():
     """`(jet, rows) -> residual`: the largest entry of H phi + phi * rho_s of
     the scalar with compiled 2-jet jet over rows (p, (G, rho_s))."""
     return _max_abs_kernel(
-        "_jet", "_p, ((((a, b), (c, d)), (_, (e, f))), (r11, r12, r22))",
+        ("_jet",), "_p, ((((a, b), (c, d)), (_, (e, f))), (r11, r12, r22))",
         ["val, g1, g2, f11, f12, f22 = _jet(*_p)"],
         ["(f11 - (a * g1 + b * g2)) + val * r11", "(f12 - (c * g1 + d * g2)) + val * r12",
          "(f22 - (e * g1 + f * g2)) + val * r22"])
@@ -64,7 +66,7 @@ class QEReport:
 
     @property
     def passed(self) -> bool:
-        return all(r <= RESIDUAL_TOL for r in self.residuals)
+        return all(r <= RESIDUAL_TOL for r in self.residuals) and abs(self.xi_det) > XI_DET_FLOOR
 
     def to_json(self) -> dict:
         return {

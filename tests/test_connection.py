@@ -12,10 +12,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affsurf import catalog as C
+from affsurf import connection
 from affsurf import killing as K
 from affsurf import projective as P
 from affsurf import qe
@@ -34,6 +35,19 @@ def same_bits(got, want) -> bool:
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     nan = np.isnan(want)
     return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def max_abs(values) -> float:
+    """The oracle of the fail-closed fold `connection.max_abs`: the largest
+    absolute value (0.0 for none), NaN as soon as one value is NaN."""
+    worst = 0.0
+    for v in values:
+        a = abs(v)
+        if a > worst:
+            worst = a
+        elif a != a:
+            return math.nan
+    return float(worst)
 
 
 def ricci_at(spec, p):
@@ -475,3 +489,49 @@ class TestRank:
             p = (0.9, -0.3)
             assert ricci_rank(rec.spec, p) == 0
             assert np.allclose(curvature_at(rec.spec, p), 0, atol=1e-12), rec.ref.label()
+
+
+#: floats of every class: NaN, signed zeros and infinities, subnormals
+EDGE_FLOATS = (math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, -1.5, 1.5)
+
+
+def fold_outcome(fn, values):
+    """fn(values) as float.hex ("nan" for any NaN), or the exception it raised
+    as (type, message)."""
+    try:
+        v = fn(values)
+    except Exception as err:  # noqa: BLE001 - the exception is the outcome
+        return type(err), str(err)
+    assert type(v) is float
+    return "nan" if v != v else v.hex()
+
+
+class TestMaxAbs:
+    """connection.max_abs, the fold that _max_abs_kernel writes, against
+    the Python loop it replaced: the same value bit for bit, NaN at the
+    first NaN, and the same exception where the values raise first."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), max_size=12))
+    @example([])
+    @example([-0.0])
+    @example([5e-324, -5e-324, -0.0])
+    @example([1.0, math.nan, math.inf])
+    @example([-math.inf, math.nan])
+    def test_drawn_lists(self, values):
+        assert fold_outcome(connection.max_abs, values) == fold_outcome(max_abs, values)
+
+    @staticmethod
+    def raising(values, exc):
+        yield from values
+        raise exc
+
+    def test_raise_after_the_first_nan_is_not_reached(self):
+        for fn in (connection.max_abs, max_abs):
+            assert math.isnan(fn(self.raising([1.0, math.nan, 2.0], DomainError("late"))))
+
+    def test_raise_before_any_nan_propagates(self):
+        for fn in (connection.max_abs, max_abs):
+            with pytest.raises(ZeroDivisionError, match="^early$"):
+                fn(self.raising([1.0, -3.0], ZeroDivisionError("early")))

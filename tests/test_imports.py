@@ -3,7 +3,8 @@ there, every private module-level function or class is read somewhere in
 the package (or in the tests), every module-level function, class or
 constant of the package is reached from the command line or the benchmark,
 and every method or property of the package's classes is read there or by
-the benchmark.
+the benchmark.  Generated code is compiled in one place, `expr._compile`,
+and the verification modules load without the ODE stepper.
 
 No linter ships with the package, so these AST scans are the guard against
 imports and helpers left behind when code moves or goes, and against
@@ -11,11 +12,14 @@ library code that only the tests call.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import affsurf
+from test_cli import ENV
 
 MODULES = sorted(Path(affsurf.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
@@ -193,3 +197,44 @@ def test_scan_sees_unread_members():
                "class B:\n    def unread(self): pass\n",
                "def f(a): return a.used() + a.prop\n"]
     assert unread_members(sources) == ["A.own", "B.unread"]
+
+
+def compile_sites(sources: dict[str, str]) -> list[str]:
+    """module.function of every call of exec or eval (as a name or as an
+    attribute), by the top-level function or class it is in, or
+    module.<module> for a call outside one."""
+    out = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                    if name in ("exec", "eval"):
+                        out.append(f"{module}.{where}")
+    return out
+
+
+def test_one_compiler():
+    """Generated source is run by exec in expr._compile and nowhere else."""
+    assert compile_sites({p.stem: p.read_text() for p in MODULES}) == ["expr._compile"]
+
+
+def test_scan_sees_every_compile_site():
+    sources = {"a": "exec('x = 1')\ndef f():\n    def g(): return eval('1')\n    return g\n",
+               "b": "import builtins\nclass C:\n    def m(self): builtins.exec('')\n"
+                    "def h(): return compile('1', '', 'eval')\n"}
+    assert compile_sites(sources) == ["a.<module>", "a.f", "b.C"]
+
+
+def test_verification_loads_no_stepper():
+    """Importing the flattening and map checks (and with them the catalog,
+    connection, quasi-Einstein and expression modules) loads neither the
+    ODE stepper nor the probes."""
+    code = "import sys, affsurf.projective; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=ENV, check=True).stdout.split()
+    assert "affsurf.projective" in loaded
+    assert [m for m in ("affsurf.integrate", "affsurf.killing", "affsurf.geodesic")
+            if m in loaded] == []

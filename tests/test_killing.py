@@ -13,9 +13,9 @@ from affsurf import connection
 from affsurf import expr as ex
 from affsurf import killing as K
 from affsurf import qe
-from affsurf.connection import ChristoffelSpec, max_abs
+from affsurf.connection import ChristoffelSpec
 from affsurf.integrate import Blowup, ReachedHorizon
-from test_connection import same_bits
+from test_connection import max_abs, same_bits
 from test_expr import outcome
 from test_integrate import dense_eval
 from test_qe import loop_max_residual, oracle_records

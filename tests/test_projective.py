@@ -11,11 +11,11 @@ from affsurf import geodesic as G
 from affsurf import projective as P
 from affsurf import qe
 from affsurf.catalog import ModelRecord
-from affsurf.connection import ChristoffelSpec, curvature, max_abs, ricci, ricci_sym
+from affsurf.connection import ChristoffelSpec, curvature, ricci, ricci_sym
 from affsurf.expr import PlaneMap, Point
 from affsurf.projective import flatten_report
 from affsurf.qe import xi_matrix
-from test_connection import christoffel_at, ricci_at, same_bits
+from test_connection import christoffel_at, max_abs, ricci_at, same_bits
 from test_qe import loop_max_residual, oracle_records
 
 

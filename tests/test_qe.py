@@ -1,5 +1,6 @@
 """Quasi-Einstein machinery: Hessian, residuals, basis reports, Xi matrix."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from affsurf import catalog as C
 from affsurf import expr as ex
 from affsurf import qe
-from affsurf.connection import ChristoffelSpec, max_abs, ricci_sym
+from affsurf.connection import ChristoffelSpec, ricci_sym
 from affsurf.projective import LinearForm, deform
-from test_connection import christoffel_at, ricci_sym_at, same_bits
+from test_connection import christoffel_at, max_abs, ricci_sym_at, same_bits
 from test_expr import parse_expr
 
 
@@ -134,6 +135,17 @@ class TestBasisReports:
         rep = qe.verify_q_basis(rec, C.sample_grid(rec))
         d = rep.to_json()
         assert d["pass"] and len(d["residuals"]) == 3 and "xi_det" in d
+
+    def test_dependent_basis_fails(self):
+        """A basis with a repeated element solves the equation but spans less
+        than E(Q): its report fails on xi_det alone, in `passed` and JSON."""
+        rec = C.instantiate("A.M22", b1=-1.0, b2=2.0)
+        phi0, phi1, _ = rec.q_basis
+        rep = qe.verify_q_basis(dataclasses.replace(rec, q_basis=(phi0, phi1, phi0)),
+                                C.sample_grid(rec))
+        assert not rep.passed and rep.to_json()["pass"] is False
+        assert all(r <= qe.RESIDUAL_TOL for r in rep.residuals)
+        assert abs(rep.xi_det) <= qe.XI_DET_FLOOR
 
     def test_mutation_sensitivity(self, records):
         for rec in records:
