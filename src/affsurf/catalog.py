@@ -32,7 +32,7 @@ import numpy as np
 from . import expr as ex
 from .connection import ChristoffelSpec
 from .expr import (PlaneMap, ScalarExpr, VectorFieldExpr, const, cos, exp, log, power,
-                   pullback_field, sin, x1, x2)
+                   pullback_fields, sin, x1, x2)
 
 F = Fraction
 
@@ -520,7 +520,7 @@ def instantiate_ref(mref: ModelRef) -> ModelRecord:
     spec = ChristoffelSpec(coeffs, _KINDS[fam.mtype])
     if killing is None:
         target = instantiate_ref(maps[0].target)
-        killing = tuple(pullback_field(maps[0].plane_map, y) for y in target.killing_basis)
+        killing = pullback_fields(maps[0].plane_map, target.killing_basis)
     gc = fam.geodesically_complete
     expected = ExpectedFlags(fam.dim_killing, fam.ricci_rank, fam.killing_complete,
                              gc(mref.p) if callable(gc) else gc)

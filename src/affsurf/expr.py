@@ -11,9 +11,14 @@ Each elementary function is one row of the table `_FUNCS`: its guarded
 value, which constant folding, `evaluate` and compiled code all call, and
 its derivative, which `diff` multiplies by the argument's.
 Every pointwise check (quasi-Einstein, Killing, map pullback, the xi matrix,
-Jacobians) reads one compiled 2-jet, `compile_jet`, instead of
-differentiating at each point.  `_compile` is the one compiler of generated
-source, over one namespace: these jets, the step loops and the grid kernels.
+Jacobians) reads compiled 2-jets, `compile_jet`, instead of differentiating
+at each point.  A joint jet `compile_jet(a, b)` is the jets of a and b as
+one function: a Killing field's two components and a map's two components
+each have one.  Its 12 derivative trees are built with one `diff` memo per
+axis, so a node the trees share is differentiated once, and one
+`_emit_shared` over all of them evaluates a repeated subexpression once.
+`_compile` is the one compiler of generated source, over one namespace:
+these jets, the step loops and the grid kernels.
 
 Expressions are immutable values and safe to share across workers.
 """
@@ -321,14 +326,15 @@ def evaluate(e: ScalarExpr, p: Point) -> float:
 # differentiation
 
 
-def diff(e: ScalarExpr, axis: int) -> ScalarExpr:
+def diff(e: ScalarExpr, axis: int, memo: dict | None = None) -> ScalarExpr:
     """Exact derivative with respect to x1 (axis=1) or x2 (axis=2).  Each
     distinct node is differentiated once per call: a node the tree holds
     more than once (the factors a Leibniz sum repeats) reuses its
-    derivative."""
+    derivative.  Calls that pass one memo dict, all along one axis, share
+    it: a node any of them differentiated is not differentiated again."""
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    return _diff(e, axis, {})
+    return _diff(e, axis, {} if memo is None else memo)
 
 
 def _diff(e: ScalarExpr, axis: int, done: dict) -> ScalarExpr:
@@ -392,14 +398,20 @@ def compile_scalar(e: ScalarExpr) -> Callable[[float, float], float]:
 
 
 @lru_cache(maxsize=None)
-def compile_jet(e: ScalarExpr) -> Callable[[float, float], tuple[float, ...]]:
-    """Compile the 2-jet of e to `f(x1, x2) -> (e, d1 e, d2 e, d1 d1 e,
-    d1 d2 e, d2 d2 e)`.  Each component is the source `compile_scalar`
-    emits for that derivative tree, except that a subexpression the six
-    trees repeat is evaluated once (`_emit_shared`), so the values are
-    bit-identical."""
-    d1, d2 = diff(e, 1), diff(e, 2)
-    trees = (e, d1, d2, diff(d1, 1), diff(d1, 2), diff(d2, 2))
+def compile_jet(*es: ScalarExpr) -> Callable[[float, float], tuple[float, ...]]:
+    """Compile the 2-jets of es to one `f(x1, x2) -> (e, d1 e, d2 e,
+    d1 d1 e, d1 d2 e, d2 d2 e) for e in es`, concatenated in order.  Each
+    component is the source `compile_scalar` emits for that derivative tree,
+    except that a subexpression the 6 * len(es) trees repeat is evaluated
+    once (`_emit_shared`), so the values and the first exception raised are
+    those of the jets of es compiled one by one and called in order.  The
+    trees are differentiated with one memo per axis, so a node the
+    expressions or their derivatives share is differentiated once."""
+    memos = {1: {}, 2: {}}
+    trees = []
+    for e in es:
+        d1, d2 = diff(e, 1, memos[1]), diff(e, 2, memos[2])
+        trees += (e, d1, d2, diff(d1, 1, memos[1]), diff(d1, 2, memos[2]), diff(d2, 2, memos[2]))
     return _compile([f"def _f(x1, x2): return ({', '.join(_emit_shared(trees))})"], "_f")
 
 
@@ -457,12 +469,12 @@ def _emit_shared(trees, consts: dict[str, str] | None = None) -> list[str]:
     seen: dict[str, int] = {}  # occurrences, not counting those inside a repeat
 
     def count(e):
-        text = source(e)
         if isinstance(e, (Sum, Prod, Pow, Func)):
+            text = source(e)
             seen[text] = seen.get(text, 0) + 1
             if seen[text] == 1:
-                _emit(e, count)
-        return text
+                for operand in _operands(e):
+                    count(operand)
 
     names: dict[str, str] = {}
 
@@ -483,6 +495,15 @@ def _emit_shared(trees, consts: dict[str, str] | None = None) -> list[str]:
     for t in trees:
         count(t)
     return [shared(t) for t in trees]
+
+
+def _operands(e: ScalarExpr) -> tuple[ScalarExpr, ...]:
+    """The operand trees of a compound node, in the order `_emit` writes them."""
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Prod):
+        return e.factors
+    return (e.base,) if isinstance(e, Pow) else (e.arg,)
 
 
 def _guarded_powf(u: float, pf: float) -> float:
@@ -617,16 +638,18 @@ class PlaneMap:
     f2: ScalarExpr
 
 
-def pullback_field(phi: PlaneMap, target_field: VectorFieldExpr) -> VectorFieldExpr:
-    """Pull a vector field back through an (immersive) plane map:
-    X = J_phi^{-1} (Y o phi).  Exact; division by det(J) is symbolic."""
+def pullback_fields(phi: PlaneMap, target_fields) -> tuple[VectorFieldExpr, ...]:
+    """Pull vector fields back through an (immersive) plane map:
+    X = J_phi^{-1} (Y o phi) for each Y of target_fields.  Exact; division
+    by det(J) is symbolic.  J and 1 / det(J) are built once for all the
+    fields, so the fields share those nodes."""
     j11, j12 = diff(phi.f1, 1), diff(phi.f1, 2)
     j21, j22 = diff(phi.f2, 1), diff(phi.f2, 2)
-    det = sub(mul(j11, j22), mul(j12, j21))
+    inv_det = power(sub(mul(j11, j22), mul(j12, j21)), -1)
     repl = {1: phi.f1, 2: phi.f2}
-    y1 = substitute(target_field.c1, repl)
-    y2 = substitute(target_field.c2, repl)
-    inv_det = power(det, -1)
-    c1 = mul(inv_det, sub(mul(j22, y1), mul(j12, y2)))
-    c2 = mul(inv_det, sub(mul(j11, y2), mul(j21, y1)))
-    return VectorFieldExpr(c1, c2)
+    out = []
+    for Y in target_fields:
+        y1, y2 = substitute(Y.c1, repl), substitute(Y.c2, repl)
+        out.append(VectorFieldExpr(mul(inv_det, sub(mul(j22, y1), mul(j12, y2))),
+                                   mul(inv_det, sub(mul(j11, y2), mul(j21, y1)))))
+    return tuple(out)

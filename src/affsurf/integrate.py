@@ -511,10 +511,21 @@ def _norm_inf(v) -> float:
     return max(map(abs, v))
 
 
+def _median(xs) -> float:
+    """np.median of a non-empty list of floats, in float arithmetic (numpy's
+    first median call imports numpy.ma): NaN when any value is NaN, else the
+    middle sorted value, or the mean (a + b) / 2 of the two middle ones."""
+    if any(v != v for v in xs):
+        return math.nan
+    s = sorted(xs)
+    m = len(s) // 2
+    return s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2
+
+
 def _rhs_grew(hist) -> bool:
     if len(hist) < 4:
         return True
-    ref = float(np.median(hist[: max(4, len(hist) // 2)]))
+    ref = _median(hist[: max(4, len(hist) // 2)])
     return hist[-1] > 1e3 * max(ref, 1e-12)
 
 
@@ -543,15 +554,15 @@ def _classify_ladder(ladder_times, t_last, sgn):
     inside the 1e-3 contract)."""
     if len(ladder_times) < 3:
         return None
-    gaps = np.diff(ladder_times)
-    gaps = gaps[gaps > 0]
+    gaps = [g for g in (b - a for a, b in zip(ladder_times, ladder_times[1:])) if g > 0]
     if len(gaps) < 2:
         return None
-    ratios = gaps[1:] / gaps[:-1]
-    if float(np.max(ratios)) >= CONVERGENCE_RATIO:
+    ratios = [b / a for a, b in zip(gaps, gaps[1:])]
+    # the largest ratio as np.max reads it: NaN, never >= anything, when one is NaN
+    if max(ratios) >= CONVERGENCE_RATIO and not any(q != q for q in ratios):
         return None
-    r = float(np.median(ratios))
-    tail = float(gaps[-1]) * r / (1.0 - r)
+    r = _median(ratios)
+    tail = gaps[-1] * r / (1.0 - r)
     drift = 2e-4
     lo = t_last - drift
     hi = t_last + 3.0 * tail + drift

@@ -10,11 +10,12 @@ reduces, per component k and index pair (i, j), to
     X^m d_m G_ij^k - G_ij^m d_m X^k + d_i d_j X^k
         + d_j X^m G_im^k + d_i X^m G_mj^k = 0,
 
-which is evaluated with exact derivatives of both X (the compiled 2-jets of
-its components) and the symbols, over a grid (a single point is a grid of
-one point).  `max_killing_residual` checks all of a record's fields on one
-grid: it evaluates the symbols once per grid point for all of them, or once
-for the whole grid when they are constant.
+which is evaluated with exact derivatives of both X (the joint compiled
+2-jet of its two components, `compile_jet(X.c1, X.c2)`) and the symbols,
+over a grid (a single point is a grid of one point).  `max_killing_residual`
+checks all of a record's fields on one grid: it evaluates the symbols once
+per grid point for all of them, or once for the whole grid when they are
+constant.
 
 The completeness probe integrates every basis field plus a fixed set of
 seeded random unit combinations, both directions, from a few interior
@@ -52,17 +53,18 @@ COMBO_SEED = 20240815
 def max_killing_residual(spec: ChristoffelSpec, fields: tuple[VectorFieldExpr, ...],
                          grid) -> tuple[float, ...]:
     """Max component of the Killing defect over coordinate-field pairs and
-    grid points of each field in fields, read from the compiled 2-jets of
-    its two components; NaN when any component is NaN.  The symbols of a
+    grid points of each field in fields, read from the joint compiled 2-jet
+    of its two components; NaN when any component is NaN.  The symbols of a
     grid point are evaluated once for every field (once for the whole grid
     when the spec is constant, see `over_grid`)."""
     kernel = _defect_kernel()
     rows = list(zip(grid, over_grid(spec, grid, spec.symbols_at)))
-    return tuple(kernel(compile_jet(X.c1), compile_jet(X.c2), rows) for X in fields)
+    return tuple(kernel(compile_jet(X.c1, X.c2), rows) for X in fields)
 
 
 #: names of the 2-jets Jk = (X^k, d_1 X^k, d_2 X^k, d_11 X^k, d_12 X^k, d_22 X^k)
-#: of the components, and over them and the symbols' (connection._SYMBOLS) the 8
+#: of the components, which one joint jet of the field returns one after the
+#: other, and over them and the symbols' (connection._SYMBOLS) the 8
 #: defect components in (i, j, k) order, each the summed loop written out:
 #: d_i d_j X^k, then for m = 0, 1 the terms X^m d_m G_ij^k, G_ij^m d_m X^k,
 #: d_j X^m G_im^k, d_i X^m G_mj^k, zero symbols included (0.0 * inf stays NaN)
@@ -74,10 +76,11 @@ _DEFECTS = tuple(f"dd{k}{min(i, j)}{max(i, j)}" + "".join(
 
 @lru_cache(maxsize=None)
 def _defect_kernel():
-    """`(jet1, jet2, rows) -> residual`: the largest defect component of the
-    field with component 2-jets jet1, jet2 over rows (p, (G, dG))."""
-    return _max_abs_kernel(("_jet1", "_jet2"), f"_p, {_SYMBOLS}",
-                           [f"{_JETS[0]} = _jet1(*_p)", f"{_JETS[1]} = _jet2(*_p)"], _DEFECTS)
+    """`(jet, rows) -> residual`: the largest defect component of the field
+    with joint component 2-jet jet (`compile_jet(X.c1, X.c2)`) over rows
+    (p, (G, dG))."""
+    return _max_abs_kernel(("_jet",), f"_p, {_SYMBOLS}",
+                           [f"{_JETS[0][1:-1]}, {_JETS[1][1:-1]} = _jet(*_p)"], _DEFECTS)
 
 
 def _field_rhs(X: VectorFieldExpr) -> Field:

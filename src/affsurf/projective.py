@@ -19,10 +19,20 @@ Ricci and curvature are evaluated once per check, not once per grid point.
 
 Affine maps between catalog models are verified by pulling the target
 connection back through the map and comparing against the source symbols
-on a grid.  A map check compiles the 2-jets of the map's two components
-once, and `pullback_connection` reads them and the target's `symbols_at`
-at every point.  The source's symbols come through `over_grid`, so a
-constant source is evaluated once per check.
+on a grid.  With J^a_i = d_i Phi^a, det = J^1_1 J^2_2 - J^1_2 J^2_1 and
+J^-1 = ((J^2_2, -J^1_2), (-J^2_1, J^1_1)) / det entry by entry, the target
+symbols G~ pull back to
+
+    G^pull_ij^k = (J^-1)^k_1 u^1_ij + (J^-1)^k_2 u^2_ij,
+    u^c_ij = d_i d_j Phi^c + (0.0 + (G~_11^c J^1_i) J^1_j + (G~_12^c J^1_i) J^2_j
+                                  + (G~_21^c J^2_i) J^1_j + (G~_22^c J^2_i) J^2_j),
+
+with G~ read at Phi(p): the sum over (a, b) runs (a, b)-major from 0.0.
+A map is rejected as not immersive where |det| < 1e-14.  A map check
+compiles the joint 2-jet of the map's two components once, and
+`pullback_connection`, this formula as straight-line float code, reads it
+and the target's `symbols_at` at every point.  The source's symbols come
+through `over_grid`, so a constant source is evaluated once per check.
 """
 
 from __future__ import annotations
@@ -168,32 +178,28 @@ def flatten_report(record: ModelRecord, grid) -> FlattenReport:
 # pullback verification of catalog maps
 
 
-def pullback_connection(jets, target: ChristoffelSpec, p: Point):
-    """Pull the target symbols back through the map at a point:
-
-        G^pull_ij^k = (J^-1)^k_c [ d_i d_j Phi^c + G~_ab^c J^a_i J^b_j ]
-
-    with the value and exact derivatives read from jets, the compiled
-    2-jets of the two map components.  The sum over (a, b) runs (a, b)-major
-    from 0.0, each term (G~_ab^c J^a_i) J^b_j, and J^-1 is J / det entry by
-    entry."""
-    jet1, jet2 = jets
-    (v1, j11, j12, h111, h112, h122), (v2, j21, j22, h211, h212, h222) = jet1(*p), jet2(*p)
+def pullback_connection(jet, target: ChristoffelSpec, p: Point):
+    """G^pull_ij^k for (i, j) = (1, 1), (1, 2), (2, 2) and k = 1, 2 at p, by
+    the formula of the module docstring, in its order of operations: the
+    map's values and derivatives come from jet, the joint compiled 2-jet
+    of its components (`compile_jet(f1, f2)`), and G~ from the target's
+    `symbols_at` at the image point."""
+    v1, j11, j12, h111, h112, h122, v2, j21, j22, h211, h212, h222 = jet(*p)
     det = j11 * j22 - j12 * j21
     if abs(det) < 1e-14:
         raise ValueError(f"map is not immersive at {p}")
-    inv = ((j22 / det, -j12 / det), (-j21 / det, j11 / det))
-    J = ((j11, j12), (j21, j22))  # J[c][i] = d_i Phi^c
-    H = (((h111, h112), (h112, h122)), ((h211, h212), (h212, h222)))  # H[c][i][j]
-    G = target.symbols_at((v1, v2))[0]  # G[a][b][c] = G~_ab^c
-    out = []
-    for i, j in ((0, 0), (0, 1), (1, 1)):
-        vec = [H[c][i][j] + (0.0 + (G[0][0][c] * J[0][i]) * J[0][j]
-                             + (G[0][1][c] * J[0][i]) * J[1][j]
-                             + (G[1][0][c] * J[1][i]) * J[0][j]
-                             + (G[1][1][c] * J[1][i]) * J[1][j]) for c in (0, 1)]
-        out += [inv[k][0] * vec[0] + inv[k][1] * vec[1] for k in (0, 1)]
-    return tuple(out)
+    i11, i12, i21, i22 = j22 / det, -j12 / det, -j21 / det, j11 / det
+    (((g111, g112), (g121, g122)), ((g211, g212), (g221, g222))), _ = target.symbols_at((v1, v2))
+    # u{c}{i}{j} = d_i d_j Phi^c + sum over (a, b) of (G~_ab^c J^a_i) J^b_j
+    u111 = h111 + (0.0 + (g111 * j11) * j11 + (g121 * j11) * j21 + (g211 * j21) * j11 + (g221 * j21) * j21)
+    u211 = h211 + (0.0 + (g112 * j11) * j11 + (g122 * j11) * j21 + (g212 * j21) * j11 + (g222 * j21) * j21)
+    u112 = h112 + (0.0 + (g111 * j11) * j12 + (g121 * j11) * j22 + (g211 * j21) * j12 + (g221 * j21) * j22)
+    u212 = h212 + (0.0 + (g112 * j11) * j12 + (g122 * j11) * j22 + (g212 * j21) * j12 + (g222 * j21) * j22)
+    u122 = h122 + (0.0 + (g111 * j12) * j12 + (g121 * j12) * j22 + (g211 * j22) * j12 + (g221 * j22) * j22)
+    u222 = h222 + (0.0 + (g112 * j12) * j12 + (g122 * j12) * j22 + (g212 * j22) * j12 + (g222 * j22) * j22)
+    return (i11 * u111 + i12 * u211, i21 * u111 + i22 * u211,
+            i11 * u112 + i12 * u212, i21 * u112 + i22 * u212,
+            i11 * u122 + i12 * u222, i21 * u122 + i22 * u222)
 
 
 @dataclass
@@ -215,10 +221,10 @@ class MapReport:
 def verify_map_entry(record: ModelRecord, entry: AffineMapEntry, grid) -> MapReport:
     target = instantiate_ref(entry.target)
     pm = entry.plane_map
-    jets = (compile_jet(pm.f1), compile_jet(pm.f2))
+    jet = compile_jet(pm.f1, pm.f2)
     rows = zip(grid, over_grid(record.spec, grid, record.spec.symbols_at))
     worst = max_abs(u - v for p, (G, _) in rows
-                    for u, v in zip(pullback_connection(jets, target.spec, p),
+                    for u, v in zip(pullback_connection(jet, target.spec, p),
                                     (*G[0][0], *G[0][1], *G[1][1])))
     return MapReport(record.ref.label(), entry.name, entry.target.label(), worst)
 

@@ -613,6 +613,34 @@ class TestFuncTable:
             call(ex.Func("tan", x1))
 
 
+#: points where a jet's values are signed zeros, subnormal, infinite or NaN,
+#: or where it raises (x1 <= 0 is off every half-plane)
+EDGE_POINTS = [(u, v) for u in (0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan, -1.5)
+               for v in (0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan, 0.5)]
+
+
+class TestJointJet:
+    """The joint 2-jet of a Killing field's or a map's two components is
+    the two jets one after the other, by float.hex; where either raises,
+    the joint jet raises the first exception, with the same message."""
+
+    def test_catalog_fields_and_maps(self):
+        checked, raised = 0, set()
+        for rec in C.all_records():
+            pairs = ([(X.c1, X.c2) for X in rec.killing_basis]
+                     + [(m.plane_map.f1, m.plane_map.f2) for m in rec.maps])
+            for a, b in pairs:
+                joint, jet_a, jet_b = ex.compile_jet(a, b), ex.compile_jet(a), ex.compile_jet(b)
+                for p in C.sample_grid(rec) + EDGE_POINTS:
+                    got = outcome(joint, p)
+                    assert got == outcome(lambda *q: jet_a(*q) + jet_b(*q), p), (rec.ref.label(), p)
+                    if isinstance(got, tuple):
+                        raised.add(got[0])
+                checked += 1
+        assert checked > 300
+        assert raised == {ex.DomainError, ZeroDivisionError, OverflowError, ValueError}
+
+
 # The Pow branch of `_emit` as it stood before the forms for the exponents
 # +-1, copied verbatim: the oracle for the emitted powers.
 
@@ -751,11 +779,12 @@ class TestPullback:
     def test_identity(self):
         pm = ex.PlaneMap(ex.x1, ex.x2)
         vf = ex.VectorFieldExpr(parse_expr("x1^2"), ex.x2)
-        assert field_at(ex.pullback_field(pm, vf), (2.0, 3.0)) == (4.0, 3.0)
+        pb, = ex.pullback_fields(pm, (vf,))
+        assert field_at(pb, (2.0, 3.0)) == (4.0, 3.0)
 
     def test_exponential_chart(self):
         pm = ex.PlaneMap(parse_expr("exp(x1)"), parse_expr("x2*exp(x1)"))
-        pb = ex.pullback_field(pm, ex.VectorFieldExpr(ex.const(1), ex.const(0)))
+        pb, = ex.pullback_fields(pm, (ex.VectorFieldExpr(ex.const(1), ex.const(0)),))
         got = field_at(pb, (0.5, 2.0))
         want = (math.exp(-0.5), -2.0 * math.exp(-0.5))
         assert abs(got[0] - want[0]) < 1e-12 and abs(got[1] - want[1]) < 1e-12

@@ -238,3 +238,30 @@ def test_verification_loads_no_stepper():
     assert "affsurf.projective" in loaded
     assert [m for m in ("affsurf.integrate", "affsurf.killing", "affsurf.geodesic")
             if m in loaded] == []
+
+
+def loads_numpy_ma(code: str) -> bool:
+    """Whether numpy.ma is in sys.modules after code runs in a fresh
+    interpreter (numpy imports it on the first call of np.median)."""
+    code += "\nimport sys; print('numpy.ma' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=ENV, check=True).stdout.split()
+    return out[-1] == "True"
+
+
+def test_probes_load_no_masked_arrays():
+    """A Killing probe that ends in a StepCollapse and a geodesic probe that
+    ends in a Blowup classify their runs in float arithmetic: numpy.ma,
+    which takes milliseconds to import, stays unloaded."""
+    code = """
+from affsurf import catalog, geodesic, killing
+for rep, status in ((killing.killing_completeness_probe(catalog.instantiate("B.N16", sign=1.0)),
+                     "StepCollapse"),
+                    (geodesic.geodesic_completeness_probe(catalog.instantiate("A.M16")), "Blowup")):
+    assert status in {type(w.status).__name__ for w in rep.witnesses}, rep.to_json()
+"""
+    assert not loads_numpy_ma(code)
+
+
+def test_scan_sees_masked_arrays():
+    assert loads_numpy_ma("import affsurf.integrate, numpy as np; np.median([1.0, 2.0])")

@@ -19,6 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from affsurf import catalog, cli, geodesic, killing, qe
 from affsurf import expr as ex
@@ -424,6 +426,70 @@ class TestClassifyLadder:
         st = integrate_module._classify_ladder(times, times[-1], -1.0)
         assert st.t_hi == -(1.128 - 2e-4)
         assert st.t_lo == pytest.approx(-(1.128 + 3.0 * 0.008 * 0.2 / 0.8 + 2e-4), abs=1e-12)
+
+
+def numpy_rhs_grew(hist) -> bool:
+    """`_rhs_grew` as numpy's median writes it: the oracle of the float one."""
+    if len(hist) < 4:
+        return True
+    with np.errstate(all="ignore"):
+        ref = float(np.median(hist[: max(4, len(hist) // 2)]))
+    return hist[-1] > 1e3 * max(ref, 1e-12)
+
+
+def numpy_classify_ladder(ladder_times, t_last, sgn):
+    """`_classify_ladder` by numpy's diff, max and median, as (t_lo, t_hi)
+    in float.hex, or None: the oracle of the float one."""
+    if len(ladder_times) < 3:
+        return None
+    with np.errstate(all="ignore"):
+        gaps = np.diff(ladder_times)
+        gaps = gaps[gaps > 0]
+        if len(gaps) < 2:
+            return None
+        ratios = gaps[1:] / gaps[:-1]
+        if float(np.max(ratios)) >= integrate_module.CONVERGENCE_RATIO:
+            return None
+        r = float(np.median(ratios))
+    tail = float(gaps[-1]) * r / (1.0 - r)
+    a, b = sgn * (t_last - 2e-4), sgn * (t_last + 3.0 * tail + 2e-4)
+    return min(a, b).hex(), max(a, b).hex()
+
+
+#: floats with ties, signed zeros, subnormals, both infinities and NaN
+LADDER_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.25, 5e-324, 1e308,
+                                           math.inf, -math.inf, math.nan]),
+                          st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestFloatMedian:
+    """`_rhs_grew` and `_classify_ladder` classify in float arithmetic
+    exactly as the numpy formulas they replace, NaN rule included."""
+
+    @given(st.lists(LADDER_FLOATS, min_size=1, max_size=12))
+    @settings(max_examples=400, deadline=None)
+    @example([1.0, 2.0, 3.0, 4.0, 5e3])
+    @example([1.0, 2.0, 3.0, math.nan, 5e3])
+    @example([math.inf, -math.inf, 1.0, 2.0, 1e300])
+    def test_rhs_grew(self, hist):
+        assert integrate_module._rhs_grew(hist) == numpy_rhs_grew(hist)
+
+    @given(st.lists(LADDER_FLOATS, max_size=9), LADDER_FLOATS, st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=400, deadline=None)
+    @example([0.0, 1.0, 1.25, 1.3125, 1.328125], 1.328125, 1.0)
+    @example([0.0, 1.0, 1.1, 1.12, 1.128], 1.128, -1.0)
+    @example([0.0, 1.0, 1.1, 1.11, math.inf], 1.11, 1.0)
+    @example([0.0, 1.0, 1.25, 1.3125, 1.328125, 1.33203125], 1.33203125, 1.0)
+    @example([0.0, 1.0, 1.25, math.nan, 1.3125, 1.328125], 1.328125, 1.0)
+    def test_classify_ladder(self, times, t_last, sgn):
+        want = numpy_classify_ladder(times, t_last, sgn)
+        got = integrate_module._classify_ladder(times, t_last, sgn)
+        assert (got if got is None else (got.t_lo.hex(), got.t_hi.hex())) == want
+
+    def test_median_nan_rule(self):
+        median = integrate_module._median
+        assert median([3.0, 1.0, 2.0]) == 2.0 and median([4.0, 1.0, 2.0, 3.0]) == 2.5
+        assert math.isnan(median([1.0, math.nan, 2.0])) and math.isnan(median([-math.inf, math.inf]))
 
 
 class TestDomainMonitor:

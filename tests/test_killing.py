@@ -244,7 +244,7 @@ class TestGridKernels:
     def test_empty_grid(self):
         rec = C.instantiate("B.N16", sign=1.0)
         assert K.max_killing_residual(rec.spec, rec.killing_basis, []) == (0.0,) * 6
-        assert K._defect_kernel()(None, None, []) == 0.0
+        assert K._defect_kernel()(None, []) == 0.0
         assert qe._residual_kernel()(None, []) == 0.0
 
 

@@ -89,9 +89,9 @@ def jacobian_nonsingular_on(pm, grid, tol=1e-9):
 
 
 def pullback(pm: PlaneMap, target, p: Point):
-    """The target symbols pulled back through pm at p, with both map jets
-    looked up at that point."""
-    return P.pullback_connection((ex.compile_jet(pm.f1), ex.compile_jet(pm.f2)), target, p)
+    """The target symbols pulled back through pm at p, with the joint map
+    jet looked up at that point."""
+    return P.pullback_connection(ex.compile_jet(pm.f1, pm.f2), target, p)
 
 
 def einsum_pullback(pm, target, p):
