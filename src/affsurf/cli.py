@@ -24,7 +24,10 @@ from . import projective as proj
 from . import qe
 from .catalog import GuardError
 
-_PARAM_FLAGS = ("c", "a1", "a2", "b1", "b2", "kappa", "theta", "sign")
+#: every parameter name of the catalog's families, in the order they first
+#: appear there, but sign (read from words like "+" or "minus") last
+_PARAM_FLAGS = tuple(sorted(dict.fromkeys(name for fam in cat.FAMILIES.values()
+                                          for name in fam.param_names), key="sign".__eq__))
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -136,8 +139,7 @@ def _resolve_model(args) -> cat.ModelRecord:
 def _emit(payload: dict, json_path: str | None) -> None:
     text = out.dump_json(payload)
     if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(text)
+        _write(json_path, text)
     else:
         sys.stdout.write(text)
 

@@ -144,8 +144,10 @@ def _curvature_family():
         return f"0.0 + ({R(0, j, k, 0)}) + ({R(1, j, k, 1)})"
 
     def emit(name, doc, body):
-        return _compile([f"def {name}(symbols):", f'    """{doc} of the symbols (G, dG) of a point."""',
-                         f"    {_SYMBOLS} = symbols", *_indent(body)], name, __name__=__name__)
+        fn = _compile([f"def {name}(symbols):", f'    """{doc} of the symbols (G, dG) of a point."""',
+                       f"    {_SYMBOLS} = symbols", *_indent(body)], name)
+        fn.__module__ = __name__
+        return fn
     ij = ((0, 0), (0, 1), (1, 0), (1, 1))
     return (emit("curvature", "R_ijk^l, R(d_i, d_j) d_k = R_ijk^l d_l, (i, j, k, l)-major,",
                  [f"return ({', '.join(R(i, j, k, l) for i, j in ij for k, l in ij)},)"]),

@@ -2,7 +2,9 @@
 
 Expression trees over the coordinates x1, x2 built from sums, products,
 rational/real powers and the transcendental functions exp, log, sin, cos,
-arctan.  They support exact symbolic differentiation (each distinct node
+arctan.  Sums and products are built by one fold (`add` and `mul`):
+flatten, fold the constants, drop the unit, and for a product absorb a
+zero.  They support exact symbolic differentiation (each distinct node
 of a tree once per call), substitution, infix rendering, and compilation
 to fast scalar callables.  Every other module evaluates these trees:
 quasi-Einstein solution bases, affine Killing fields and embedding maps
@@ -17,8 +19,9 @@ one function: a Killing field's two components and a map's two components
 each have one.  Its 12 derivative trees are built with one `diff` memo per
 axis, so a node the trees share is differentiated once, and one
 `_emit_shared` over all of them evaluates a repeated subexpression once.
-`_compile` is the one compiler of generated source, over one namespace:
-these jets, the step loops and the grid kernels.
+`_compile` is the one compiler of generated source: these jets, the step
+loops and the grid kernels all run in the one dict `_NAMESPACE`, which no
+compile copies and each leaves with the names it had.
 
 Expressions are immutable values and safe to share across workers.
 """
@@ -148,11 +151,25 @@ def _as_expr(v) -> ScalarExpr:
 
 def add(*terms) -> ScalarExpr:
     """Sum with flattening; constants fold into the first constant slot."""
+    return _fold(Sum, terms)
+
+
+def mul(*factors) -> ScalarExpr:
+    """Product with flattening, zero absorption, unit elimination."""
+    return _fold(Prod, factors)
+
+
+def _fold(kind, operands) -> ScalarExpr:
+    """add (kind Sum) and mul (kind Prod): an operand of that kind gives
+    its own operands; the constants fold, in order, into the slot of the
+    first, which goes when it is the unit (0 or 1) and anything is left
+    beside it; a product with a zero constant is ZERO."""
+    product = kind is Prod
     flat: list[ScalarExpr] = []
-    for t in terms:
+    for t in operands:
         t = _as_expr(t)
-        if isinstance(t, Sum):
-            flat.extend(t.terms)
+        if isinstance(t, kind):
+            flat.extend(t.factors if product else t.terms)
         else:
             flat.append(t)
     out: list[ScalarExpr] = []
@@ -160,56 +177,24 @@ def add(*terms) -> ScalarExpr:
     acc = None
     for t in flat:
         if isinstance(t, Const):
-            acc = t.value if acc is None else acc + t.value
+            if product and t.value == 0:
+                return ZERO
+            acc = t.value if acc is None else acc * t.value if product else acc + t.value
             if const_pos < 0:
                 const_pos = len(out)
                 out.append(t)  # placeholder, replaced below
         else:
             out.append(t)
     if const_pos >= 0:
-        if acc == 0 and len(out) > 1:
+        if acc == (1 if product else 0) and len(out) > 1:
             del out[const_pos]
         else:
             out[const_pos] = Const(acc)
     if not out:
-        return ZERO
+        return ONE if product else ZERO
     if len(out) == 1:
         return out[0]
-    return Sum(tuple(out))
-
-
-def mul(*factors) -> ScalarExpr:
-    """Product with flattening, zero absorption, unit elimination."""
-    flat: list[ScalarExpr] = []
-    for f in factors:
-        f = _as_expr(f)
-        if isinstance(f, Prod):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    out: list[ScalarExpr] = []
-    const_pos = -1
-    acc = None
-    for f in flat:
-        if isinstance(f, Const):
-            if f.value == 0:
-                return ZERO
-            acc = f.value if acc is None else acc * f.value
-            if const_pos < 0:
-                const_pos = len(out)
-                out.append(f)
-        else:
-            out.append(f)
-    if const_pos >= 0:
-        if acc == 1 and len(out) > 1:
-            del out[const_pos]
-        else:
-            out[const_pos] = Const(acc)
-    if not out:
-        return ONE
-    if len(out) == 1:
-        return out[0]
-    return Prod(tuple(out))
+    return kind(tuple(out))
 
 
 def neg(e) -> ScalarExpr:
@@ -494,7 +479,9 @@ def _emit_shared(trees, consts: dict[str, str] | None = None) -> list[str]:
 
     for t in trees:
         count(t)
-    return [shared(t) for t in trees]
+    out = [shared(t) for t in trees]
+    del source, count, shared  # each walker refers to itself: emptying the cells ends the cycles
+    return out
 
 
 def _operands(e: ScalarExpr) -> tuple[ScalarExpr, ...]:
@@ -517,20 +504,20 @@ def _guarded_powf(u: float, pf: float) -> float:
     return u ** pf
 
 
-# the globals of all generated code; inf and nan are the repr of those constants
+# the globals of all generated code, shared; inf and nan are the repr of those constants
 _NAMESPACE = {f"_{name}": value for name, (value, _) in _FUNCS.items()}
 _NAMESPACE.update(_powf=_guarded_powf, inf=math.inf, nan=math.nan, DomainError=DomainError,
                   _RHS_ERRORS=_RHS_ERRORS, _isfinite=math.isfinite, _sqrt=math.sqrt,
                   _inf=math.inf, _float=float)
 
 
-def _compile(lines: list[str], name: str, **bound):
-    """The object that the source lines bind to name, run in a fresh copy of
-    _NAMESPACE with the names bound added: the one place that compiles
-    generated code (compiled expressions, step loops, grid kernels)."""
-    namespace = {**_NAMESPACE, **bound}
-    exec("\n".join(lines), namespace)  # noqa: S102 - generated from our own trees and tables
-    return namespace[name]
+def _compile(lines: list[str], name: str):
+    """The object that the source lines bind to name, run in _NAMESPACE
+    itself and taken back out of it, so every generated function has that
+    one dict as its globals: the one place that compiles generated code
+    (compiled expressions, step loops, grid kernels)."""
+    exec("\n".join(lines), _NAMESPACE)  # noqa: S102 - generated from our own trees and tables
+    return _NAMESPACE.pop(name)
 
 
 def _indent(lines, depth: int = 1) -> list[str]:

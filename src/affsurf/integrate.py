@@ -28,8 +28,8 @@ The half-plane is one number: a run given an `edge` keeps x1 = y[0] above
 it, and a run without one is on the plane.
 
 State dimensions here are 2 (flows) and 4 (geodesics), so the stepper core
-and the dense output that locates a crossing work on plain floats; numpy
-enters only for storage and the ladder's classification.
+and the dense output that locates a crossing work on plain floats, and so
+does the ladder's classification; numpy enters only for storage.
 The loop over accepted and rejected steps is a kernel generated from the
 tableau with every stage and component written out, the state held in
 local floats, and it alone commits accepted steps.  It hands control back
@@ -70,7 +70,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from struct import Struct
 from typing import Callable, Union
 
@@ -455,14 +455,17 @@ def _read_names(lines: tuple[str, ...]) -> frozenset[str]:
 
 @lru_cache(maxsize=None)
 def _field_code(names, prelude, comps, const_names) -> Callable:
-    """`make(*constants) -> (loop, rhs)` for one field shape."""
+    """`make(*constants) -> (loop, rhs)` for one field shape: the generated
+    `_make` with the row packer of the shape's dimension as its first
+    argument, which the loop reads as `_pack_row`."""
     call = (["def _call(_p):"]
             + [f"    {n} = _float(_p[{c}])" for c, n in enumerate(names)]
             + _indent(prelude)
             + [f"    return {_tup(comps)}"])
     body = _loop_lines(names, prelude, comps) + call + ["return _loop, _call"]
-    return _compile([f"def _make({', '.join(const_names)}):", *_indent(body)], "_make",
-                    _pack_row=Struct(f"{1 + 2 * len(names)}d").pack)
+    make = _compile([f"def _make({', '.join(('_pack_row',) + const_names)}):", *_indent(body)],
+                    "_make")
+    return partial(make, Struct(f"{1 + 2 * len(names)}d").pack)
 
 
 def _calling_field(rhs: Callable, dim: int) -> Field:

@@ -126,13 +126,14 @@ def ricci_rank(spec, p, tol=1e-9):
 def einsum_curvature(spec, p, symbols=None):
     """R[i, j, k, l] by the array formula: d_i G_jk^l - d_j G_ik^l, then one
     outer-product term G_iq^l G_jk^q - G_jq^l G_ik^q per q, of the symbols
-    (G, dG) given, else of spec's at p."""
+    (G, dG) given, else of spec's at p.  The outer product is a broadcast
+    product: np.einsum adds each product to a 0.0, which turns -0.0 to 0.0."""
     G, dG = spec.symbols_at(p) if symbols is None else symbols
     g, dg = np.array(G), np.array(dG)
     with np.errstate(over="ignore", invalid="ignore"):
         r = dg - dg.transpose(1, 0, 2, 3)
         for q in range(2):
-            t = np.einsum("il,jk->ijkl", g[:, q, :], g[:, :, q])
+            t = g[:, q, :][:, None, None, :] * g[:, :, q][None, :, :, None]
             r = r + (t - t.transpose(1, 0, 2, 3))
     return r
 

@@ -1,5 +1,6 @@
 """Expression core: parsing, rendering, differentiation, evaluation."""
 
+import gc
 import math
 from fractions import Fraction
 from typing import Mapping
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affsurf import catalog as C
+from affsurf import connection
 from affsurf import expr as ex
-from affsurf import killing
+from affsurf import integrate, killing, qe
 from affsurf.expr import (DomainError, Exponent, ScalarExpr, _func, add, const, mul, neg, power,
                           x1, x2)
 
@@ -613,6 +615,39 @@ class TestFuncTable:
             call(ex.Func("tan", x1))
 
 
+class TestOneNamespace:
+    """Every generated function has _NAMESPACE itself as its globals, and
+    compiling one leaves the names of _NAMESPACE as they were."""
+
+    def compiles(self):
+        """One fresh compile (past the caches) of each kind of generated
+        code, each giving its functions."""
+        e = add(mul(x1, x2), ex.exp(x2))
+        return [lambda: [ex.compile_scalar.__wrapped__(e)],
+                lambda: [ex.compile_jet.__wrapped__(e, x1)],
+                lambda: integrate._field_code.__wrapped__(("u", "v"), ("w = u * v",),
+                                                          ("w + c", "u"), ("c",))(2.0),
+                lambda: [killing._defect_kernel.__wrapped__()],
+                lambda: [qe._residual_kernel.__wrapped__()],
+                lambda: [connection._max_abs_kernel((), "_v", [], ["_v"])],
+                connection._curvature_family]
+
+    def test_compiling_binds_no_name(self):
+        for compile_one in self.compiles():
+            names = set(ex._NAMESPACE)
+            fns = compile_one()
+            assert set(ex._NAMESPACE) == names
+            assert [fn.__globals__ is ex._NAMESPACE for fn in fns] == [True] * len(fns)
+
+    def test_the_code_in_use(self):
+        field = killing._field_rhs(ex.VectorFieldExpr(x2, neg(x1)))
+        fns = [ex.compile_jet(x1, x2), field.kernel, field._code[1], killing._defect_kernel(),
+               qe._residual_kernel(), connection.max_abs, connection.curvature,
+               connection.ricci, connection.ricci_sym]
+        assert [fn.__globals__ is ex._NAMESPACE for fn in fns] == [True] * len(fns)
+        assert connection.curvature.__module__ == "affsurf.connection"
+
+
 #: points where a jet's values are signed zeros, subnormal, infinite or NaN,
 #: or where it raises (x1 <= 0 is off every half-plane)
 EDGE_POINTS = [(u, v) for u in (0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan, -1.5)
@@ -757,6 +792,20 @@ class TestEmitShared:
             assert outcome(shared, p) == outcome(plain, p)
         assert outcome(shared, (0.0, -1.0))[0] is ZeroDivisionError
         assert outcome(shared, (1.0, -1.0))[0] is ex.DomainError
+
+    def test_no_cyclic_garbage(self):
+        # the joint jet trees of every catalog Killing field and map
+        joint = [jet_trees(a) + jet_trees(b) for rec in C.all_records()
+                 for a, b in ([(X.c1, X.c2) for X in rec.killing_basis]
+                              + [(m.plane_map.f1, m.plane_map.f2) for m in rec.maps])]
+        gc.collect()
+        gc.disable()
+        try:
+            for trees in joint:
+                ex._emit_shared(trees)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_operands_of_a_repeat_are_not_named_alone(self):
         e = parse_expr("(x1 + x2)^2")

@@ -199,26 +199,41 @@ def test_scan_sees_unread_members():
     assert unread_members(sources) == ["A.own", "B.unread"]
 
 
-def compile_sites(sources: dict[str, str]) -> list[str]:
-    """module.function of every call of exec or eval (as a name or as an
-    attribute), by the top-level function or class it is in, or
-    module.<module> for a call outside one."""
-    out = []
+def calls(sources: dict[str, str]):
+    """(module.function, call, called name) of every call, by the top-level
+    function or class it is in, or module.<module> for a call outside one;
+    the name is the function's, as a name or as an attribute."""
     for module, source in sources.items():
         for top in ast.parse(source).body:
             where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
             for node in ast.walk(top):
                 if isinstance(node, ast.Call):
                     fn = node.func
-                    name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
-                    if name in ("exec", "eval"):
-                        out.append(f"{module}.{where}")
-    return out
+                    yield (f"{module}.{where}", node,
+                           fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None))
+
+
+def compile_sites(sources: dict[str, str]) -> list[str]:
+    """module.function of every call of exec or eval."""
+    return [where for where, _, name in calls(sources) if name in ("exec", "eval")]
+
+
+def binding_compiles(sources: dict[str, str]) -> list[str]:
+    """module.function of every call of _compile that passes anything but
+    two positional arguments (lines, name): a keyword, a third argument or
+    an unpacking could bind names in the namespace of generated code one
+    compile at a time."""
+    return [where for where, node, name in calls(sources) if name == "_compile"
+            and (len(node.args) != 2 or node.keywords
+                 or any(isinstance(a, ast.Starred) for a in node.args))]
 
 
 def test_one_compiler():
-    """Generated source is run by exec in expr._compile and nowhere else."""
-    assert compile_sites({p.stem: p.read_text() for p in MODULES}) == ["expr._compile"]
+    """Generated source is run by exec in expr._compile and nowhere else,
+    and every call of _compile binds no name of its own."""
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert compile_sites(sources) == ["expr._compile"]
+    assert binding_compiles(sources) == []
 
 
 def test_scan_sees_every_compile_site():
@@ -226,6 +241,10 @@ def test_scan_sees_every_compile_site():
                "b": "import builtins\nclass C:\n    def m(self): builtins.exec('')\n"
                     "def h(): return compile('1', '', 'eval')\n"}
     assert compile_sites(sources) == ["a.<module>", "a.f", "b.C"]
+    calls = {"a": "_compile(lines, 'f')\ndef f(): return _compile(lines, 'f', g=1)\n",
+             "b": "def g(): return ex._compile(*args)\nclass C:\n    k = _compile(a, 'k', {})\n"
+                  "def h(): return _compile(lines)\n"}
+    assert binding_compiles(calls) == ["a.f", "b.g", "b.C", "b.h"]
 
 
 def test_verification_loads_no_stepper():
