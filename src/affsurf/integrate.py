@@ -56,8 +56,13 @@ settled before any cut is returned as it is, the same object.  The
 extension must keep the run's direction and its edge, compared by value.
 The probes confirm a complete verdict this way, extending each horizon-T
 run instead of integrating again from t = 0.  The history is one flat
-buffer of doubles, a row (sgn t, y, f) per step (8 bytes per value),
-which the Trajectory's arrays read in place.
+buffer of doubles, a row (sgn t, y) per step (8 bytes per value), which
+the Trajectory's times and states read in place.  A row holds no
+derivative: f = rhs(y) is recomputed from the stored y where it is read,
+bit for bit the value the step computed: for the previous row of a step
+that reached the edge or a rung, for the rows a step collapse is
+classified by, and, from the Trajectory's rhs, for a run's nodal
+derivatives (the last row's the Trajectory keeps).
 
 The tolerances, the minimum step, the state cap and the limit of 400,000
 steps (counted from t = 0, over every extension of a run) are fixed module
@@ -144,25 +149,28 @@ class Trajectory:
     status, and where integrate() extends the run.
 
     times are strictly monotone in the integration direction; states hold
-    the sampled points (dimension 2 for flows, 4 for geodesics).  The nodal
-    derivatives are kept so samples can be interpolated by cubic Hermite.
-    The three arrays read the run's flat history buffer rows, a row (sgn t,
-    y, f) per step, in place.  The run was made in `direction` to the
-    horizon `span` with the x1 `edge` (a float, or None for no edge); loop
-    is the loop's state (steps used, t, y, f, h, ladder times) at the first
-    step the horizon cut short, and n the number of rows then.  loop is
-    None when the run ended before any cut; its status then stands at every
-    longer horizon.  An extension must pass an edge equal in value to this
-    one."""
+    the sampled points (dimension 2 for flows, 4 for geodesics).  The two
+    arrays read the run's flat history buffer rows, a row (sgn t, y) per
+    step, in place.  No derivative is stored: the nodal derivative, for
+    cubic Hermite interpolation, is the run's right-hand side `rhs` at a
+    row's state, recomputed where it is read, except at the last row,
+    whose derivative `f_last` the run keeps (at a LeftDomain crossing
+    where rhs fails it is the edge step's).  The run was made in
+    `direction` to the horizon `span` with the x1 `edge` (a float, or None
+    for no edge); loop is the loop's state (steps used, t, y, f, h, ladder
+    times) at the first step the horizon cut short, and n the number of
+    rows then.  loop is None when the run ended before any cut; its status
+    then stands at every longer horizon.  An extension must pass an edge
+    equal in value to this one."""
 
-    __slots__ = ("times", "states", "derivs", "status", "direction", "span", "edge", "rows",
-                 "n", "loop")
+    __slots__ = ("times", "states", "status", "direction", "span", "edge", "rows", "n", "loop",
+                 "rhs", "f_last")
 
-    def __init__(self, rows, dim, status, direction, span, edge, n, loop):
-        a = np.frombuffer(rows).reshape(-1, 1 + 2 * dim)
-        self.times, self.states, self.derivs = a[:, 0], a[:, 1:1 + dim], a[:, 1 + dim:]
+    def __init__(self, rows, dim, status, direction, span, edge, n, loop, rhs, f_last):
+        a = np.frombuffer(rows).reshape(-1, 1 + dim)
+        self.times, self.states = a[:, 0], a[:, 1:]
         self.status, self.direction, self.span, self.edge = status, direction, span, edge
-        self.rows, self.n, self.loop = rows, n, loop
+        self.rows, self.n, self.loop, self.rhs, self.f_last = rows, n, loop, rhs, f_last
 
     @property
     def escaped(self) -> bool:
@@ -209,7 +217,7 @@ def integrate(rhs: Callable,
         if run.loop is None:
             return run
         dim = run.states.shape[1]
-        rows = run.rows[:run.n * (1 + 2 * dim)]
+        rows = run.rows[:run.n * (1 + dim)]
         used, t, y, f, h, ladder_times = run.loop
         ladder_times = list(ladder_times)
     else:
@@ -218,26 +226,30 @@ def integrate(rhs: Callable,
         if edge is not None and y[0] <= edge:
             raise DomainError("initial point outside the domain")
         try:
-            f = tuple(float(v) for v in rhs(y))
+            f = _call_rhs(rhs, y)
         except _RHS_ERRORS as err:
             raise DomainError(f"right-hand side undefined at the initial point: {err}") from err
         if len(f) != dim:
             raise TypeError(f"right-hand side has {len(f)} components for a state of dimension {dim}")
-        rows = array("d", (0.0, *y, *f))
+        rows = array("d", (0.0, *y))
         ladder_times = []
         while len(ladder_times) < len(LADDER) and _norm_inf(y) >= LADDER[len(ladder_times)]:
             ladder_times.append(0.0)
         h = _initial_step(y, f)
         t = 0.0
         used = 0
-    w = 1 + 2 * dim  # doubles per history row
+    w = 1 + dim  # doubles per history row
     loop = (rhs if isinstance(rhs, Field) else _calling_field(rhs, dim)).kernel
     floor = -math.inf if edge is None else edge  # accepted steps are finite, so never <= -inf
     cut = None
 
-    def finish(status: Status) -> Trajectory:
+    def finish(status: Status, f_last=None) -> Trajectory:  # f_last: the last row's f if not f
         n, state = (len(rows) // w, None) if cut is None else cut
-        return Trajectory(rows, dim, status, direction, span, edge, n, state)
+        return Trajectory(rows, dim, status, direction, span, edge, n, state, rhs,
+                          f if f_last is None else f_last)
+
+    def f_at(i):  # f of row i: an accepted state or row 0, so rhs is defined there
+        return _call_rhs(rhs, tuple(rows[i * w + 1:(i + 1) * w]))
 
     while True:
         rung = LADDER[len(ladder_times)] if len(ladder_times) < len(LADDER) else STATE_CAP
@@ -260,22 +272,24 @@ def integrate(rhs: Callable,
                     return finish(Unbounded(sgn * t))
                 if y[0] <= max(1e-8, edge * 4):
                     return finish(LeftDomain(sgn * t))
-            return finish(StepCollapse(sgn * t, _rhs_grew([_norm_inf(rows[i + 1 + dim:i + w])
-                                                            for i in range(0, len(rows), w)])))
+            n = len(rows) // w  # f is the last row's
+            grew = _rhs_grew(n, lambda i: _norm_inf(f if i == n - 1 else f_at(i)))
+            return finish(StepCollapse(sgn * t, grew))
 
         # "edge" or "rung": the step committed from the previous row reached the
         # edge or crossed ladder thresholds
         prev = rows[-2 * w:-w]
         t_prev = abs(prev[0])  # exact: internal time is >= 0
-        seg = _segment(t_prev, prev[1:1 + dim], prev[1 + dim:], t, y, f, sgn)
+        f_prev = f_at(len(rows) // w - 2)
+        seg = _segment(t_prev, prev[1:], f_prev, t, y, f, sgn)
         if event == "edge":  # the step's row goes; the crossing's row replaces it
             del rows[-w:]
             if prev[1] <= UNDERFLOW_X1:
-                return finish(Unbounded(sgn * t_prev))  # not prev[0]: row 0 holds t = +0.0
+                return finish(Unbounded(sgn * t_prev), f_prev)  # not prev[0]: row 0 holds t = +0.0
             t_cross = _bisect_crossing(lambda tt: seg(tt)[0] - edge, t_prev, t)
             y_cross = tuple(float(v) for v in seg(t_cross))
-            rows.extend((sgn * t_cross, *y_cross, *_safe_rhs(rhs, y_cross, f)))
-            return finish(LeftDomain(sgn * t_cross))
+            rows.extend((sgn * t_cross, *y_cross))
+            return finish(LeftDomain(sgn * t_cross), _safe_rhs(rhs, y_cross, f))
         n_new = _norm_inf(y)
         while len(ladder_times) < len(LADDER) and n_new >= LADDER[len(ladder_times)]:
             rung = LADDER[len(ladder_times)]
@@ -345,7 +359,7 @@ def _loop_lines(names, prelude, comps) -> list[str]:
     A step is rejected unless its error norm is <= 1 (NaN included) and
     scales h by 0.25 when the error norm is not finite or a stage failed,
     else by max(0.2, 0.9 enorm^-0.2); an accepted step packs the row
-    (sgn t, y, f) onto the flat history rows and scales h by min(5,
+    (sgn t, y) onto the flat history rows and scales h by min(5,
     max(0.2, 0.9 (enorm + 1e-300)^-0.2)).  The loop returns
     `(event, used, t, y, f, h)` at the pass where integrate() has work to
     do: 'horizon' before a step when h > span - t, 'stall' when a
@@ -368,8 +382,7 @@ def _loop_lines(names, prelude, comps) -> list[str]:
             "_t = _t + _h",
             f"{y} = {_tup(f'_n{c}' for c in cs)}",
             f"{f} = {_tup(f'_k{len(_A)}_{c}' for c in cs)}",
-            f"_put(_pack(_sgn * _t, {', '.join(f'_y{c}' for c in cs)}, "
-            f"{', '.join(f'_k0_{c}' for c in cs)}))",
+            f"_put(_pack(_sgn * _t, {', '.join(f'_y{c}' for c in cs)}))",
             "_x = 0.9 * (_enorm + 1e-300) ** -0.2",
             "_x = _x if _x > 0.2 else 0.2",
             "_h *= _x if _x < 5.0 else 5.0",
@@ -465,7 +478,7 @@ def _field_code(names, prelude, comps, const_names) -> Callable:
     body = _loop_lines(names, prelude, comps) + call + ["return _loop, _call"]
     make = _compile([f"def _make({', '.join(('_pack_row',) + const_names)}):", *_indent(body)],
                     "_make")
-    return partial(make, Struct(f"{1 + 2 * len(names)}d").pack)
+    return partial(make, Struct(f"{1 + len(names)}d").pack)
 
 
 def _calling_field(rhs: Callable, dim: int) -> Field:
@@ -496,9 +509,13 @@ def _segment(t0, y0, f0, t1, y1, f1, sgn):
     return at
 
 
+def _call_rhs(rhs, y) -> tuple[float, ...]:
+    return tuple(float(v) for v in rhs(y))
+
+
 def _safe_rhs(rhs, y, fallback):
     try:
-        return tuple(float(v) for v in rhs(y))
+        return _call_rhs(rhs, y)
     except _RHS_ERRORS:
         return tuple(fallback)
 
@@ -525,11 +542,14 @@ def _median(xs) -> float:
     return s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2
 
 
-def _rhs_grew(hist) -> bool:
-    if len(hist) < 4:
+def _rhs_grew(n, norm) -> bool:
+    """Whether |f| grew over a run of n rows, norm(i) being |f| at row i:
+    the last row's exceeds 1e3 times the median over the first half (at
+    least 4 rows); True under 4 rows.  Only the rows read are asked for."""
+    if n < 4:
         return True
-    ref = _median(hist[: max(4, len(hist) // 2)])
-    return hist[-1] > 1e3 * max(ref, 1e-12)
+    ref = _median([norm(i) for i in range(max(4, n // 2))])
+    return norm(n - 1) > 1e3 * max(ref, 1e-12)
 
 
 def _bisect_crossing(g, t_lo, t_hi) -> float:

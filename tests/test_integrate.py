@@ -89,7 +89,7 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
         if run.loop is None:
             return run
         dim = run.states.shape[1]
-        rows = run.rows[:run.n * (1 + 2 * dim)]
+        rows = run.rows[:run.n * (1 + dim)]
         used, t, y, f, h, ladder_times = run.loop
         ladder_times = list(ladder_times)
         ladder_idx = len(ladder_times)
@@ -99,7 +99,7 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
         if edge is not None and y[0] <= edge:
             raise DomainError("initial point outside the domain")
         f = tuple(float(v) for v in rhs(y))
-        rows = array("d", (0.0, *y, *f))
+        rows = array("d", (0.0, *y))
         ladder_times = []
         ladder_idx = 0
         while ladder_idx < len(im.LADDER) and im._norm_inf(y) >= im.LADDER[ladder_idx]:
@@ -108,13 +108,17 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
         h = im._initial_step(y, f)
         t = 0.0
         used = 0
-    w = 1 + 2 * dim  # a history row is (sgn t, y, f)
+    w = 1 + dim  # a history row is (sgn t, y)
     cut = None
     log = passes if passes is not None else []
 
-    def finish(status):
+    def finish(status, f_last):
         n, loop = (len(rows) // w, None) if cut is None else cut
-        return im.Trajectory(rows, dim, status, direction, span, edge, n, loop)
+        return im.Trajectory(rows, dim, status, direction, span, edge, n, loop, rhs, f_last)
+
+    def f_of(i):
+        """f of row i, recomputed from its stored state."""
+        return tuple(float(v) for v in rhs(tuple(rows[i * w + 1:(i + 1) * w])))
 
     def stalled_status():
         blow = im._classify_ladder(ladder_times, t, sgn)
@@ -125,15 +129,16 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
                 return Unbounded(sgn * t)
             if y[0] <= max(1e-8, edge * 4):
                 return LeftDomain(sgn * t)
-        return StepCollapse(sgn * t, im._rhs_grew([im._norm_inf(rows[i + 1 + dim:i + w])
-                                                   for i in range(0, len(rows), w)]))
+        n = len(rows) // w
+        return StepCollapse(sgn * t, im._rhs_grew(
+            n, lambda i: im._norm_inf(f if i == n - 1 else f_of(i))))
 
     for used in range(used, im.MAX_STEPS):
         if h > span - t:
             if cut is None:
                 cut = (len(rows) // w, (used, t, y, f, h, tuple(ladder_times)))
             if t >= span:
-                return finish(ReachedHorizon(sgn * span))
+                return finish(ReachedHorizon(sgn * span), f)
             h = span - t
             log.append("cut")
 
@@ -142,7 +147,7 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
             log.append("failed")
             h *= 0.25
             if h < im.H_MIN:
-                return finish(stalled_status())
+                return finish(stalled_status(), f)
             continue
         y_new, f_new, enorm = stepped
         if not enorm <= 1.0:
@@ -150,34 +155,38 @@ def reference_integrate(rhs, y0, t_end, *, edge=None, passes=None):
             factor = 0.25 if not math.isfinite(enorm) else max(0.2, 0.9 * enorm ** -0.2)
             h *= factor
             if h < im.H_MIN:
-                return finish(stalled_status())
+                return finish(stalled_status(), f)
             continue
         log.append("accepted")
 
         t_new = t + h
+        n_new = im._norm_inf(y_new)
+        rung = im.LADDER[ladder_idx] if ladder_idx < len(im.LADDER) else im.STATE_CAP
+        if edge is not None and y_new[0] <= edge or n_new >= rung:
+            # integrate() recomputes the current row's f for the crossing segment
+            f_row = f_of(len(rows) // w - 1)
         if edge is not None and y_new[0] <= edge:
             if y[0] <= im.UNDERFLOW_X1:
-                return finish(Unbounded(sgn * t))
-            seg = im._segment(t, y, f, t_new, y_new, f_new, sgn)
+                return finish(Unbounded(sgn * t), f_row)
+            seg = im._segment(t, y, f_row, t_new, y_new, f_new, sgn)
             t_cross = im._bisect_crossing(lambda tt: seg(tt)[0] - edge, t, t_new)
             y_cross = tuple(float(v) for v in seg(t_cross))
-            rows.extend((sgn * t_cross, *y_cross, *im._safe_rhs(rhs, y_cross, f_new)))
-            return finish(LeftDomain(sgn * t_cross))
+            rows.extend((sgn * t_cross, *y_cross))
+            return finish(LeftDomain(sgn * t_cross), im._safe_rhs(rhs, y_cross, f_new))
 
-        n_new = im._norm_inf(y_new)
         while ladder_idx < len(im.LADDER) and n_new >= im.LADDER[ladder_idx]:
             rung = im.LADDER[ladder_idx]
-            seg = im._segment(t, y, f, t_new, y_new, f_new, sgn)
+            seg = im._segment(t, y, f_row, t_new, y_new, f_new, sgn)
             t_cross = im._bisect_crossing(lambda tt: im._norm_inf(seg(tt)) - rung, t, t_new)
             ladder_times.append(t_cross)
             ladder_idx += 1
 
         t, y, f = t_new, y_new, f_new
-        rows.extend((sgn * t, *y, *f))
+        rows.extend((sgn * t, *y))
 
         if n_new >= im.STATE_CAP:
             blow = im._classify_ladder(ladder_times, t, sgn)
-            return finish(blow if blow is not None else Unbounded(sgn * t))
+            return finish(blow if blow is not None else Unbounded(sgn * t), f)
 
         h *= min(5.0, max(0.2, 0.9 * (enorm + 1e-300) ** -0.2))
     raise RuntimeError(f"integrator exceeded max_steps ({im.MAX_STEPS})")
@@ -283,6 +292,19 @@ def hermite(t0, y0, f0, t1, y1, f1, t):
     return h00 * y0 + h10 * dt * f0 + h01 * y1 + h11 * dt * f1
 
 
+def deriv(tr, i: int) -> tuple[float, ...]:
+    """A run's nodal derivative at row i: its right-hand side at the row's
+    state, recomputed, and the derivative the run kept at the last row."""
+    if i == len(tr.times) - 1:
+        return tr.f_last
+    return tuple(float(v) for v in tr.rhs(tuple(tr.states[i].tolist())))
+
+
+def derivs(tr) -> np.ndarray:
+    """A run's nodal derivatives, row by row (see deriv)."""
+    return np.array([deriv(tr, i) for i in range(len(tr.times))])
+
+
 def dense_eval(tr, t: float) -> np.ndarray:
     """A trajectory's dense output at t, by cubic Hermite interpolation
     between its nodes."""
@@ -295,8 +317,8 @@ def dense_eval(tr, t: float) -> np.ndarray:
     else:
         i = int(np.searchsorted(-ts, -t, side="right")) - 1
     i = max(0, min(i, len(ts) - 2))
-    return hermite(ts[i], tr.states[i], tr.derivs[i],
-                   ts[i + 1], tr.states[i + 1], tr.derivs[i + 1], t)
+    return hermite(ts[i], tr.states[i], np.array(deriv(tr, i)),
+                   ts[i + 1], tr.states[i + 1], np.array(deriv(tr, i + 1)), t)
 
 
 def random_entries(rng, n):
@@ -472,7 +494,7 @@ class TestFloatMedian:
     @example([1.0, 2.0, 3.0, math.nan, 5e3])
     @example([math.inf, -math.inf, 1.0, 2.0, 1e300])
     def test_rhs_grew(self, hist):
-        assert integrate_module._rhs_grew(hist) == numpy_rhs_grew(hist)
+        assert integrate_module._rhs_grew(len(hist), hist.__getitem__) == numpy_rhs_grew(hist)
 
     @given(st.lists(LADDER_FLOATS, max_size=9), LADDER_FLOATS, st.sampled_from([1.0, -1.0]))
     @settings(max_examples=400, deadline=None)
@@ -785,7 +807,7 @@ class TestFusedKernel:
         called = integrate(lambda y: field(y), (1.0, 0.0), 5.0)
         assert len(points) >= 6 * (len(fused.times) - 1)
         for a, b in ((fused.times, called.times), (fused.states, called.states),
-                     (fused.derivs, called.derivs)):
+                     (derivs(fused), derivs(called))):
             assert a.tobytes() == b.tobytes()
 
     def test_malformed_field(self):
@@ -809,7 +831,7 @@ class TestFusedKernel:
 
 def trajectory_digest(tr) -> str:
     h = hashlib.sha256()
-    for a in (tr.times, tr.states, tr.derivs):
+    for a in (tr.times, tr.states, derivs(tr)):
         h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
     return h.hexdigest()
 
@@ -1109,7 +1131,7 @@ class TestStepLoop:
         got = integrate(nan_on_7th_call(), (0.0,), 1.0)
         assert_same_run(got, want)
         assert passes[0] == "rejected" and got.status == ReachedHorizon(1.0)
-        assert not np.isnan(got.derivs).any()
+        assert not np.isnan(derivs(got)).any()
 
     def test_domain_error_at_a_stage(self):
         tr, passes = assert_matches_reference(field_of("-1.0", "_log(x1)"), (1.0, 0.0), 5.0, 0.0)
@@ -1154,12 +1176,13 @@ class TestStepLoop:
         # f = (-0.0, 1e-310) on every row, and x2 is subnormal after t = 0
         field = field_of("-0.0", "x1 * 1e-310")
         want, _ = assert_matches_reference(field, (1.0, 0.0), t_end)
-        hexes = [[v.hex() for v in a.ravel().tolist()] for a in (want.times, want.states, want.derivs)]
+        hexes = [[v.hex() for v in a.ravel().tolist()]
+                 for a in (want.times, want.states, derivs(want))]
         for rhs in source_and_call_forms(field):
             got = integrate(rhs, (1.0, 0.0), t_end)
             assert [[v.hex() for v in a.ravel().tolist()]
-                    for a in (got.times, got.states, got.derivs)] == hexes
-        assert all(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in want.derivs[:, 0])
+                    for a in (got.times, got.states, derivs(got))] == hexes
+        assert all(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in derivs(want)[:, 0])
         assert all(0.0 < abs(v) < sys.float_info.min for v in want.states[1:, 1])
 
     @pytest.mark.parametrize("rung", range(len(integrate_module.LADDER)))
@@ -1193,6 +1216,66 @@ class TestStepLoop:
         for run in runs:
             with pytest.raises(RuntimeError, match=f"max_steps \\({needed - 1}\\)"):
                 run()
+
+
+def float_hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestHistoryRows:
+    """A history row is (sgn t, y): a run's nodal derivatives are its
+    right-hand side at the stored states, bit for bit the derivatives its
+    steps computed, and a LeftDomain crossing row where the right-hand side
+    fails keeps the edge step's derivative."""
+
+    def test_killing_flow_rows(self):
+        X = m46_benchmark_combination()
+        tr = killing.flow_integrate(X, (0.3, -0.7), 20.0)
+        rhs = killing._field_rhs(X)
+        assert tr.status == ReachedHorizon(20.0) and len(tr.times) > 100
+        assert len(tr.rows) == (1 + 2) * len(tr.times)
+        for s, d in zip(tr.states.tolist(), derivs(tr).tolist()):
+            assert float_hexes(d) == float_hexes(rhs(tuple(s)))
+        # the steps' own derivatives: the last row's and the one at the cut
+        assert float_hexes(tr.f_last) == float_hexes(rhs(tuple(tr.states[-1].tolist())))
+        assert float_hexes(tr.loop[3]) == float_hexes(rhs(tuple(tr.states[tr.n - 1].tolist())))
+
+    def test_geodesic_rows(self):
+        rec = catalog.instantiate("B.N43")
+        tr = geodesic.geodesic_integrate(rec.spec, rec.base_point, (1.0, 1.0), 50.0)
+        rhs = geodesic._make_rhs(rec.spec)
+        assert isinstance(tr.status, LeftDomain) and len(tr.times) > 100
+        assert len(tr.rows) == (1 + 4) * len(tr.times)
+        for s, d in zip(tr.states[:-1].tolist(), derivs(tr)[:-1].tolist()):  # not the crossing
+            assert float_hexes(d) == float_hexes(rhs(tuple(s)))
+
+    @pytest.mark.parametrize("form", ["field", "callable"])
+    def test_crossing_row_keeps_the_edge_steps_derivative(self, form):
+        # x1 = 1 - t crosses the edge 0 at t = 1; the second run's right-hand
+        # side fails at exactly the crossing point the first run located
+        y_cross = tuple(integrate(field_of("-1.0", "x1"), (1.0, 0.0), 5.0, edge=0.0)
+                        .states[-1].tolist())
+        points = []
+        if form == "field":
+            rhs = field_of("-1.0", "x1", prelude=(
+                "seen((x1, x2))", "if (x1, x2) == cross:", "    raise DomainError('crossing')"))
+            rhs = Field(rhs.names, rhs.prelude, rhs.comps,
+                        (("seen", points.append), ("cross", y_cross)))
+        else:
+            def rhs(y):
+                points.append(tuple(y))
+                if tuple(y) == y_cross:
+                    raise DomainError("crossing")
+                return (-1.0, y[0])
+        tr = integrate(rhs, (1.0, 0.0), 5.0, edge=0.0)
+        run_points = points[:]
+        assert isinstance(tr.status, LeftDomain) and tuple(tr.states[-1].tolist()) == y_cross
+        assert run_points[-1] == y_cross  # the right-hand side failed at the crossing
+        # the edge step's state: its last stage point, the last one at or under the edge
+        y_edge = [p for p in run_points[:-1] if p[0] <= 0.0][-1]
+        assert y_edge[0] != y_cross[0]
+        want = float_hexes((-1.0, y_edge[0]))
+        assert float_hexes(tr.f_last) == want and float_hexes(derivs(tr)[-1]) == want
 
 
 def literal_field(X) -> Field:
@@ -1330,7 +1413,7 @@ class TestReadNames:
 def assert_same_arrays(a, b):
     """Equal statuses and equal bytes of times, states and derivs."""
     assert a.status == b.status
-    for u, v in ((a.times, b.times), (a.states, b.states), (a.derivs, b.derivs)):
+    for u, v in ((a.times, b.times), (a.states, b.states), (derivs(a), derivs(b))):
         assert u.tobytes() == v.tobytes()
 
 
