@@ -24,14 +24,13 @@ Geodesic completeness for the B families is deliberately left unclassified
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import expr as ex
 from .connection import ChristoffelSpec
-from .expr import (PlaneMap, ScalarExpr, VectorFieldExpr, const, cos, exp, log, power,
+from .expr import (Data, PlaneMap, ScalarExpr, VectorFieldExpr, const, cos, exp, log, power,
                    pullback_fields, sin, x1, x2)
 
 F = Fraction
@@ -41,10 +40,11 @@ class GuardError(ValueError):
     """A family parameter guard was violated; the message names the guard."""
 
 
-@dataclass(frozen=True)
-class ModelRef:
-    family: str
-    params: tuple[tuple[str, float], ...] = ()
+class ModelRef(Data):
+    __slots__ = ("family", "params")
+
+    def __init__(self, family: str, params: tuple[tuple[str, float], ...] = ()):
+        self.family, self.params = family, params
 
     @property
     def p(self) -> dict:
@@ -81,12 +81,13 @@ def ref(family: str, **params) -> ModelRef:
     return ModelRef(family, tuple(items))
 
 
-@dataclass(frozen=True)
-class ExpectedFlags:
-    dim_killing: int
-    ricci_rank: int | None
-    killing_complete: bool
-    geodesically_complete: bool | None  # None = not classified
+class ExpectedFlags(Data):
+    __slots__ = ("dim_killing", "ricci_rank", "killing_complete", "geodesically_complete")
+
+    def __init__(self, dim_killing: int, ricci_rank: int | None, killing_complete: bool,
+                 geodesically_complete: bool | None):  # None = not classified
+        self.dim_killing, self.ricci_rank = dim_killing, ricci_rank
+        self.killing_complete, self.geodesically_complete = killing_complete, geodesically_complete
 
     def to_json(self) -> dict:
         gc = self.geodesically_complete
@@ -98,23 +99,22 @@ class ExpectedFlags:
         }
 
 
-@dataclass(frozen=True)
-class AffineMapEntry:
-    name: str
-    plane_map: PlaneMap
-    target: ModelRef
+class AffineMapEntry(Data):
+    __slots__ = ("name", "plane_map", "target")
+
+    def __init__(self, name: str, plane_map: PlaneMap, target: ModelRef):
+        self.name, self.plane_map, self.target = name, plane_map, target
 
 
-@dataclass(frozen=True)
-class ModelRecord:
-    ref: ModelRef
-    spec: ChristoffelSpec
-    q_basis: tuple[ScalarExpr, ...]
-    killing_basis: tuple[VectorFieldExpr, ...]
-    expected: ExpectedFlags
-    maps: tuple[AffineMapEntry, ...]
-    base_point: tuple[float, float]
-    notes: str
+class ModelRecord(Data):
+    __slots__ = ("ref", "spec", "q_basis", "killing_basis", "expected", "maps", "base_point",
+                 "notes")
+
+    def __init__(self, ref: ModelRef, spec: ChristoffelSpec, q_basis: tuple[ScalarExpr, ...],
+                 killing_basis: tuple[VectorFieldExpr, ...], expected: ExpectedFlags,
+                 maps: tuple[AffineMapEntry, ...], base_point: tuple[float, float], notes: str):
+        self.ref, self.spec, self.q_basis, self.killing_basis = ref, spec, q_basis, killing_basis
+        self.expected, self.maps, self.base_point, self.notes = expected, maps, base_point, notes
 
     @property
     def mtype(self) -> str:
@@ -136,8 +136,7 @@ class ModelRecord:
         }
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Data):
     """One row of the atlas: everything the package knows about a family.
 
     The first six fields are the family's listing (``to_json``).  ``build``
@@ -151,18 +150,19 @@ class Family:
     parameter dict.  ``notes`` is copied into every record.
     """
 
-    name: str
-    mtype: str  # "A" | "B" | "aux"
-    param_names: tuple[str, ...]
-    guard_text: str
-    dim_killing: int
-    summary: str
-    build: Callable[[dict], tuple]
-    samples: tuple[tuple[float, ...], ...]
-    ricci_rank: int | None
-    killing_complete: bool
-    geodesically_complete: bool | None | Callable[[dict], bool]
-    notes: str = ""
+    __slots__ = ("name", "mtype", "param_names", "guard_text", "dim_killing", "summary", "build",
+                 "samples", "ricci_rank", "killing_complete", "geodesically_complete", "notes")
+
+    def __init__(self, name: str, mtype: str, param_names: tuple[str, ...], guard_text: str,
+                 dim_killing: int, summary: str, build: Callable[[dict], tuple],
+                 samples: tuple[tuple[float, ...], ...], ricci_rank: int | None,
+                 killing_complete: bool,
+                 geodesically_complete: bool | None | Callable[[dict], bool], notes: str = ""):
+        self.name, self.mtype, self.param_names = name, mtype, param_names  # mtype "A", "B", "aux"
+        self.guard_text, self.dim_killing, self.summary = guard_text, dim_killing, summary
+        self.build, self.samples, self.ricci_rank = build, samples, ricci_rank
+        self.killing_complete, self.geodesically_complete = killing_complete, geodesically_complete
+        self.notes = notes
 
     def to_json(self) -> dict:
         return {"family": self.name, "type": self.mtype, "params": list(self.param_names),

@@ -198,6 +198,8 @@ def _verify_one(record: cat.ModelRecord, n_grid: int) -> dict:
 
 def cmd_verify(args) -> int:
     if args.all:
+        if args.family or any(getattr(args, name) is not None for name in _PARAM_FLAGS):
+            raise GuardError("verify --all takes no family or family parameter")
         records = cat.all_records()
     else:
         if not args.family:
@@ -260,6 +262,8 @@ def cmd_flatten(args) -> int:
 def cmd_table(args) -> int:
     if args.T is not None:
         _check_horizon(args.T)
+    if args.seed < 0:
+        raise GuardError(f"--seed must be a non-negative integer, got {args.seed}")
     records = (cat.all_records("B") if args.theorem == "1.10"
                else [r for r in cat.all_records() if r.mtype != "B"])
     if args.theorem == "1.7":

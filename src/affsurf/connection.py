@@ -41,11 +41,9 @@ for the flattening and map checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .expr import DomainError, Point, _compile, _indent
+from .expr import Data, DomainError, Point, _compile, _indent
 
 Coeffs = tuple[float, float, float, float, float, float]
 
@@ -55,15 +53,13 @@ KINDS = ("constant", "inverse-x1", "linear-x1")
 _ZERO = (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))
 
 
-@dataclass(frozen=True)
-class ChristoffelSpec:
-    coeffs: Coeffs
-    kind: str = "constant"
+class ChristoffelSpec(Data):
+    __slots__ = ("coeffs", "kind")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        object.__setattr__(self, "coeffs", tuple(float(v) for v in self.coeffs))
+    def __init__(self, coeffs: Coeffs, kind: str = "constant"):
+        if kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        self.coeffs, self.kind = tuple(float(v) for v in coeffs), kind
 
     def symbols_at(self, p: Point):
         """(G, dG) in index form, as nested tuples of floats:

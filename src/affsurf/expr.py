@@ -29,7 +29,6 @@ Expressions are immutable values and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Union
@@ -45,12 +44,41 @@ class DomainError(ValueError):
 _RHS_ERRORS = (DomainError, OverflowError, ZeroDivisionError, ValueError)
 
 
-@dataclass(frozen=True)
-class ScalarExpr:
+class Data:
+    """Base of the package's data classes.  A subclass names its fields in
+    `__slots__` and sets them in its own `__init__`; its instances compare
+    equal only to instances of exactly the same class whose fields are
+    equal in order, hash as the tuple of their fields and print as
+    `Class(field=value, ...)`.  No method is generated per class, so
+    defining one costs no more than any plain class."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+    def __hash__(self):
+        return hash(_fields(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({args})"
+
+
+def _fields(obj: Data) -> tuple:
+    return tuple([getattr(obj, name) for name in obj.__slots__])
+
+
+class ScalarExpr(Data):
     """Base class for expression nodes.  Use the module-level constructors
-    (`add`, `mul`, `power`, `exp`, ...) rather than the dataclasses directly;
-    they perform the conservative simplifications (constant folding and 0/1
-    elimination) that the rest of the code base relies on."""
+    (`add`, `mul`, `power`, `exp`, ...) rather than the node classes
+    directly; they perform the conservative simplifications (constant
+    folding and 0/1 elimination) that the rest of the code base relies on.
+    Nodes are values: nothing assigns a field after construction."""
+
+    __slots__ = ()
 
     # Operator sugar so catalog code can write e.g. `x1 * exp(c * x2)`.
     def __add__(self, other):
@@ -84,12 +112,15 @@ class ScalarExpr:
         return power(self, p)
 
 
-@dataclass(frozen=True)
 class Const(ScalarExpr):
     """Equal to another Const of the same value and, unlike ==, the same
     sign of zero: compiled code keeps that sign, so the compile caches
     must tell Const(0.0) from Const(-0.0)."""
-    value: Union[Fraction, float]
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Union[Fraction, float]):
+        self.value = value
 
     def __eq__(self, other):
         return other.__class__ is Const and _signed(self.value) == _signed(other.value)
@@ -102,31 +133,39 @@ def _signed(v) -> tuple:
     return v, math.copysign(1.0, v) if v == 0 else 1.0
 
 
-@dataclass(frozen=True)
 class Coord(ScalarExpr):
-    axis: int  # 1 or 2
+    __slots__ = ("axis",)
+
+    def __init__(self, axis: int):  # 1 or 2
+        self.axis = axis
 
 
-@dataclass(frozen=True)
 class Sum(ScalarExpr):
-    terms: tuple[ScalarExpr, ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[ScalarExpr, ...]):
+        self.terms = terms
 
 
-@dataclass(frozen=True)
 class Prod(ScalarExpr):
-    factors: tuple[ScalarExpr, ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[ScalarExpr, ...]):
+        self.factors = factors
 
 
-@dataclass(frozen=True)
 class Pow(ScalarExpr):
-    base: ScalarExpr
-    exponent: Exponent
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: ScalarExpr, exponent: Exponent):
+        self.base, self.exponent = base, exponent
 
 
-@dataclass(frozen=True)
 class Func(ScalarExpr):
-    name: str  # a key of _FUNCS: exp, log, sin, cos or arctan
-    arg: ScalarExpr
+    __slots__ = ("name", "arg")
+
+    def __init__(self, name: str, arg: ScalarExpr):  # name: a key of _FUNCS
+        self.name, self.arg = name, arg
 
 
 x1 = Coord(1)
@@ -607,22 +646,24 @@ def _render_exponent(p: Exponent) -> str:
 # vector fields and plane maps
 
 
-@dataclass(frozen=True)
-class VectorFieldExpr:
+class VectorFieldExpr(Data):
     """A vector field c1(x) d/dx1 + c2(x) d/dx2 in closed form."""
 
-    c1: ScalarExpr
-    c2: ScalarExpr
+    __slots__ = ("c1", "c2")
+
+    def __init__(self, c1: ScalarExpr, c2: ScalarExpr):
+        self.c1, self.c2 = c1, c2
 
 
-@dataclass(frozen=True)
-class PlaneMap:
+class PlaneMap(Data):
     """A map (x1, x2) -> (f1, f2).  Used for the affine
     embeddings/isomorphisms between catalog models and for the
     straightening immersions built from quasi-Einstein bases."""
 
-    f1: ScalarExpr
-    f2: ScalarExpr
+    __slots__ = ("f1", "f2")
+
+    def __init__(self, f1: ScalarExpr, f2: ScalarExpr):
+        self.f1, self.f2 = f1, f2
 
 
 def pullback_fields(phi: PlaneMap, target_fields) -> tuple[VectorFieldExpr, ...]:

@@ -74,14 +74,13 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from struct import Struct
 from typing import Callable, Union
 
 import numpy as np
 
-from .expr import _RHS_ERRORS, DomainError, _compile, _indent
+from .expr import _RHS_ERRORS, Data, DomainError, _compile, _indent
 
 RTOL = 1e-10
 ATOL = 1e-12
@@ -96,43 +95,51 @@ CONVERGENCE_RATIO = 0.5
 UNDERFLOW_X1 = 1e-280
 
 
-@dataclass(frozen=True)
-class ReachedHorizon:
-    t: float
+class ReachedHorizon(Data):
+    __slots__ = ("t",)
+
+    def __init__(self, t: float):
+        self.t = t
 
     def to_json(self):
         return {"status": "reached-horizon", "t": self.t}
 
 
-@dataclass(frozen=True)
-class Blowup:
-    t_lo: float
-    t_hi: float
+class Blowup(Data):
+    __slots__ = ("t_lo", "t_hi")
+
+    def __init__(self, t_lo: float, t_hi: float):
+        self.t_lo, self.t_hi = t_lo, t_hi
 
     def to_json(self):
         return {"status": "blowup", "t_star_bracket": [self.t_lo, self.t_hi]}
 
 
-@dataclass(frozen=True)
-class LeftDomain:
-    t: float
+class LeftDomain(Data):
+    __slots__ = ("t",)
+
+    def __init__(self, t: float):
+        self.t = t
 
     def to_json(self):
         return {"status": "left-domain", "t_star": self.t}
 
 
-@dataclass(frozen=True)
-class StepCollapse:
-    t: float
-    rhs_grew: bool
+class StepCollapse(Data):
+    __slots__ = ("t", "rhs_grew")
+
+    def __init__(self, t: float, rhs_grew: bool):
+        self.t, self.rhs_grew = t, rhs_grew
 
     def to_json(self):
         return {"status": "step-collapse", "t_star": self.t, "rhs_grew": self.rhs_grew}
 
 
-@dataclass(frozen=True)
-class Unbounded:
-    t: float
+class Unbounded(Data):
+    __slots__ = ("t",)
+
+    def __init__(self, t: float):
+        self.t = t
 
     def to_json(self):
         return {"status": "unbounded-growth", "t_reached": self.t}
@@ -424,8 +431,9 @@ class Field:
     shape (its names, prelude, components and constant names), and take the
     constants' values as closure values, so Fields that differ only in
     those values share one kernel: the Killing fields name their finite
-    constants for this (killing._field_rhs).  A Field hashes by identity (a
-    plain class, because a dataclass costs about 1 ms at import)."""
+    constants for this (killing._field_rhs).  A Field compares and hashes by
+    identity (it is not an `expr.Data`): Fields share kernels through that
+    cache on their shape, never by comparing equal."""
 
     def __init__(self, names: tuple[str, ...], prelude: tuple[str, ...],
                  comps: tuple[str, ...], consts: tuple[tuple[str, float], ...] = ()):

@@ -32,14 +32,13 @@ probe: each probe only builds its list of runs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .catalog import ModelRecord
 from .connection import _SYMBOLS, ChristoffelSpec, _max_abs_kernel, over_grid
-from .expr import Point, VectorFieldExpr, _emit_shared, add, compile_jet, const, mul
+from .expr import Data, Point, VectorFieldExpr, _emit_shared, add, compile_jet, const, mul
 from .integrate import Field, Status, Trajectory, Unbounded, integrate
 from .qe import RESIDUAL_TOL
 
@@ -112,13 +111,13 @@ def combination(basis, coeffs) -> VectorFieldExpr:
     return VectorFieldExpr(c1, c2)
 
 
-@dataclass(frozen=True)
-class FlowWitness:
-    field_label: str
-    coeffs: tuple[float, ...]
-    init: tuple[float, float]
-    direction: str
-    status: Status
+class FlowWitness(Data):
+    __slots__ = ("field_label", "coeffs", "init", "direction", "status")
+
+    def __init__(self, field_label: str, coeffs: tuple[float, ...], init: tuple[float, float],
+                 direction: str, status: Status):
+        self.field_label, self.coeffs, self.init = field_label, coeffs, init
+        self.direction, self.status = direction, status
 
     def to_json(self):
         return {"field": self.field_label, "coeffs": list(self.coeffs),
@@ -126,15 +125,15 @@ class FlowWitness:
                 **self.status.to_json()}
 
 
-@dataclass
-class ProbeReport:
-    model: str
-    kind: str  # "killing" | "geodesic"
-    complete: bool
-    horizon: float
-    expected: bool | None
-    witnesses: list[FlowWitness] = field(default_factory=list)
-    unbounded_runs: int = 0
+class ProbeReport(Data):
+    __slots__ = ("model", "kind", "complete", "horizon", "expected", "witnesses", "unbounded_runs")
+
+    def __init__(self, model: str, kind: str, complete: bool, horizon: float,
+                 expected: bool | None, witnesses: list[FlowWitness] | None = None,
+                 unbounded_runs: int = 0):  # kind: "killing" | "geodesic"
+        self.model, self.kind, self.complete, self.horizon = model, kind, complete, horizon
+        self.expected, self.unbounded_runs = expected, unbounded_runs
+        self.witnesses = [] if witnesses is None else witnesses
 
     @property
     def verdict(self) -> str:

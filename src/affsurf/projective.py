@@ -37,26 +37,25 @@ through `over_grid`, so a constant source is evaluated once per check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import expr as ex
 from .catalog import AffineMapEntry, ModelRecord, instantiate_ref
 from .connection import ChristoffelSpec, curvature, max_abs, over_grid, ricci
-from .expr import Point, ScalarExpr, compile_jet
+from .expr import Data, Point, ScalarExpr, compile_jet
 from .qe import RESIDUAL_TOL, max_residual
 
 FLAT_TOL = 1e-10
 MAP_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Data):
     """phi(x) = a1*x1 + a2*x2."""
 
-    a1: float
-    a2: float
+    __slots__ = ("a1", "a2")
+
+    def __init__(self, a1: float, a2: float):
+        self.a1, self.a2 = a1, a2
 
     def expr(self) -> ScalarExpr:
         return ex.add(ex.mul(ex.const(self.a1), ex.x1), ex.mul(ex.const(self.a2), ex.x2))
@@ -136,14 +135,15 @@ def flatten(spec: ChristoffelSpec):
     return phi, deform(spec, phi, -1)
 
 
-@dataclass
-class FlattenReport:
-    model: str
-    phi: LinearForm
-    rho_tilde_max: float
-    curvature_tilde_max: float
-    qe_sign: int  # sign s with residual(e^{s*phi}) minimal
-    qe_residual: float
+class FlattenReport(Data):
+    __slots__ = ("model", "phi", "rho_tilde_max", "curvature_tilde_max", "qe_sign", "qe_residual")
+
+    def __init__(self, model: str, phi: LinearForm, rho_tilde_max: float,
+                 curvature_tilde_max: float, qe_sign: int, qe_residual: float):
+        self.model, self.phi, self.rho_tilde_max = model, phi, rho_tilde_max
+        self.curvature_tilde_max = curvature_tilde_max
+        self.qe_sign = qe_sign  # sign s with residual(e^{s*phi}) minimal
+        self.qe_residual = qe_residual
 
     @property
     def passed(self) -> bool:
@@ -202,12 +202,11 @@ def pullback_connection(jet, target: ChristoffelSpec, p: Point):
             i11 * u122 + i12 * u222, i21 * u122 + i22 * u222)
 
 
-@dataclass
-class MapReport:
-    model: str
-    name: str
-    target: str
-    max_deviation: float
+class MapReport(Data):
+    __slots__ = ("model", "name", "target", "max_deviation")
+
+    def __init__(self, model: str, name: str, target: str, max_deviation: float):
+        self.model, self.name, self.target, self.max_deviation = model, name, target, max_deviation
 
     @property
     def passed(self) -> bool:

@@ -17,14 +17,13 @@ constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .catalog import ModelRecord
 from .connection import ChristoffelSpec, _max_abs_kernel, over_grid, ricci_sym
-from .expr import Point, ScalarExpr, compile_jet
+from .expr import Data, Point, ScalarExpr, compile_jet
 
 RESIDUAL_TOL = 1e-8
 #: a basis is independent when its |xi_det| is above this
@@ -57,12 +56,13 @@ def _residual_kernel():
          "(f22 - (e * g1 + f * g2)) + val * r22"])
 
 
-@dataclass(frozen=True)
-class QEReport:
-    model: str
-    grid_shape: tuple[int, int]
-    residuals: tuple[float, ...]  # per basis element, max over the grid
-    xi_det: float
+class QEReport(Data):
+    __slots__ = ("model", "grid_shape", "residuals", "xi_det")
+
+    def __init__(self, model: str, grid_shape: tuple[int, int], residuals: tuple[float, ...],
+                 xi_det: float):  # residuals: per basis element, max over the grid
+        self.model, self.grid_shape = model, grid_shape
+        self.residuals, self.xi_det = residuals, xi_det
 
     @property
     def passed(self) -> bool:

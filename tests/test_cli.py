@@ -252,6 +252,8 @@ class TestBadInput:
         ("verify", "A.M24", "--c", "1000"),
         ("verify", "A.M34", "--c", "1e200"),
         ("verify", "A.M06", "--grid", "0"),
+        ("verify", "--all", "A.M06"),
+        ("verify", "--all", "--sign", "+"),
         ("table", "--theorem", "1.7", "--T", "nan"),
         ("table", "--theorem", "1.7", "--T", "-5"),
         ("flow", "A.M06", "--init", "0,0", "--T", "inf"),
@@ -263,6 +265,21 @@ class TestBadInput:
         assert "Traceback" not in r.stderr
         assert r.stderr.splitlines()[-1].startswith("error: ")
         assert len(r.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--all", "A.M44", "--c", "0.5"],
+         "verify --all takes no family or family parameter"),
+        (["table", "--theorem", "1.10", "--seed", "-1"],
+         "--seed must be a non-negative integer, got -1"),
+    ], ids=["verify-all-with-family", "negative-seed"])
+    def test_rejected_before_any_check(self, monkeypatch, capsys, argv, message):
+        """verify --all with a family, and a negative --seed, are usage
+        errors that name the options, raised before any record is built."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a record was built")
+        monkeypatch.setattr(cat, "all_records", unreachable)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_runtime_error_maps_to_exit_2(self, monkeypatch, capsys):
         # the real run (A.M32 at c = -0.5 along this direction, T = 200)

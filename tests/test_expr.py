@@ -430,6 +430,41 @@ def test_diff_equals_plain_rule_generated(e):
     assert jet_trees(e) == jet_trees(e, plain_diff)
 
 
+class TestDataProtocol:
+    """The package's data classes (`ex.Data`) compare, hash and print as
+    frozen dataclasses did: equal only within one class, field by field."""
+
+    def test_repr_of_every_node_kind(self):
+        tree = ex.Sum((ex.Const(Fraction(1, 2)),
+                       ex.Prod((ex.Coord(1), ex.Pow(ex.Coord(2), Fraction(1, 2)))),
+                       ex.Func("exp", ex.Pow(ex.Coord(1), -0.5))))
+        assert repr(tree) == (
+            "Sum(terms=(Const(value=Fraction(1, 2)), Prod(factors=(Coord(axis=1), "
+            "Pow(base=Coord(axis=2), exponent=Fraction(1, 2)))), Func(name='exp', "
+            "arg=Pow(base=Coord(axis=1), exponent=-0.5))))")
+
+    def test_kinds_with_the_same_fields_differ(self):
+        t = (x1, x2)
+        assert ex.Sum(t) != ex.Prod(t) and not ex.Sum(t) == ex.Prod(t)
+        assert ex.Sum(t) == ex.Sum(t) and hash(ex.Sum(t)) == hash(ex.Sum(t))
+        assert ex.VectorFieldExpr(x1, x2) != ex.PlaneMap(x1, x2)
+
+    def test_records_compare_by_value(self):
+        for a, b in zip(C.all_records(), C.all_records(), strict=True):
+            assert a is not b and a == b and hash(a) == hash(b), a.ref.label()
+
+    def test_statuses_compare_by_value_within_a_class(self):
+        assert integrate.LeftDomain(1.0) == integrate.LeftDomain(1.0)
+        assert hash(integrate.Blowup(1.0, 2.0)) == hash(integrate.Blowup(1.0, 2.0))
+        assert integrate.LeftDomain(1.0) != integrate.Unbounded(1.0)
+        assert integrate.ReachedHorizon(1.0) != integrate.LeftDomain(1.0)
+
+    def test_probe_reports_never_share_witnesses(self):
+        a, b = (killing.ProbeReport("A.M06", "killing", True, 1.0, True) for _ in range(2))
+        a.witnesses.append(None)
+        assert a.witnesses is not b.witnesses and b.witnesses == []
+
+
 class TestCompile:
     def test_matches_interpreter(self):
         e = parse_expr("exp(0.3*x2)*sin(x2) + x1^(5/3)*log(x1) - arctan(x1*x2)")

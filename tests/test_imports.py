@@ -4,7 +4,8 @@ the package (or in the tests), every module-level function, class or
 constant of the package is reached from the command line or the benchmark,
 and every method or property of the package's classes is read there or by
 the benchmark.  Generated code is compiled in one place, `expr._compile`,
-and the verification modules load without the ODE stepper.
+the verification modules load without the ODE stepper, and start-up loads
+no dataclasses.
 
 No linter ships with the package, so these AST scans are the guard against
 imports and helpers left behind when code moves or goes, and against
@@ -259,10 +260,10 @@ def test_verification_loads_no_stepper():
             if m in loaded] == []
 
 
-def loads_numpy_ma(code: str) -> bool:
-    """Whether numpy.ma is in sys.modules after code runs in a fresh
-    interpreter (numpy imports it on the first call of np.median)."""
-    code += "\nimport sys; print('numpy.ma' in sys.modules)"
+def loads(module: str, code: str) -> bool:
+    """Whether module is in sys.modules after code runs in a fresh
+    interpreter."""
+    code += f"\nimport sys; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=ENV, check=True).stdout.split()
     return out[-1] == "True"
@@ -271,7 +272,8 @@ def loads_numpy_ma(code: str) -> bool:
 def test_probes_load_no_masked_arrays():
     """A Killing probe that ends in a StepCollapse and a geodesic probe that
     ends in a Blowup classify their runs in float arithmetic: numpy.ma,
-    which takes milliseconds to import, stays unloaded."""
+    which takes milliseconds to import (numpy imports it on the first call
+    of np.median), stays unloaded."""
     code = """
 from affsurf import catalog, geodesic, killing
 for rep, status in ((killing.killing_completeness_probe(catalog.instantiate("B.N16", sign=1.0)),
@@ -279,8 +281,21 @@ for rep, status in ((killing.killing_completeness_probe(catalog.instantiate("B.N
                     (geodesic.geodesic_completeness_probe(catalog.instantiate("A.M16")), "Blowup")):
     assert status in {type(w.status).__name__ for w in rep.witnesses}, rep.to_json()
 """
-    assert not loads_numpy_ma(code)
+    assert not loads("numpy.ma", code)
 
 
 def test_scan_sees_masked_arrays():
-    assert loads_numpy_ma("import affsurf.integrate, numpy as np; np.median([1.0, 2.0])")
+    assert loads("numpy.ma", "import affsurf.integrate, numpy as np; np.median([1.0, 2.0])")
+
+
+def test_startup_loads_no_dataclasses():
+    """Importing the command line and building the atlas, the set-up of
+    every CLI call and benchmark pass, leaves dataclasses unloaded: the
+    package's data classes are plain `__slots__` classes on `expr.Data`, so
+    no class has methods generated for it at import."""
+    code = "import affsurf.cli\nfrom affsurf import catalog\ncatalog.all_records()"
+    assert not loads("dataclasses", code)
+
+
+def test_scan_sees_dataclasses():
+    assert loads("dataclasses", "import affsurf.cli, dataclasses")

@@ -1,6 +1,5 @@
 """Quasi-Einstein machinery: Hessian, residuals, basis reports, Xi matrix."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -141,8 +140,9 @@ class TestBasisReports:
         than E(Q): its report fails on xi_det alone, in `passed` and JSON."""
         rec = C.instantiate("A.M22", b1=-1.0, b2=2.0)
         phi0, phi1, _ = rec.q_basis
-        rep = qe.verify_q_basis(dataclasses.replace(rec, q_basis=(phi0, phi1, phi0)),
-                                C.sample_grid(rec))
+        repeated = C.ModelRecord(rec.ref, rec.spec, (phi0, phi1, phi0), rec.killing_basis,
+                                 rec.expected, rec.maps, rec.base_point, rec.notes)
+        rep = qe.verify_q_basis(repeated, C.sample_grid(rec))
         assert not rep.passed and rep.to_json()["pass"] is False
         assert all(r <= qe.RESIDUAL_TOL for r in rep.residuals)
         assert abs(rep.xi_det) <= qe.XI_DET_FLOOR
