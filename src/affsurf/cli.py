@@ -155,13 +155,13 @@ def _write(path: str, text: str) -> None:
 
 def cmd_catalog(args) -> int:
     if args.records:
-        fams = [f.name for f in cat.families(args.type)]
+        fams, preset = [f.name for f in cat.families(args.type)], {}
         if args.family:
-            fams = [cat.parse_family_token(args.family)[0]]
-        records = []
-        for fam in fams:
-            for params in cat.standard_samples(fam):
-                records.append(cat.instantiate(fam, **params).to_json())
+            family, preset = cat.parse_family_token(args.family)
+            fams = [family]
+        # an alias such as B.N13p keeps only the samples with its preset
+        records = [cat.instantiate(fam, **params).to_json() for fam in fams
+                   for params in cat.standard_samples(fam) if preset.items() <= params.items()]
         _emit({"count": len(records), "records": records}, args.json_path)
         return EXIT_OK
     if args.family:

@@ -57,12 +57,11 @@ extension must keep the run's direction and its edge, compared by value.
 The probes confirm a complete verdict this way, extending each horizon-T
 run instead of integrating again from t = 0.  The history is one flat
 buffer of doubles, a row (sgn t, y) per step (8 bytes per value), which
-the Trajectory's times and states read in place.  A row holds no
-derivative: f = rhs(y) is recomputed from the stored y where it is read,
-bit for bit the value the step computed: for the previous row of a step
-that reached the edge or a rung, for the rows a step collapse is
-classified by, and, from the Trajectory's rhs, for a run's nodal
-derivatives (the last row's the Trajectory keeps).
+the Trajectory's times and states read in place.  A run stores neither a
+derivative nor its right-hand side: where integrate() needs a row's f,
+for the previous row of a step that reached the edge or a rung and for
+the rows a step collapse is classified by, it recomputes rhs(y) from the
+stored y, bit for bit the value the step computed.
 
 The tolerances, the minimum step, the state cap and the limit of 400,000
 steps (counted from t = 0, over every extension of a run) are fixed module
@@ -158,26 +157,21 @@ class Trajectory:
     times are strictly monotone in the integration direction; states hold
     the sampled points (dimension 2 for flows, 4 for geodesics).  The two
     arrays read the run's flat history buffer rows, a row (sgn t, y) per
-    step, in place.  No derivative is stored: the nodal derivative, for
-    cubic Hermite interpolation, is the run's right-hand side `rhs` at a
-    row's state, recomputed where it is read, except at the last row,
-    whose derivative `f_last` the run keeps (at a LeftDomain crossing
-    where rhs fails it is the edge step's).  The run was made in
-    `direction` to the horizon `span` with the x1 `edge` (a float, or None
-    for no edge); loop is the loop's state (steps used, t, y, f, h, ladder
-    times) at the first step the horizon cut short, and n the number of
-    rows then.  loop is None when the run ended before any cut; its status
-    then stands at every longer horizon.  An extension must pass an edge
-    equal in value to this one."""
+    step, in place; a run keeps neither a derivative nor its right-hand
+    side.  The run was made in `direction` to the horizon `span` with the
+    x1 `edge` (a float, or None for no edge); loop is the loop's state
+    (steps used, t, y, f, h, ladder times) at the first step the horizon
+    cut short, and n the number of rows then.  loop is None when the run
+    ended before any cut; its status then stands at every longer horizon.
+    An extension must pass an edge equal in value to this one."""
 
-    __slots__ = ("times", "states", "status", "direction", "span", "edge", "rows", "n", "loop",
-                 "rhs", "f_last")
+    __slots__ = ("times", "states", "status", "direction", "span", "edge", "rows", "n", "loop")
 
-    def __init__(self, rows, dim, status, direction, span, edge, n, loop, rhs, f_last):
+    def __init__(self, rows, dim, status, direction, span, edge, n, loop):
         a = np.frombuffer(rows).reshape(-1, 1 + dim)
         self.times, self.states = a[:, 0], a[:, 1:]
         self.status, self.direction, self.span, self.edge = status, direction, span, edge
-        self.rows, self.n, self.loop, self.rhs, self.f_last = rows, n, loop, rhs, f_last
+        self.rows, self.n, self.loop = rows, n, loop
 
     @property
     def escaped(self) -> bool:
@@ -250,10 +244,9 @@ def integrate(rhs: Callable,
     floor = -math.inf if edge is None else edge  # accepted steps are finite, so never <= -inf
     cut = None
 
-    def finish(status: Status, f_last=None) -> Trajectory:  # f_last: the last row's f if not f
+    def finish(status: Status) -> Trajectory:
         n, state = (len(rows) // w, None) if cut is None else cut
-        return Trajectory(rows, dim, status, direction, span, edge, n, state, rhs,
-                          f if f_last is None else f_last)
+        return Trajectory(rows, dim, status, direction, span, edge, n, state)
 
     def f_at(i):  # f of row i: an accepted state or row 0, so rhs is defined there
         return _call_rhs(rhs, tuple(rows[i * w + 1:(i + 1) * w]))
@@ -292,11 +285,10 @@ def integrate(rhs: Callable,
         if event == "edge":  # the step's row goes; the crossing's row replaces it
             del rows[-w:]
             if prev[1] <= UNDERFLOW_X1:
-                return finish(Unbounded(sgn * t_prev), f_prev)  # not prev[0]: row 0 holds t = +0.0
+                return finish(Unbounded(sgn * t_prev))  # not prev[0]: row 0 holds t = +0.0
             t_cross = _bisect_crossing(lambda tt: seg(tt)[0] - edge, t_prev, t)
-            y_cross = tuple(float(v) for v in seg(t_cross))
-            rows.extend((sgn * t_cross, *y_cross))
-            return finish(LeftDomain(sgn * t_cross), _safe_rhs(rhs, y_cross, f))
+            rows.extend((sgn * t_cross, *seg(t_cross)))
+            return finish(LeftDomain(sgn * t_cross))
         n_new = _norm_inf(y)
         while len(ladder_times) < len(LADDER) and n_new >= LADDER[len(ladder_times)]:
             rung = LADDER[len(ladder_times)]
@@ -519,13 +511,6 @@ def _segment(t0, y0, f0, t1, y1, f1, sgn):
 
 def _call_rhs(rhs, y) -> tuple[float, ...]:
     return tuple(float(v) for v in rhs(y))
-
-
-def _safe_rhs(rhs, y, fallback):
-    try:
-        return _call_rhs(rhs, y)
-    except _RHS_ERRORS:
-        return tuple(fallback)
 
 
 def _initial_step(y, f):

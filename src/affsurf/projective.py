@@ -61,19 +61,18 @@ class LinearForm(Data):
         return ex.add(ex.mul(ex.const(self.a1), ex.x1), ex.mul(ex.const(self.a2), ex.x2))
 
 
-def deform(spec: ChristoffelSpec, phi: LinearForm, sign: int) -> ChristoffelSpec:
-    """Strong projective deformation of a constant-symbol connection by a
-    linear form; sign +1 adds the rank-one correction, -1 removes it.
-    deform(deform(s, phi, +1), phi, -1) is s exactly."""
+def deform(spec: ChristoffelSpec, phi: LinearForm) -> ChristoffelSpec:
+    """Strong projective deformation of a constant-symbol connection that
+    removes the rank-one correction of a linear form phi = (a1, a2):
+    (a - 2 a1, b, c - a2, d - a1, e, f - 2 a2).  The deformation that adds
+    it is deform(spec, LinearForm(-a1, -a2)), bit for bit, since negation
+    is exact.  Deforming back and forth need not return spec exactly:
+    each step rounds."""
     if spec.kind != "constant":
         raise ValueError("deform requires a constant-symbol connection")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     a1, a2 = phi.a1, phi.a2
     a, b, c, d, e, f = spec.coeffs
-    s = float(sign)
-    return ChristoffelSpec((a + s * 2 * a1, b, c + s * a2, d + s * a1, e, f + s * 2 * a2),
-                           "constant")
+    return ChristoffelSpec((a - 2 * a1, b, c - a2, d - a1, e, f - 2 * a2), "constant")
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +112,7 @@ def _branch1(coeffs):
 
 
 def flatten(spec: ChristoffelSpec):
-    """A linear form phi and the flat spec deform(spec, phi, -1).
+    """A linear form phi and the flat spec deform(spec, phi).
 
     Postconditions (checked by the callers and the report): the deformed
     Ricci and curvature vanish to 1e-10 and one of e^{+phi}, e^{-phi} has
@@ -132,7 +131,7 @@ def flatten(spec: ChristoffelSpec):
         phi = LinearForm(a2s * lam, a1s)
     else:
         phi = LinearForm(d, c)
-    return phi, deform(spec, phi, -1)
+    return phi, deform(spec, phi)
 
 
 class FlattenReport(Data):

@@ -68,6 +68,7 @@ def test_criterion_2_geodesic_oracles():
     n_curves = 0
     for fam, kw in fams:
         rec = C.instantiate(fam, **kw)
+        rhs = G._make_rhs(rec.spec)
         for a, b in AB_SAMPLES:
             cf = closed_form_geodesic(rec, a, b)
             lo, hi = cf.inner_window()
@@ -78,7 +79,7 @@ def test_criterion_2_geodesic_oracles():
                 tr = G.geodesic_integrate(rec.spec, rec.base_point, (a, b), t_end)
                 assert tr.status.to_json()["status"] == "reached-horizon", (fam, kw, a, b)
                 for t in np.linspace(0.0, t_end, 50)[1:]:
-                    xy = dense_eval(tr, float(t))[:2]
+                    xy = dense_eval(tr, rhs, float(t))[:2]
                     want = f(float(t))
                     worst = max(worst, abs(xy[0] - want[0]), abs(xy[1] - want[1]))
             n_curves += 1
@@ -89,13 +90,14 @@ def test_criterion_2_geodesic_oracles():
                         ("A.M42", {"sign": -1.0}, (1.0, 0.0)),
                         ("A.M12", {"a1": 2.0, "a2": 3.0}, (1 / 6, 1 / 6))]:
         rec = C.instantiate(fam, **kw)
+        rhs = G._make_rhs(rec.spec)
         cf = closed_form_geodesic(rec, *ab)
         lo, hi = cf.inner_window()
         f = cf.compiled()
         for t_end in (hi, lo):
             tr = G.geodesic_integrate(rec.spec, rec.base_point, ab, t_end)
             for t in np.linspace(0.0, t_end, 50)[1:]:
-                xy = dense_eval(tr, float(t))[:2]
+                xy = dense_eval(tr, rhs, float(t))[:2]
                 want = f(float(t))
                 worst = max(worst, abs(xy[0] - want[0]), abs(xy[1] - want[1]))
         n_curves += 1

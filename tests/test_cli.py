@@ -59,6 +59,17 @@ class TestCatalog:
         assert r["q_basis"][0] == "x1^(-1)"
         assert r["expected"]["killing_complete"] is True
 
+    @pytest.mark.parametrize("token,models", [
+        ("B.N13p", ["B.N13(sign=1)"]),
+        ("B.N13minus", ["B.N13(sign=-1)"]),
+        ("B.N13", ["B.N13(sign=1)", "B.N13(sign=-1)"]),
+    ])
+    def test_records_of_a_sign_alias(self, token, models):
+        # an alias lists the one record that `verify` and `flow` resolve it to
+        code, d = run_json("catalog", "--records", "--family", token)
+        assert code == 0 and [r["model"] for r in d["records"]] == models
+        assert d["count"] == len(models)
+
     def test_full_atlas_dump(self):
         code, d = run_json("catalog", "--records")
         assert code == 0 and d["count"] == 73

@@ -444,7 +444,8 @@ class TestOracleAgreement:
         fwd = G.geodesic_integrate(rec.spec, (0.0, 0.0), (1.0, 1.0), 5.0)
         assert isinstance(fwd.status, ReachedHorizon)
         f = cf.compiled()
-        gap = max(max(abs(a - b) for a, b in zip(dense_eval(fwd, float(t))[:2], f(float(t))))
+        rhs = G._make_rhs(rec.spec)
+        gap = max(max(abs(a - b) for a, b in zip(dense_eval(fwd, rhs, float(t))[:2], f(float(t))))
                   for t in np.linspace(0.0, 5.0, 80)[1:])
         assert gap <= 1e-6
         back = G.geodesic_integrate(rec.spec, (0.0, 0.0), (1.0, 1.0), -5.0)
@@ -455,6 +456,7 @@ class TestOracleAgreement:
         worst = 0.0
         for fam, kw in CLOSED_FORM_RECORDS[:8]:
             rec = C.instantiate(fam, **kw)
+            rhs = G._make_rhs(rec.spec)
             for a, b in AB_SAMPLES:
                 cf = closed_form_geodesic(rec, a, b)
                 lo, hi = cf.inner_window()
@@ -465,7 +467,7 @@ class TestOracleAgreement:
                     tr = G.geodesic_integrate(rec.spec, rec.base_point, (a, b), t_end)
                     assert isinstance(tr.status, ReachedHorizon), (fam, a, b, tr.status)
                     for t in np.linspace(0.0, t_end, 40)[1:]:
-                        xy = dense_eval(tr, float(t))[:2]
+                        xy = dense_eval(tr, rhs, float(t))[:2]
                         want = f(float(t))
                         worst = max(worst, abs(xy[0] - want[0]), abs(xy[1] - want[1]))
         assert worst <= 1e-6
@@ -479,12 +481,13 @@ class TestAffineReparametrization:
         rec = C.instantiate("A.M34", c=1 / 3)
         v0 = (0.4, 0.3)
         ts = np.linspace(0.1, 0.9, 7)
+        rhs = G._make_rhs(rec.spec)
         base = G.geodesic_integrate(rec.spec, (0.0, 0.0), v0, float(np.sign(lam)) * 2.0)
         scaled = G.geodesic_integrate(rec.spec, (0.0, 0.0),
                                       (v0[0] * lam, v0[1] * lam), 1.0)
         for t in ts:
-            want = dense_eval(base, float(lam * t))[:2]
-            got = dense_eval(scaled, float(t))[:2]
+            want = dense_eval(base, rhs, float(lam * t))[:2]
+            got = dense_eval(scaled, rhs, float(t))[:2]
             assert np.allclose(got, want, atol=1e-8)
 
 

@@ -2,10 +2,11 @@
 there, every private module-level function or class is read somewhere in
 the package (or in the tests), every module-level function, class or
 constant of the package is reached from the command line or the benchmark,
-and every method or property of the package's classes is read there or by
-the benchmark.  Generated code is compiled in one place, `expr._compile`,
-the verification modules load without the ODE stepper, and start-up loads
-no dataclasses.
+every method or property of the package's classes is read there or by the
+benchmark, and every slot of those classes is loaded as an attribute there
+or by the benchmark.  Generated code is compiled in one place,
+`expr._compile`, the verification modules load without the ODE stepper,
+and start-up loads no dataclasses.
 
 No linter ships with the package, so these AST scans are the guard against
 imports and helpers left behind when code moves or goes, and against
@@ -198,6 +199,36 @@ def test_scan_sees_unread_members():
                "class B:\n    def unread(self): pass\n",
                "def f(a): return a.used() + a.prop\n"]
     assert unread_members(sources) == ["A.own", "B.unread"]
+
+
+def unread_slots(sources) -> list[str]:
+    """Class.name of every name in the `__slots__` of a module-level class
+    that no attribute load (an `ast.Attribute` in Load context) in the
+    sources reads."""
+    trees = [ast.parse(source) for source in sources]
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{cls.name}.{name}" for tree in trees for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for stmt in cls.body
+            if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+            for name in ast.literal_eval(stmt.value) if name not in loaded]
+
+
+def test_no_test_only_slots():
+    """Every slot of the package's classes is read by the package or the
+    benchmark: a run keeps nothing that only the tests look at."""
+    assert unread_slots([p.read_text() for p in MODULES + PERFBENCH]) == []
+
+
+def test_scan_sees_unread_slots():
+    # a load in the class's own methods counts; a store alone does not
+    sources = ["class A:\n    __slots__ = ('used', 'stored', 'own')\n"
+               "    def __init__(self):\n        self.used = self.stored = self.own = 0\n"
+               "    def get(self): return self.own\n"
+               "class B:\n    __slots__ = ('unread',)\n",
+               "def f(a): return a.used\n"]
+    assert unread_slots(sources) == ["A.stored", "B.unread"]
 
 
 def calls(sources: dict[str, str]):

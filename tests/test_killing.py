@@ -300,9 +300,10 @@ class TestFlows:
         rec = C.instantiate("B.N13", sign=1)
         X = rec.killing_basis[0]
         tr = K.flow_integrate(X, (1.0, -1.0), 0.9, edge=0.0)
+        rhs = K._field_rhs(X)
         for t in (0.2, 0.5, 0.85):
             s = 1.0 + t  # xi(s) = (s^-2, -s^-1), xi(1) = (1, -1)
-            got = dense_eval(tr, t)
+            got = dense_eval(tr, rhs, t)
             assert abs(got[0] - s ** -2) < 1e-6 and abs(got[1] + 1.0 / s) < 1e-6
 
 

@@ -244,7 +244,7 @@ class TestConformalTransformation:
     def test_deformed_solutions(self, fam, kw):
         rec = C.instantiate(fam, **kw)
         phi = LinearForm(0.3, -0.2)
-        deformed = deform(rec.spec, phi, +1)
+        deformed = deform(rec.spec, LinearForm(-phi.a1, -phi.a2))  # the plus deformation
         grid = C.sample_grid(rec)
         boost = ex.exp(phi.expr())
         for psi in rec.q_basis:
